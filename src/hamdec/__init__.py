@@ -1,8 +1,8 @@
 """hamdec: edge-disjoint Hamilton cycles in dense regular oriented graphs.
 
-Construction side: regular-factor extraction, subproblem partitioning,
-matching-based path covers, and reservoir splicing of covers into verified
-edge-disjoint Hamilton cycles.  Counting side: exact permanents and
+Construction side: reg() by max-flow and verified edge-disjoint Hamilton
+cycles by cycle-factor patching, plus the lemma-level library of subproblem
+partitioning, matching-based path covers and reservoir splicing.  Counting side: exact permanents and
 Hamilton-decomposition counts at tiny sizes, sandwiched between the standard
 matching bounds.
 """
@@ -58,6 +58,7 @@ from .assembly import (
     complete_cover_to_cycle,
     complete_family_to_cycles,
     hamilton_path_between,
+    patch_hamilton_cycles,
 )
 from .partition import PartitionReport, SubproblemSpec, build_partition, verify_partition
 from .pipeline import (

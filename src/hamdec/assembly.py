@@ -1,4 +1,8 @@
-"""Splicing path covers into Hamilton cycles through a reservoir vertex set.
+"""Hamilton cycles: cycle-factor patching, exact path search, and splicing
+path covers into cycles through a reservoir vertex set.
+
+The pipeline's engine is patching (Karp 1979): draw a cycle factor of the
+residual graph and merge its cycles by 2-switches into one Hamilton cycle.
 
 A cover of a vertex-disjoint paths is completed into one cycle by picking,
 for each path, a reservoir in-neighbour of its start and a reservoir
@@ -24,8 +28,12 @@ from .errors import (
     SameEndpointsError,
     SpliceFailedError,
 )
+from .factors import maximum_bipartite_matching
 from .graphs import Edge, OrientedGraph
 from .pathcovers import DirectedPath, PathCoverFamily
+
+# consecutive cycle factors without a merging switch before patching stops
+PATCH_REDRAWS = 20
 
 
 @dataclass(frozen=True)
@@ -99,6 +107,110 @@ def connectors_from_edges(edges: set[Edge] | frozenset[Edge],
     out = tuple(frozenset(v for u, v in edges if u == p.end and v in wset)
                 for p in paths)
     return Connectors(into, out)
+
+
+# -- cycle-factor patching ------------------------------------------------
+
+
+@dataclass
+class PatchingOutcome:
+    """Cycles found in order, failed factor draws, switches made, and why
+    the search stopped."""
+
+    cycles: list[HamiltonCycle]
+    failures: int
+    switches: int
+    stop_reason: str
+
+
+def patch_hamilton_cycles(g: OrientedGraph, used: set[Edge] | frozenset[Edge] = frozenset(),
+                          seed: int | str = 0, max_cycles: int | None = None
+                          ) -> PatchingOutcome:
+    """Edge-disjoint Hamilton cycles of g outside ``used``, one per round.
+
+    A round draws a cycle factor of the residual graph: a perfect matching
+    between out- and in-copies, with neighbour and scan order shuffled by
+    the seeded generator.  It then merges the smallest cycle into another
+    by a 2-switch until one cycle is left: for u in it and a residual edge
+    u -> w into another cycle, with p = pred(w), a residual edge
+    p -> succ(u) allows succ(u) = w and succ(p) = old succ(u).  The Hamilton
+    cycle's edges leave the residual.  A factor whose smallest cycle has no
+    switch is redrawn; PATCH_REDRAWS such draws in a row end the search.
+    """
+    n = g.n
+    rng = random.Random(f"{seed}:patch")
+    out: list[set[int]] = [set() for _ in range(n)]
+    for u, v in g.edges - used:
+        out[u].add(v)
+    cycles: list[HamiltonCycle] = []
+    failures = switches = consecutive = 0
+    while True:
+        if max_cycles is not None and len(cycles) >= max_cycles:
+            reason = f"max_cycles {max_cycles} reached"
+            break
+        if consecutive == PATCH_REDRAWS:
+            reason = f"{PATCH_REDRAWS} consecutive factors without a merging switch"
+            break
+        adj = [sorted(row) for row in out]
+        for row in adj:
+            rng.shuffle(row)
+        scan = list(range(n))
+        rng.shuffle(scan)
+        succ = maximum_bipartite_matching(n, n, adj, scan)
+        if n < 3 or -1 in succ:
+            reason = "no cycle factor in residual"
+            break
+        merged, made = _merge_factor(succ, adj, out)
+        switches += made
+        if not merged:
+            failures += 1
+            consecutive += 1
+            continue
+        consecutive = 0
+        order = [0]
+        while len(order) < n:
+            order.append(succ[order[-1]])
+        for u in range(n):
+            out[u].discard(succ[u])
+        cycles.append(HamiltonCycle.from_order(order))
+    return PatchingOutcome(cycles, failures, switches, reason)
+
+
+def _merge_factor(succ: list[int], adj: list[list[int]], out: list[set[int]]
+                  ) -> tuple[bool, int]:
+    """Merge the cycles of the factor ``succ`` in place by 2-switches over
+    residual edges; returns (merged into one cycle?, switches made)."""
+    n = len(succ)
+    pred = [0] * n
+    for u, w in enumerate(succ):
+        pred[w] = u
+    label = [-1] * n
+    members: dict[int, list[int]] = {}
+    for v in range(n):
+        if label[v] == -1:
+            members[v] = []
+            x = v
+            while label[x] == -1:
+                label[x] = v
+                members[v].append(x)
+                x = succ[x]
+    made = 0
+    while len(members) > 1:
+        small = min(members, key=lambda c: (len(members[c]), c))
+        switch = next(((u, w) for u in members[small] for w in adj[u]
+                       if label[w] != small and succ[u] in out[pred[w]]), None)
+        if switch is None:
+            return False, made
+        u, w = switch
+        p, s = pred[w], succ[u]
+        succ[u], pred[w] = w, u
+        succ[p], pred[s] = s, p
+        big = label[w]
+        for x in members[small]:
+            label[x] = big
+        members[big].extend(members.pop(small))
+        made += 1
+    return True, made
 
 
 # -- exact Hamilton-path search -----------------------------------------

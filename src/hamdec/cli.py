@@ -18,7 +18,7 @@ from .counting import (
     count_hamilton_decompositions_exact,
     decomposition_upper_bound,
 )
-from .errors import HamdecError
+from .errors import FormatError, HamdecError
 from .factors import extract_oriented_r_factor, oriented_reg
 from .graphs import (
     OrientedGraph,
@@ -35,6 +35,10 @@ from .pipeline import (
     sandwich_experiment,
     verify_certificate,
 )
+
+
+class UsageError(HamdecError):
+    """Arguments that parse but cannot be acted on."""
 
 
 def _default_seed(value: int | None) -> int:
@@ -84,10 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decompose", help="run the decomposition pipeline")
     d.add_argument("graph")
-    d.add_argument("--eps", type=float, default=0.3)
     d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--k", type=int, default=None, help="partition arity K")
-    d.add_argument("--b", type=int, default=4, help="path-cover part count")
     d.add_argument("--completion", choices=("none", "exact-backtracking"),
                    default="exact-backtracking")
     d.add_argument("--no-direct", action="store_true",
@@ -117,10 +118,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except HamdecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HamdecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -130,6 +128,8 @@ def _dispatch(args) -> int:
         seed = _default_seed(args.seed)
         if args.kind == "rotational":
             g = rotational_tournament(args.n)
+        elif args.kind == "regular" and args.r is None:
+            raise UsageError("--kind regular needs --r")
         else:
             g = random_oriented(args.kind, args.n, seed=seed, r=args.r)
         _write_text(write_edge_list(g), args.out)
@@ -149,8 +149,7 @@ def _dispatch(args) -> int:
 
     if args.command == "decompose":
         g = _read_graph(args.graph)
-        config = RunConfig(k=args.k, eps=args.eps, b=args.b,
-                           seed=_default_seed(args.seed),
+        config = RunConfig(seed=_default_seed(args.seed),
                            completion_stage=args.completion,
                            direct_stage=not args.no_direct)
         cert, report = approximate_decomposition(g, config)
@@ -161,9 +160,14 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         g = _read_graph(args.graph)
         with open(args.certificate, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        cert = DecompositionCertificate.from_json(
-            doc["certificate"] if "certificate" in doc else doc)
+            try:
+                doc = json.load(fh)
+                cert = DecompositionCertificate.from_json(
+                    doc["certificate"] if "certificate" in doc else doc)
+            except KeyError as exc:
+                raise FormatError(f"certificate lacks the key {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise FormatError(f"malformed certificate: {exc}") from exc
         ok, violation = verify_certificate(g, cert)
         if ok:
             print("certificate ok")
@@ -172,6 +176,8 @@ def _dispatch(args) -> int:
         return 1
 
     if args.command == "bounds":
+        if args.n < 1 or args.r < 1:
+            raise UsageError("bounds needs --n >= 1 and --r >= 1")
         _emit_json(bounds_payload(args.n, args.r), None)
         return 0
 

@@ -101,15 +101,34 @@ def maximum_bipartite_matching(left_size: int, right_size: int,
     match_right = [-1] * right_size
     order = range(left_size) if scan_order is None else scan_order
 
-    def augment(a: int, visited: list[bool]) -> bool:
-        for b in adj[a]:
-            if visited[b]:
+    def augment(root: int, visited: list[bool]) -> bool:
+        # Depth-first search over alternating paths with an explicit stack,
+        # trying neighbours in adjacency order; rights[i] is the right vertex
+        # through which lefts[i + 1] was reached.
+        lefts, pos, rights = [root], [0], []
+        while lefts:
+            a = lefts[-1]
+            row = adj[a]
+            i = pos[-1]
+            while i < len(row) and visited[row[i]]:
+                i += 1
+            if i == len(row):
+                lefts.pop()
+                pos.pop()
+                if rights:
+                    rights.pop()
                 continue
+            b = row[i]
+            pos[-1] = i + 1
             visited[b] = True
-            if match_right[b] == -1 or augment(match_right[b], visited):
-                match_right[b] = a
-                match_left[a] = b
+            rights.append(b)
+            if match_right[b] == -1:
+                for a, b in zip(lefts, rights):
+                    match_right[b] = a
+                    match_left[a] = b
                 return True
+            lefts.append(match_right[b])
+            pos.append(0)
         return False
 
     for a in order:
@@ -414,10 +433,20 @@ def has_oriented_r_factor(g: OrientedGraph, r: int) -> bool:
 
 def oriented_reg(g: OrientedGraph) -> int:
     """Largest r for which g has a spanning sub-digraph with all in/out
-    degrees exactly r.  Monotone in r, so binary search over flow tests."""
-    hi = min(min(g.out_degree(v) for v in range(g.n)),
-             min(g.in_degree(v) for v in range(g.n)))
-    lo = 0
+    degrees exactly r.
+
+    One flow first tests r = min semi-degree, which holds on regular inputs.
+    Otherwise its value F bounds reg by F // n, since an r'-factor with
+    r' <= r is a flow of r' * n in the same network; below that bound
+    factor existence is monotone in r, so a binary search finishes.
+    """
+    n = g.n
+    hi = min(min(g.out_degree(v) for v in range(n)),
+             min(g.in_degree(v) for v in range(n)))
+    _, _, value = _oriented_factor_flow(g, hi)
+    if value == hi * n:
+        return hi
+    lo, hi = 0, value // n
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if has_oriented_r_factor(g, mid):

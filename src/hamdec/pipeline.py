@@ -1,13 +1,10 @@
-"""End-to-end driver: extract a maximum regular factor, split into
-subproblems, build path-cover families, splice covers into edge-disjoint
-Hamilton cycles, and emit a verifiable certificate.
+"""End-to-end driver: compute reg(G), extract edge-disjoint Hamilton
+cycles by cycle-factor patching, and emit a verifiable certificate.
 
-The partition route mirrors the large-n construction and is attempted
-whenever K^3 subproblems fit; at the sizes this package targets its
-per-subproblem densities are usually too thin to complete cycles, so a
-direct stage then runs the same cover-and-reservoir machinery on the whole
-residual graph, with covers found by exact search.  A final completion
-stage optionally decomposes a tiny regular leftover by exact backtracking.
+The direct stage runs the patching engine of ``assembly`` on the whole
+residual graph until no cycle factor is left or its factors stop merging.
+Below n = 12 exact search then extracts further cycles one at a time, and a
+completion stage decomposes a tiny regular leftover by exact backtracking.
 Certificates are re-verified from scratch before being returned.
 """
 
@@ -15,19 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .assembly import (
-    HamiltonCycle,
-    complete_cover_to_cycle,
-    complete_family_to_cycles,
-    connectors_from_edges,
-    hamilton_path_any,
-    hamilton_path_between,
-)
+from .assembly import HamiltonCycle, hamilton_path_between, patch_hamilton_cycles
 from .counting import (
     BoundReport,
     LogCount,
@@ -41,54 +30,30 @@ from .errors import (
     HamdecError,
     InvariantViolationError,
     HypothesisViolatedError,
-    KTooLargeError,
     TooLargeError,
 )
-from .factors import extract_oriented_r_factor, oriented_reg
+from .factors import oriented_reg
 from .graphs import Edge, OrientedGraph, rotational_tournament, write_edge_list
-from .partition import build_partition
-from .pathcovers import (
-    DirectedPath,
-    PathCover,
-    build_path_cover_family,
-    lift_path_cover_family,
-)
+
+# below this order the direct stage finishes with exact cycle extraction
+EXACT_FINISH_N = 12
 
 
 @dataclass
 class RunConfig:
-    """Desk-scale knobs standing in for the asymptotic parameter bindings."""
+    """Pipeline knobs."""
 
-    k: int | None = None          # partition arity; derived from n when None
-    eps: float = 0.3
-    b: int = 4                    # parts per path-cover construction
-    a: int | None = None          # cover size bound; derived when None
-    t: int | None = None          # covers requested per subproblem; derived when None
-    block_cap: int = 24
-    partition_retries: int = 3
-    splice_retries: int = 20
-    path_budget: int = 20_000
+    path_budget: int = 20_000     # expansions per exact Hamilton-path search
     seed: int = 0
     completion_stage: str = "exact-backtracking"   # "none" | "exact-backtracking"
     direct_stage: bool = True
-    w_fraction: float = 0.45      # direct-stage reservoir share of n
-    direct_failure_budget: int = 2
     max_cycles: int | None = None
     max_n: int = 2000
     min_semi_floor: int = 0
 
     def __post_init__(self):
-        if not 0 < self.eps < 1:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.b < 2 or self.b % 2:
-            raise ValueError(f"b must be even and >= 2, got {self.b}")
         if self.completion_stage not in ("none", "exact-backtracking"):
             raise ValueError(f"unknown completion stage {self.completion_stage!r}")
-
-    def partition_k(self, n: int) -> int:
-        if self.k is not None:
-            return self.k
-        return 2 if n < 500 else 3
 
 
 @dataclass(frozen=True)
@@ -133,7 +98,6 @@ class RunReport:
     k: int = 0
     seed: int = 0
     stages: list[dict[str, Any]] = field(default_factory=list)
-    subproblems: list[dict[str, Any]] = field(default_factory=list)
     hard_failures: list[str] = field(default_factory=list)
 
     @property
@@ -144,7 +108,7 @@ class RunReport:
         return {
             "n": self.n, "reg": self.reg, "k": self.k,
             "ratio": self.ratio, "seed": self.seed,
-            "stages": self.stages, "subproblems": self.subproblems,
+            "stages": self.stages,
             "hard_failures": self.hard_failures,
         }
 
@@ -190,68 +154,7 @@ def verify_certificate(g: OrientedGraph, cert: DecompositionCertificate
 # -- the pipeline ---------------------------------------------------------
 
 
-def _partition_stage(g: OrientedGraph, factor, config: RunConfig, used: set[Edge],
-                     cycles: list[HamiltonCycle], report: RunReport) -> None:
-    n = g.n
-    k = config.partition_k(n)
-    try:
-        specs, preport = build_partition(g, factor, k=k, eps=config.eps,
-                                         seed=config.seed,
-                                         retry_budget=config.partition_retries)
-    except KTooLargeError as exc:
-        report.stages.append({"name": "partition", "skipped": str(exc)})
-        return
-    report.stages.append({
-        "name": "partition", "k": k, "retries": preport.retries,
-        "properties_met": preport.properties_met,
-        "target_inner_degree": preport.stats.target_inner_degree,
-    })
-    for spec in specs:
-        row: dict[str, Any] = {"index": spec.index}
-        inner = spec.inner_graph
-        m_u = inner.n
-        if config.b > m_u // 2 or not spec.inner_edges:
-            row["skipped"] = "inner graph too small"
-            report.subproblems.append(row)
-            continue
-        outs = [inner.out_degree(v) for v in range(m_u)]
-        ins = [inner.in_degree(v) for v in range(m_u)]
-        spread = max(max(outs), max(ins)) - min(min(outs), min(ins))
-        a_bound = config.a if config.a is not None else max(1, len(spec.w_vertices) // 4)
-        t_goal = config.t if config.t is not None else 2
-        try:
-            family, min_union = build_path_cover_family(
-                inner, b=config.b, a=a_bound, t=t_goal, xi=spread,
-                seed=f"{config.seed}:covers:{spec.index}")
-        except HamdecError as exc:
-            row["family_error"] = f"{type(exc).__name__}: {exc}"
-            report.subproblems.append(row)
-            continue
-        row["covers"] = family.t
-        row["union_min_semi_degree"] = min_union
-        if family.t == 0:
-            report.subproblems.append(row)
-            continue
-        lifted = lift_path_cover_family(family, inner)
-        outcome = complete_family_to_cycles(
-            spec.combined_graph(n), spec.u_vertices, spec.w_vertices, lifted,
-            slack=0, seed=f"{config.seed}:splice:{spec.index}", strict=False,
-            retries=config.splice_retries, block_cap=config.block_cap,
-            path_budget=config.path_budget)
-        row["cycles"] = len(outcome.cycles)
-        if outcome.failure is not None:
-            row["failure"] = outcome.failure.cause
-        for cyc in outcome.cycles:
-            if cyc.edges & used or not cyc.edges <= g.edges:
-                row["dropped"] = "cycle clashed with used edges"
-                continue
-            used |= cyc.edges
-            cycles.append(cyc)
-        report.subproblems.append(row)
-
-
-def _extract_cycle_exact(residual: OrientedGraph, budget: int, seed: int | str
-                         ) -> HamiltonCycle | None:
+def _extract_cycle_exact(residual: OrientedGraph, budget: int) -> HamiltonCycle | None:
     """One Hamilton cycle of the residual graph by exact search through its
     lowest-labelled active vertex."""
     anchors = [v for v in range(residual.n) if residual.out_neighbors[v]]
@@ -268,97 +171,29 @@ def _extract_cycle_exact(residual: OrientedGraph, budget: int, seed: int | str
     return None
 
 
-def _direct_stage(g: OrientedGraph, factor, config: RunConfig, used: set[Edge],
+def _direct_stage(g: OrientedGraph, config: RunConfig, used: set[Edge],
                   cycles: list[HamiltonCycle], report: RunReport) -> None:
-    n = g.n
-    rounds = 0
-    failures = 0
-    if n < 12:
+    outcome = patch_hamilton_cycles(g, used, seed=config.seed,
+                                    max_cycles=config.max_cycles)
+    for cyc in outcome.cycles:
+        used |= cyc.edges
+        cycles.append(cyc)
+    row: dict[str, Any] = {"name": "direct", "mode": "patching",
+                           "rounds": len(outcome.cycles), "failures": outcome.failures,
+                           "switches": outcome.switches,
+                           "stop_reason": outcome.stop_reason}
+    if g.n < EXACT_FINISH_N:
+        found = 0
         while config.max_cycles is None or len(cycles) < config.max_cycles:
-            residual = OrientedGraph(n, g.edges - used, _validated=True)
-            cyc = _extract_cycle_exact(residual, config.path_budget,
-                                       f"{config.seed}:extract:{rounds}")
+            residual = OrientedGraph(g.n, g.edges - used, _validated=True)
+            cyc = _extract_cycle_exact(residual, config.path_budget)
             if cyc is None:
                 break
             used |= cyc.edges
             cycles.append(cyc)
-            rounds += 1
-        report.stages.append({"name": "direct", "mode": "cycle-extraction",
-                              "rounds": rounds})
-        return
-
-    w_size = min(n - 2, max(8, round(n * config.w_fraction)))
-    blocks = max(1, -(w_size // -config.block_cap))
-    reroll = 0
-    consecutive = 0
-    rng = random.Random(f"{config.seed}:direct")
-    w_vertices = sorted(rng.sample(range(n), w_size))
-    while consecutive <= config.direct_failure_budget:
-        if config.max_cycles is not None and len(cycles) >= config.max_cycles:
-            break
-        wset = set(w_vertices)
-        u_vertices = sorted(set(range(n)) - wset)
-        # Covers come from the whole residual: flow-extracted factors carry
-        # layered structure that starves the exact path search.
-        inner_rem = {(u, v) for u, v in g.edges - used
-                     if u not in wset and v not in wset}
-        u_index = {v: i for i, v in enumerate(u_vertices)}
-        u_graph = OrientedGraph(len(u_vertices),
-                                {(u_index[u], u_index[v]) for u, v in inner_rem},
-                                labels=tuple(u_vertices), _validated=True)
-        path = hamilton_path_any(u_graph, budget=config.path_budget,
-                                 seed=rng.randrange(1 << 30))
-        if path is None:
-            failures += 1
-            consecutive += 1
-            reroll += 1
-            w_vertices = sorted(rng.sample(range(n), w_size))
-            continue
-        host_path = u_graph.host_path(path.vertices)
-        cover = _cut_into_segments(host_path, blocks)
-        residual = g.edges - used
-        w_index = {v: i for i, v in enumerate(w_vertices)}
-        reservoir = OrientedGraph(
-            len(w_vertices),
-            {(w_index[u], w_index[v]) for u, v in residual
-             if u in w_index and v in w_index},
-            labels=tuple(w_vertices), _validated=True)
-        connectors = connectors_from_edges(residual, cover.paths, w_vertices)
-        try:
-            cyc = complete_cover_to_cycle(
-                cover.paths, reservoir, connectors,
-                seed=f"{config.seed}:directsplice:{rounds}:{reroll}",
-                retries=config.splice_retries, block_cap=config.block_cap,
-                path_budget=config.path_budget, enforce_margin=False)
-        except HamdecError:
-            failures += 1
-            consecutive += 1
-            reroll += 1
-            w_vertices = sorted(rng.sample(range(n), w_size))
-            continue
-        if cyc.edges & used or not cyc.edges <= g.edges:
-            failures += 1
-            consecutive += 1
-            continue
-        used |= cyc.edges
-        cycles.append(cyc)
-        rounds += 1
-        consecutive = 0
-    report.stages.append({"name": "direct", "mode": "reservoir", "rounds": rounds,
-                          "failures": failures, "w_size": w_size, "blocks": blocks})
-
-
-def _cut_into_segments(path: tuple[int, ...], pieces: int) -> PathCover:
-    pieces = max(1, min(pieces, len(path)))
-    size = len(path) // pieces
-    extra = len(path) % pieces
-    segs = []
-    pos = 0
-    for i in range(pieces):
-        take = size + (1 if i < extra else 0)
-        segs.append(DirectedPath(tuple(path[pos:pos + take])))
-        pos += take
-    return PathCover(tuple(segs))
+            found += 1
+        row["exact_rounds"] = found
+    report.stages.append(row)
 
 
 def _completion_stage(g: OrientedGraph, config: RunConfig, used: set[Edge],
@@ -413,26 +248,19 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
     reg = oriented_reg(g)
     report.reg = reg
     digest = graph_digest(g)
-    if reg == 0:
-        cert = DecompositionCertificate(g.n, digest, (), frozenset(g.edges), 0)
-        report.stages.append({"name": "reg", "reg": 0, "seconds": time.perf_counter() - t0})
-        return cert, report
-    factor = extract_oriented_r_factor(g, reg)
     report.stages.append({"name": "reg", "reg": reg, "seconds": time.perf_counter() - t0})
+    if reg == 0:
+        return DecompositionCertificate(g.n, digest, (), frozenset(g.edges), 0), report
 
     used: set[Edge] = set()
     cycles: list[HamiltonCycle] = []
-    for stage in (_partition_stage, _direct_stage, _completion_stage):
-        if stage is _direct_stage and not config.direct_stage:
-            continue
-        if stage is _completion_stage and config.completion_stage == "none":
+    for stage, enabled in ((_direct_stage, config.direct_stage),
+                           (_completion_stage, config.completion_stage != "none")):
+        if not enabled:
             continue
         t1 = time.perf_counter()
         try:
-            if stage is _completion_stage:
-                stage(g, config, used, cycles, report)
-            else:
-                stage(g, factor, config, used, cycles, report)
+            stage(g, config, used, cycles, report)
         except HamdecError as exc:
             report.hard_failures.append(f"{stage.__name__}: {type(exc).__name__}: {exc}")
         if report.stages:

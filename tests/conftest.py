@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from hamdec.assembly import connectors_from_edges
 from hamdec.graphs import OrientedGraph, build_oriented
 from hamdec.pathcovers import DirectedPath
@@ -117,3 +119,18 @@ def bruteforce_completable(paths, reservoir, connectors, node_cap=500_000):
         if res is None:
             return None
     return False
+
+
+@st.composite
+def oriented_graphs(draw, min_n=3, max_n=30):
+    """Random oriented graphs: each vertex pair is an edge with a drawn
+    probability, in a random direction."""
+    n = draw(st.integers(min_n, max_n))
+    density = draw(st.floats(0.2, 1.0))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                edges.add((u, v) if rng.random() < 0.5 else (v, u))
+    return build_oriented(n, edges)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hamdec.assembly import (
+    PATCH_REDRAWS,
     CompletionOutcome,
     Connectors,
     HamiltonCycle,
@@ -11,6 +12,7 @@ from hamdec.assembly import (
     complete_family_to_cycles,
     connectors_from_edges,
     hamilton_path_between,
+    patch_hamilton_cycles,
     verify_completed_cycle,
 )
 from hamdec.errors import (
@@ -239,3 +241,58 @@ def test_complete_family_t1_matches_single_completion():
         assert outcome.cycles[0].spans(set(range(12)))
         assert verify_completed_cycle(outcome.cycles[0], cover.paths,
                                       reservoir, connectors)
+
+
+# -- cycle-factor patching -----------------------------------------------
+
+
+def test_patching_cycles_are_disjoint_hamiltonian_and_residual():
+    g = rotational_tournament(31)
+    used = set(HamiltonCycle.from_order([i * 3 % 31 for i in range(31)]).edges)
+    out = patch_hamilton_cycles(g, used, seed=4)
+    assert len(out.cycles) >= 1
+    seen = set(used)
+    for cyc in out.cycles:
+        assert cyc.spans(set(range(31)))
+        assert cyc.edges <= g.edges
+        assert not cyc.edges & seen
+        seen |= cyc.edges
+    assert out.stop_reason in (
+        "no cycle factor in residual",
+        f"{PATCH_REDRAWS} consecutive factors without a merging switch")
+
+
+def test_patching_merges_a_two_cycle_factor():
+    # the only cycle factors are the triangles {0 1 2}, {3 4 5} and the
+    # 6-cycle, which the switch 0 -> 4, 3 -> 1 makes from the triangles
+    g = build_oriented(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                           (0, 4), (3, 1)])
+    for seed in range(5):
+        out = patch_hamilton_cycles(g, seed=seed)
+        assert [c.order for c in out.cycles] == [(0, 4, 5, 3, 1, 2)]
+        assert out.stop_reason == "no cycle factor in residual"
+
+
+def test_patching_stops_after_consecutive_failed_factors():
+    # two triangles joined by the edge 0 -> 3 alone: the one 2-switch
+    # would need the missing edge 5 -> 1
+    g = build_oriented(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+    out = patch_hamilton_cycles(g, seed=0)
+    assert out.cycles == []
+    assert out.failures == PATCH_REDRAWS
+    assert out.stop_reason == f"{PATCH_REDRAWS} consecutive factors without a merging switch"
+
+
+def test_patching_respects_max_cycles_and_seed():
+    g = rotational_tournament(21)
+    out = patch_hamilton_cycles(g, seed=1, max_cycles=3)
+    assert len(out.cycles) == 3 and out.stop_reason == "max_cycles 3 reached"
+    again = patch_hamilton_cycles(g, seed=1, max_cycles=3)
+    assert again == out
+
+
+def test_patching_without_cycle_factor():
+    g = build_oriented(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    out = patch_hamilton_cycles(g)
+    assert out.cycles == [] and out.failures == 0
+    assert out.stop_reason == "no cycle factor in residual"

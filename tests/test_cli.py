@@ -113,3 +113,36 @@ def test_env_seed_default(tmp_path, capsys, monkeypatch):
     assert cli_main(["decompose", str(gpath), "--seed", "2"]) == 0
     explicit = json.loads(capsys.readouterr().out)
     assert explicit["report"]["seed"] == 2
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_verify_non_json_certificate_is_input_error(triangle_file, tmp_path, capsys):
+    cpath = tmp_path / "cert.json"
+    cpath.write_text("not json {")
+    assert cli_main(["verify", triangle_file, str(cpath)]) == 2
+    _one_line_error(capsys)
+
+
+def test_verify_certificate_missing_keys_is_input_error(triangle_file, tmp_path, capsys):
+    cpath = tmp_path / "cert.json"
+    assert cli_main(["decompose", triangle_file, "--out", str(cpath)]) == 0
+    doc = json.loads(cpath.read_text())
+    del doc["certificate"]["cycles"]
+    cpath.write_text(json.dumps(doc))
+    assert cli_main(["verify", triangle_file, str(cpath)]) == 2
+    assert "cycles" in _one_line_error(capsys)
+
+
+def test_generate_regular_without_r_is_usage_error(capsys):
+    assert cli_main(["generate", "--kind", "regular", "--n", "9"]) == 2
+    assert "--r" in _one_line_error(capsys)
+
+
+def test_bounds_with_zero_r_is_usage_error(capsys):
+    assert cli_main(["bounds", "--n", "5", "--r", "0"]) == 2
+    _one_line_error(capsys)

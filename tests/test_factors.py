@@ -1,7 +1,9 @@
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
 
 from hamdec.errors import (
     HypothesisViolatedError,
@@ -18,14 +20,18 @@ from hamdec.factors import (
     extract_oriented_r_factor,
     gale_ryser_oracle,
     has_bipartite_r_factor,
+    has_oriented_r_factor,
     almost_regular_factor,
     is_oriented_r_factor,
+    maximum_bipartite_matching,
     oriented_reg,
     pm_decompose_regular,
     random_regular_bipartite,
     sample_matching_family,
 )
 from hamdec.graphs import BipartiteGraph, build_oriented, random_oriented, rotational_tournament
+
+from conftest import oriented_graphs
 
 
 def complete_bipartite(m):
@@ -363,3 +369,111 @@ def test_extract_oriented_factor():
     assert is_oriented_r_factor(g, one)
     with pytest.raises(NoFactorError):
         extract_oriented_r_factor(rotational_tournament(3), 2)
+
+
+def binary_search_reg(g):
+    """reg by binary search over flow tests from the min semi-degree down."""
+    lo = 0
+    hi = min(min(g.out_degree(v) for v in range(g.n)),
+             min(g.in_degree(v) for v in range(g.n)))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if has_oriented_r_factor(g, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def lopsided_graph():
+    """Rotational tournaments L on 0..6 and W on 8..14 with L -> 7 -> W -> L
+    complete: min semi-degree 4, but an r-factor leaves L only into vertex
+    7, by r edges, so 7r <= 21 + r and reg = 3."""
+    edges = {(base + i, base + (i + j) % 7) for base in (0, 8)
+             for i in range(7) for j in (1, 2, 3)}
+    edges |= {(u, 7) for u in range(7)} | {(7, w) for w in range(8, 15)}
+    edges |= {(w, u) for w in range(8, 15) for u in range(7)}
+    return build_oriented(15, edges)
+
+
+def test_reg_below_min_semi_degree():
+    g = lopsided_graph()
+    assert min(min(g.out_degree(v), g.in_degree(v)) for v in range(g.n)) == 4
+    assert oriented_reg(g) == binary_search_reg(g) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(oriented_graphs())
+def test_reg_matches_binary_search(g):
+    assert oriented_reg(g) == binary_search_reg(g)
+
+
+def networkx_reg(nx, g):
+    """Largest r whose source/sink capacities r admit a flow of r * n."""
+    r = min(min(g.out_degree(v) for v in range(g.n)),
+            min(g.in_degree(v) for v in range(g.n)))
+    while r > 0:
+        net = nx.DiGraph()
+        for v in range(g.n):
+            net.add_edge("s", ("out", v), capacity=r)
+            net.add_edge(("in", v), "t", capacity=r)
+        for u, v in g.edges:
+            net.add_edge(("out", u), ("in", v), capacity=1)
+        if nx.maximum_flow_value(net, "s", "t") == r * g.n:
+            return r
+        r -= 1
+    return 0
+
+
+def test_reg_matches_networkx_max_flow():
+    nx = pytest.importorskip("networkx")
+    graphs = [rotational_tournament(n) for n in (7, 21)] + [lopsided_graph()]
+    graphs += [random_oriented("tournament", n, seed=s) for n in (9, 20, 31) for s in range(3)]
+    rng = random.Random(4)
+    for g in graphs[:]:
+        edges = sorted(g.edges)
+        rng.shuffle(edges)
+        graphs.append(build_oriented(g.n, edges[: 3 * len(edges) // 4]))
+    graphs += [random_oriented("regular", 25, seed=s, r=4) for s in range(2)]
+    for g in graphs:
+        assert oriented_reg(g) == networkx_reg(nx, g)
+
+
+def recursive_kuhn(left_size, right_size, adj, scan_order):
+    """Kuhn's matching with a recursive augmenting-path search."""
+    match_left = [-1] * left_size
+    match_right = [-1] * right_size
+
+    def augment(a, visited):
+        for b in adj[a]:
+            if visited[b]:
+                continue
+            visited[b] = True
+            if match_right[b] == -1 or augment(match_right[b], visited):
+                match_right[b] = a
+                match_left[a] = b
+                return True
+        return False
+
+    for a in scan_order:
+        if match_left[a] == -1:
+            augment(a, [False] * right_size)
+    return match_left
+
+
+def test_matching_equals_recursive_kuhn():
+    rng = random.Random(12)
+    for _ in range(300):
+        left, right = rng.randint(1, 12), rng.randint(1, 12)
+        adj = [rng.sample(range(right), rng.randint(0, right)) for _ in range(left)]
+        scan = rng.sample(range(left), left)
+        assert maximum_bipartite_matching(left, right, adj, scan) == \
+            recursive_kuhn(left, right, adj, scan)
+
+
+def test_matching_augmenting_path_beyond_recursion_limit():
+    # left a < L grabs right a first; left L then augments through all L
+    length = sys.getrecursionlimit() + 100
+    adj = [[a, a + 1] for a in range(length)] + [[0]]
+    match_left = maximum_bipartite_matching(length + 1, length + 1, adj)
+    assert match_left == [a + 1 for a in range(length)] + [0]

@@ -1,7 +1,15 @@
-import pytest
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hamdec
 from hamdec.errors import TooLargeError
-from hamdec.graphs import build_oriented, random_oriented, rotational_tournament
+from hamdec.graphs import build_oriented, random_oriented, rotational_tournament, write_edge_list
 from hamdec.pipeline import (
     DecompositionCertificate,
     RunConfig,
@@ -11,6 +19,8 @@ from hamdec.pipeline import (
     verify_certificate,
 )
 from hamdec.assembly import HamiltonCycle
+
+from conftest import oriented_graphs
 
 
 def test_triangle_full_decomposition():
@@ -130,3 +140,55 @@ def test_sandwich_values():
 
     with pytest.raises(TooLargeError):
         sandwich_experiment(9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oriented_graphs(), st.integers(0, 1000))
+def test_pipeline_invariants_on_random_graphs(g, seed):
+    cert, report = approximate_decomposition(g, RunConfig(seed=seed))
+    assert verify_certificate(g, cert) == (True, None)
+    assert cert.k <= cert.reg == report.reg
+    again, _ = approximate_decomposition(g, RunConfig(seed=seed))
+    assert again.to_json() == cert.to_json()
+
+
+def test_patching_quality_floor_rotational_101():
+    g = rotational_tournament(101)
+    for seed in range(5):
+        cert, _ = approximate_decomposition(g, RunConfig(seed=seed))
+        assert cert.k / cert.reg >= 0.9, f"seed {seed}: k={cert.k}"
+
+
+def test_direct_stage_reports_patching_counters():
+    cert, report = approximate_decomposition(rotational_tournament(25), RunConfig(seed=0))
+    assert [row["name"] for row in report.stages] == ["reg", "direct", "completion"]
+    direct = report.stages[1]
+    assert direct["mode"] == "patching"
+    assert direct["rounds"] == cert.k
+    assert direct["switches"] >= 0 and direct["failures"] >= 0
+    assert direct["stop_reason"] in ("no cycle factor in residual",
+                                     "20 consecutive factors without a merging switch")
+
+
+def test_certificates_identical_across_hash_seeds(tmp_path):
+    gpath = tmp_path / "g.og"
+    gpath.write_text(write_edge_list(rotational_tournament(51)))
+    src = str(Path(hamdec.__file__).resolve().parents[1])
+    texts = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamdec.cli", "decompose", str(gpath), "--seed", "0"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        texts.add(json.dumps(json.loads(proc.stdout)["certificate"]))
+    assert len(texts) == 1
+
+
+def test_pipeline_on_1201_vertices():
+    # above the default recursion limit, below RunConfig.max_n
+    n = 1201
+    g = build_oriented(n, {(v, (v + j) % n) for v in range(n) for j in (1, 2, 5, 11)})
+    cert, report = approximate_decomposition(g, RunConfig(seed=0))
+    assert cert.reg == 4 and 1 <= cert.k <= 4
+    assert not report.hard_failures
