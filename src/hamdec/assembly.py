@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     BudgetExhaustedError,
@@ -268,7 +268,6 @@ def _bounded_path_search(f: OrientedGraph, s: int, t: int,
     visited = 1 << s
     path = [s]
     expansions = 0
-    cutoff = False
 
     def feasible(head: int, unvisited: int) -> bool:
         # every unvisited vertex must be reachable from head through
@@ -299,42 +298,44 @@ def _bounded_path_search(f: OrientedGraph, s: int, t: int,
             reach |= frontier
         return not (unvisited & ~reach)
 
-    def rec() -> bool:
-        nonlocal expansions, cutoff, visited
+    # Depth-first search with an explicit stack: stack[i] yields the
+    # untried candidates after path[i], and a head without an entry is a
+    # dead end to back out of.
+    stack: list[Iterator[int]] = []
+    while True:
         head = path[-1]
         if len(path) == n:
-            return head == t
-        if budget is not None and expansions >= budget:
-            cutoff = True
-            return False
-        expansions += 1
-        unvisited = all_mask & ~visited
-        if not feasible(head, unvisited):
-            return False
-        if len(path) == n - 1:
-            cands = [t] if out_mask[head] & (1 << t) else []
+            if head == t:
+                return path, expansions, False
+        elif budget is not None and expansions >= budget:
+            return None, expansions, True
         else:
-            avail = out_mask[head] & unvisited & ~(1 << t)
-            cands = []
-            while avail:
-                b = avail & -avail
-                avail ^= b
-                cands.append(b.bit_length() - 1)
-            rng.shuffle(cands)
-            cands.sort(key=lambda w: (out_mask[w] & unvisited).bit_count())
-        for w in cands:
-            visited |= 1 << w
-            path.append(w)
-            if rec():
-                return True
-            path.pop()
-            visited &= ~(1 << w)
-            if cutoff:
-                return False
-        return False
-
-    found = rec()
-    return (path if found else None), expansions, cutoff
+            expansions += 1
+            unvisited = all_mask & ~visited
+            if feasible(head, unvisited):
+                if len(path) == n - 1:
+                    cands = [t] if out_mask[head] & (1 << t) else []
+                else:
+                    avail = out_mask[head] & unvisited & ~(1 << t)
+                    cands = []
+                    while avail:
+                        b = avail & -avail
+                        avail ^= b
+                        cands.append(b.bit_length() - 1)
+                    rng.shuffle(cands)
+                    cands.sort(key=lambda w: (out_mask[w] & unvisited).bit_count())
+                stack.append(iter(cands))
+        while True:
+            if len(stack) < len(path):
+                if not stack:
+                    return None, expansions, False
+                visited &= ~(1 << path.pop())
+            w = next(stack[-1], None)
+            if w is not None:
+                visited |= 1 << w
+                path.append(w)
+                break
+            stack.pop()
 
 
 def hamilton_path_any(f: OrientedGraph, budget: int | None = None,

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 input/usage error,
-3 stage failure with partial output.  The HAMDEC_SEED environment variable
-supplies a default seed; an explicit --seed wins.
+3 stage failure with partial output, 4 internal error.  The HAMDEC_SEED
+environment variable supplies a default seed; an explicit --seed wins.
 """
 
 from __future__ import annotations
@@ -121,6 +121,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except (HamdecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not bad input: never exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def _dispatch(args) -> int:

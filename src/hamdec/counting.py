@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from .errors import NotRegularError, TooLargeError
 from .graphs import Edge, OrientedGraph
 
 PERMANENT_CAP = 24
+# columns whose subset sums permanent() precomputes (2^10 packed ints)
+PERMANENT_SPLIT = 10
 HC_COUNT_CAP = 20
 DECOMP_CAP_DENSE = 7
 DECOMP_CAP_SPARSE = 12
@@ -79,8 +82,18 @@ class BoundReport:
 
 
 def permanent(matrix: Sequence[Sequence[int]]) -> LogCount:
-    """Exact permanent of a 0/1 matrix via Ryser's formula with Gray-code
-    subset iteration; O(2^n * n)."""
+    """Exact permanent of a 0/1 matrix by Ryser's formula; O(2^n * n).
+
+    Each column is packed into one int with row i's entry in byte i, so a
+    packed sum over a set of columns holds every row sum in its own byte
+    (row sums are at most n <= 24 < 256, so no byte carries into the next).
+    The packed sums of all subsets of the first ``PERMANENT_SPLIT`` columns
+    are precomputed, split by subset parity; the remaining columns are
+    walked in Gray-code order, and for each running sum the products of the
+    row sums over all low subsets are taken in C by ``int.to_bytes`` and
+    ``math.prod``.  Entries may be any values equal to 0 or 1 (such as
+    ``True`` or ``1.0``).
+    """
     n = len(matrix)
     if n > PERMANENT_CAP:
         raise TooLargeError(f"n={n} exceeds permanent cap {PERMANENT_CAP}")
@@ -91,27 +104,28 @@ def permanent(matrix: Sequence[Sequence[int]]) -> LogCount:
             raise ValueError("matrix entries must be 0/1")
     if n == 0:
         return LogCount.from_int(1)
-    sums = [0] * n
+    cols = [sum(int(matrix[i][j]) << (8 * i) for i in range(n)) for j in range(n)]
+    b = min(PERMANENT_SPLIT, n)
+    even, odd = [0], []
+    for c in cols[:b]:
+        even, odd = even + [s + c for s in odd], odd + [s + c for s in even]
+    high = cols[b:]
+    base = 0
+
+    def row_products(low_sums: list[int]) -> int:
+        # sum over low subsets of the product of the row sums (the bytes)
+        packed = map(base.__add__, low_sums)
+        return sum(map(math.prod, map(int.to_bytes, packed, repeat(n), repeat("little"))))
+
     total = 0
-    size = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        if (k ^ (k >> 1)) & (1 << j):
-            size += 1
-            for i in range(n):
-                sums[i] += matrix[i][j]
-        else:
-            size -= 1
-            for i in range(n):
-                sums[i] -= matrix[i][j]
-        prod = 1
-        for s in sums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        if prod:
-            total += prod if (n - size) % 2 == 0 else -prod
+    for k in range(1 << len(high)):
+        if k:
+            j = (k & -k).bit_length() - 1
+            base += high[j] if (k ^ (k >> 1)) >> j & 1 else -high[j]
+        diff = row_products(even) - row_products(odd)
+        total += -diff if k & 1 else diff
+    if n & 1:
+        total = -total
     if total < 0:
         raise ValueError("negative permanent for a 0/1 matrix; bug")
     return LogCount.from_int(total)
@@ -166,34 +180,42 @@ def adjacency_matrix(g: OrientedGraph) -> list[list[int]]:
 
 
 def count_hamilton_cycles_exact(g: OrientedGraph) -> LogCount:
-    """Exact number of directed Hamilton cycles, by a subset DP over vertex
-    sets anchored at vertex 0."""
+    """Exact number of directed Hamilton cycles, by a layered subset DP
+    anchored at vertex 0.
+
+    Layer k maps each k-subset S of V - {0} to a list ``row`` in which
+    ``row[w]`` counts the paths from 0 through exactly S that end at w.
+    The next layer is pulled: for w outside S, the paths through S + {w}
+    ending at w number the sum of ``row[v]`` over the in-neighbours v of w,
+    since ``row`` is 0 outside S.  Only two layers are held at a time.
+    """
     n = g.n
     if n > HC_COUNT_CAP:
         raise TooLargeError(f"n={n} exceeds cycle-count cap {HC_COUNT_CAP}")
     if n < 3:
         return LogCount.from_int(0)
-    full = (1 << n) - 1
-    dp: dict[int, dict[int, int]] = {}
-    for v in g.out_neighbors[0]:
-        dp.setdefault(1 | (1 << v), {})[v] = 1
-    for mask in range(1, 1 << n):
-        layer = dp.get(mask)
-        if layer is None:
-            continue
-        if mask == full:
-            break
-        for v, ways in layer.items():
-            for w in g.out_neighbors[v]:
-                bit = 1 << w
-                if mask & bit or w == 0:
+    targets = [(w, 1 << w, sorted(g.in_neighbors[w])) for w in range(1, n)]
+    layer: dict[int, list[int]] = {}
+    for w in g.out_neighbors[0]:
+        row = [0] * n
+        row[w] = 1
+        layer[1 << w] = row
+    for _ in range(n - 2):
+        nxt: dict[int, list[int]] = {}
+        for mask, row in layer.items():
+            pick = row.__getitem__
+            for w, bit, in_nbrs in targets:
+                if mask & bit:
                     continue
-                tgt = dp.setdefault(mask | bit, {})
-                tgt[w] = tgt.get(w, 0) + ways
-        del dp[mask]
-    closing = dp.get(full, {})
-    total = sum(ways for v, ways in closing.items() if g.has_edge(v, 0))
-    return LogCount.from_int(total)
+                ways = sum(map(pick, in_nbrs))
+                if ways:
+                    tgt = nxt.get(mask | bit)
+                    if tgt is None:
+                        tgt = nxt[mask | bit] = [0] * n
+                    tgt[w] = ways
+        layer = nxt
+    row = layer.get((1 << n) - 2, [0] * n)
+    return LogCount.from_int(sum(row[v] for v in g.in_neighbors[0]))
 
 
 # -- exact decomposition counting --------------------------------------

@@ -268,28 +268,15 @@ def _random_conflict_free_permutation(n: int, edges: set[Edge],
     avail = [[w for w in range(n)
               if w != v and (v, w) not in edges and (w, v) not in edges]
              for v in range(n)]
+    # factors imports this module, so the matching routine is imported here
+    from .factors import maximum_bipartite_matching
+
     for row in avail:
         rng.shuffle(row)
-    match_of_w = [-1] * n
-    sigma = [-1] * n
-
-    def augment(v: int, visited: set[int]) -> bool:
-        for w in avail[v]:
-            if w in visited:
-                continue
-            visited.add(w)
-            if match_of_w[w] == -1 or augment(match_of_w[w], visited):
-                match_of_w[w] = v
-                sigma[v] = w
-                return True
-        return False
-
     order = list(range(n))
     rng.shuffle(order)
-    for v in order:
-        if not augment(v, set()):
-            return None
-    return sigma
+    sigma = maximum_bipartite_matching(n, n, avail, scan_order=order)
+    return None if -1 in sigma else sigma
 
 
 def random_oriented(kind: str, n: int, seed: int, r: int | None = None) -> OrientedGraph:

@@ -103,6 +103,13 @@ def test_path_search_budget_exhaustion():
         hamilton_path_between(g, 0, 1, budget=2)
 
 
+def test_path_search_long_directed_path():
+    # one search level per vertex: deeper than the default recursion limit
+    n = 1200
+    g = build_oriented(n, [(i, i + 1) for i in range(n - 1)])
+    assert hamilton_path_between(g, 0, n - 1) == DirectedPath(tuple(range(n)))
+
+
 # -- complete_cover_to_cycle ---------------------------------------------------
 
 def spliced_instance():

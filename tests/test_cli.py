@@ -146,3 +146,13 @@ def test_generate_regular_without_r_is_usage_error(capsys):
 def test_bounds_with_zero_r_is_usage_error(capsys):
     assert cli_main(["bounds", "--n", "5", "--r", "0"]) == 2
     _one_line_error(capsys)
+
+
+def test_internal_error_exit_code(triangle_file, capsys, monkeypatch):
+    def broken(g):
+        raise RuntimeError("simulated bug")
+
+    monkeypatch.setattr("hamdec.cli.oriented_reg", broken)
+    assert cli_main(["reg", triangle_file]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: simulated bug\n"

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from hamdec.counting import (
     LogCount,
@@ -21,6 +22,8 @@ from hamdec.errors import TooLargeError
 from hamdec.factors import random_regular_bipartite
 from hamdec.graphs import build_oriented, random_oriented, rotational_tournament
 
+from conftest import oriented_graphs
+
 
 def permanent_bruteforce(mat):
     n = len(mat)
@@ -28,6 +31,21 @@ def permanent_bruteforce(mat):
         math.prod(mat[i][perm[i]] for i in range(n))
         for perm in itertools.permutations(range(n))
     )
+
+
+def permanent_subset_dp(mat):
+    """Permanent by a DP over column sets: ways[cols] counts the matchings
+    of the first popcount(cols) rows onto exactly the columns cols."""
+    n = len(mat)
+    ways = [0] * (1 << n)
+    ways[0] = 1
+    for cols in range(1 << n):
+        i = bin(cols).count("1")
+        if i < n and ways[cols]:
+            for j in range(n):
+                if mat[i][j] and not cols >> j & 1:
+                    ways[cols | 1 << j] += ways[cols]
+    return ways[-1]
 
 
 def ham_cycles_bruteforce(g):
@@ -70,6 +88,48 @@ def test_permanent_matches_bruteforce():
         n = rng.randint(1, 6)
         mat = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         assert permanent(mat).exact == permanent_bruteforce(mat)
+
+
+@pytest.mark.parametrize("n", range(7, 15))
+def test_permanent_matches_subset_dp_across_the_split(n):
+    # the first 10 columns are precomputed, so n > 10 walks the rest
+    rng = random.Random(f"perm:{n}")
+    for density in (0.3, 0.5, 0.8):
+        mat = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+        assert permanent(mat).exact == permanent_subset_dp(mat)
+
+
+@pytest.mark.parametrize("n", range(7, 15))
+def test_permanent_structured_matrices(n):
+    ones = [[1] * n for _ in range(n)]
+    assert permanent(ones).exact == math.factorial(n)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert permanent(ident).exact == 1
+    zero_row = [row[:] for row in ones]
+    zero_row[n // 2] = [0] * n
+    assert permanent(zero_row).is_zero
+    zero_col = [row[:-1] + [0] for row in ones]
+    assert permanent(zero_col).is_zero
+
+
+@pytest.mark.parametrize("n, derangements", [
+    (11, 14684570), (12, 176214841), (13, 2290792932)])
+def test_permanent_of_j_minus_i_counts_derangements(n, derangements):
+    mat = [[int(i != j) for j in range(n)] for i in range(n)]
+    assert permanent(mat).exact == derangements
+
+
+def test_permanent_all_ones_beyond_64_bits():
+    # Ryser's terms reach 16^16 = 2^64 here
+    assert permanent([[1] * 16 for _ in range(16)]).exact == math.factorial(16)
+
+
+def test_permanent_accepts_bool_and_float_entries():
+    mat = [[True, False, True], [1.0, 1, 0.0], [False, 1.0, True]]
+    ints = [[int(x) for x in row] for row in mat]
+    assert permanent(mat).exact == permanent_bruteforce(ints) == 2
+    with pytest.raises(ValueError):
+        permanent([[0.5, 1], [1, 1]])
 
 
 def test_permanent_cap():
@@ -155,8 +215,9 @@ def test_count_cycles_small():
 
 
 def test_count_cycles_rotational_frozen_values():
-    assert count_hamilton_cycles_exact(rotational_tournament(5)).exact == 2
-    assert count_hamilton_cycles_exact(rotational_tournament(7)).exact == 17
+    # n = 9, 11, 13 come from an earlier push-style subset DP, not this code
+    for n, cycles in ((5, 2), (7, 17), (9, 222), (11, 5109), (13, 166562)):
+        assert count_hamilton_cycles_exact(rotational_tournament(n)).exact == cycles
 
 
 def test_count_cycles_matches_bruteforce():
@@ -166,6 +227,12 @@ def test_count_cycles_matches_bruteforce():
     for seed in range(4):
         g = random_oriented("regular", 7, seed=seed, r=2)
         assert count_hamilton_cycles_exact(g).exact == ham_cycles_bruteforce(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oriented_graphs(min_n=1, max_n=8))
+def test_count_cycles_matches_bruteforce_hypothesis(g):
+    assert count_hamilton_cycles_exact(g).exact == ham_cycles_bruteforce(g)
 
 
 # -- decomposition counts ----------------------------------------------------

@@ -1,3 +1,7 @@
+import hashlib
+import inspect
+import sys
+
 import pytest
 
 from hamdec.errors import (
@@ -17,6 +21,7 @@ from hamdec.graphs import (
     build_oriented,
     degree_summary,
     random_oriented,
+    random_regular_oriented,
     read_edge_list,
     remove_edges,
     rotational_tournament,
@@ -109,6 +114,28 @@ def test_random_regular_reproducible_and_capped():
     assert a.edges != c.edges  # overwhelmingly likely; fixed seeds keep it stable
     with pytest.raises(DegreeTooLargeError):
         random_oriented("regular", 9, seed=5, r=5)
+
+
+@pytest.mark.parametrize("n, r, seed, sha256", [
+    (151, 30, 0, "8106948f14f7dd5e82ed221d6f18edd4486ef117e462dc454dcc433e3237105b"),
+    (51, 10, 3, "9b5a4c7d4b57a9abfe8529185831e86dfea293c99a31572bc23381c7115a4862"),
+])
+def test_random_regular_frozen_edge_lists(n, r, seed, sha256):
+    text = write_edge_list(random_regular_oriented(n, r, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+def test_random_regular_needs_no_recursion():
+    # at n = 401, seed 0 needs an augmenting path through 393 vertices,
+    # far more than the 100 frames left above this test
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        g = random_regular_oriented(401, 3, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    s = degree_summary(g)
+    assert s.min_semi == s.max_semi == 3
 
 
 def test_degree_summary_edgeless():
