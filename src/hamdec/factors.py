@@ -1,6 +1,7 @@
 """Bipartite matchings, r-factors, matching families, and reg() for digraphs.
 
-Factor feasibility is decided by max-flow; the literal subset inequality of
+Factor feasibility is decided by max-flow, except on regular oriented
+graphs, where the degrees decide it; the literal subset inequality of
 the Gale-Ryser criterion is kept as an independent exponential oracle for
 cross-validation.  Matching families mirror the construction "embed in a
 regular supergraph, split it into perfect matchings, restrict to the original
@@ -9,6 +10,7 @@ edges" with all quotas checked on the actual output.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +27,7 @@ from .errors import (
     UnknownEdgeError,
 )
 from .flows import Dinic
-from .graphs import BipartiteGraph, Edge, OrientedGraph
+from .graphs import BipartiteGraph, Edge, OrientedGraph, degree_summary
 
 GALE_RYSER_CAP = 12
 MATCHING_COUNT_CAP = 10
@@ -150,19 +152,34 @@ def maximum_matching_of(b: BipartiteGraph, rng: random.Random | None = None) -> 
 # -- r-factors in bipartite graphs -------------------------------------
 
 
-def _factor_flow(b: BipartiteGraph, r: int) -> tuple[Dinic, dict[int, Edge], int]:
-    m = b.m
-    net = Dinic(2 * m + 2)
-    src, snk = 2 * m, 2 * m + 1
-    for a in range(m):
-        net.add_edge(src, a, r)
-    for bb in range(m):
-        net.add_edge(m + bb, snk, r)
-    eids: dict[int, Edge] = {}
-    for a, bb in sorted(b.edges):
-        eids[net.add_edge(a, m + bb, 1)] = (a, bb)
-    value = net.max_flow(src, snk)
-    return net, eids, value
+def _unit_flow(left_caps: Sequence[int], right_caps: Sequence[int],
+               edges: Sequence[Edge]) -> tuple[int, list[Edge]]:
+    """Maximum flow from a source through left vertex a (capacity
+    ``left_caps[a]``), a unit edge (a, b) and right vertex b (capacity
+    ``right_caps[b]``) to a sink; returns its value and the edges carrying
+    flow.
+
+    One pass over ``edges`` in order first fills every edge whose two ends
+    both have capacity left; Dinic augments that flow to a maximum.
+    """
+    left_rest, right_rest = list(left_caps), list(right_caps)
+    seeded = []
+    for a, b in edges:
+        fill = left_rest[a] > 0 and right_rest[b] > 0
+        if fill:
+            left_rest[a] -= 1
+            right_rest[b] -= 1
+        seeded.append(fill)
+    nl, nr = len(left_caps), len(right_caps)
+    net = Dinic(nl + nr + 2)
+    src, snk = nl + nr, nl + nr + 1
+    for a, (cap, rest) in enumerate(zip(left_caps, left_rest)):
+        net.add_edge(src, a, cap, cap - rest)
+    for b, (cap, rest) in enumerate(zip(right_caps, right_rest)):
+        net.add_edge(nl + b, snk, cap, cap - rest)
+    eids = [net.add_edge(a, nl + b, 1, fill) for (a, b), fill in zip(edges, seeded)]
+    value = sum(left_caps) - sum(left_rest) + net.max_flow(src, snk)
+    return value, [edge for edge, eid in zip(edges, eids) if net.flow_on(eid)]
 
 
 def has_bipartite_r_factor(b: BipartiteGraph, r: int) -> bool:
@@ -172,7 +189,7 @@ def has_bipartite_r_factor(b: BipartiteGraph, r: int) -> bool:
         raise ROutOfRangeError(f"r={r} outside [0, {m}]")
     if r == 0:
         return True
-    _, _, value = _factor_flow(b, r)
+    value, _ = _unit_flow([r] * m, [r] * m, sorted(b.edges))
     return value == r * m
 
 
@@ -220,11 +237,10 @@ def extract_bipartite_r_factor(b: BipartiteGraph, r: int) -> FactorCertificate:
         raise ROutOfRangeError(f"r={r} outside [0, {m}]")
     if r == 0:
         return FactorCertificate(0, frozenset(), "bipartite")
-    net, eids, value = _factor_flow(b, r)
+    value, chosen = _unit_flow([r] * m, [r] * m, sorted(b.edges))
     if value != r * m:
         raise NoFactorError(f"no {r}-factor (flow {value} < {r * m})")
-    chosen = frozenset(edge for eid, edge in eids.items() if net.flow_on(eid) == 1)
-    return FactorCertificate(r, chosen, "bipartite")
+    return FactorCertificate(r, frozenset(chosen), "bipartite")
 
 
 def almost_regular_factor(b: BipartiteGraph, alpha: float, xi: float) -> FactorCertificate:
@@ -293,22 +309,11 @@ def embed_in_regular(b: BipartiteGraph, d: int, xi: float,
     # complement of b.
     need_left = [d - b.degree_left(a) for a in range(m)]
     need_right = [d - b.degree_right(bb) for bb in range(m)]
-    net = Dinic(2 * m + 2)
-    src, snk = 2 * m, 2 * m + 1
-    for a in range(m):
-        net.add_edge(src, a, need_left[a])
-    for bb in range(m):
-        net.add_edge(m + bb, snk, need_right[bb])
-    eids: dict[int, Edge] = {}
-    for a in range(m):
-        for bb in range(m):
-            if (a, bb) not in b.edges:
-                eids[net.add_edge(a, m + bb, 1)] = (a, bb)
-    demand = sum(need_left)
-    if net.max_flow(src, snk) != demand:
+    missing = [(a, bb) for a in range(m) for bb in range(m) if (a, bb) not in b.edges]
+    value, added = _unit_flow(need_left, need_right, missing)
+    if value != sum(need_left):
         raise NoComplementFactorError(f"no {d}-regular supergraph exists")
-    added = {edge for eid, edge in eids.items() if net.flow_on(eid) == 1}
-    return BipartiteGraph(m, m, set(b.edges) | added, b.left_labels, b.right_labels)
+    return BipartiteGraph(m, m, set(b.edges) | set(added), b.left_labels, b.right_labels)
 
 
 def pm_decompose_regular(b: BipartiteGraph) -> list[Matching]:
@@ -410,24 +415,37 @@ def sample_matching_family(b: BipartiteGraph, a: int, t: int, xi: float,
 # -- factors of oriented graphs ----------------------------------------
 
 
-def _oriented_factor_flow(g: OrientedGraph, r: int) -> tuple[Dinic, dict[int, Edge], int]:
-    n = g.n
-    net = Dinic(2 * n + 2)
-    src, snk = 2 * n, 2 * n + 1
-    for v in range(n):
-        net.add_edge(src, v, r)          # out-copies supply r
-        net.add_edge(n + v, snk, r)      # in-copies demand r
-    eids: dict[int, Edge] = {}
-    for u, v in sorted(g.edges):
-        eids[net.add_edge(u, n + v, 1)] = (u, v)
-    value = net.max_flow(src, snk)
-    return net, eids, value
+def _oriented_factor_flow(g: OrientedGraph, r: int) -> tuple[int, list[Edge]]:
+    """Flow of the r-factor network on the out- and in-copies of g: its
+    value, r * n exactly when g has an r-factor, and the edges it uses.
+
+    Each vertex offers its out-neighbours in cyclic order after itself, so
+    the greedy pass spreads the load over the in-copies; on a circulant
+    graph such as a rotational tournament it alone saturates the flow.
+    """
+    edges = []
+    for u, outs in enumerate(g.out_neighbors):
+        row = sorted(outs)
+        i = bisect.bisect(row, u)
+        edges.extend((u, v) for v in row[i:] + row[:i])
+    return _unit_flow([r] * g.n, [r] * g.n, edges)
 
 
 def has_oriented_r_factor(g: OrientedGraph, r: int) -> bool:
-    if r == 0:
+    """True iff g has a spanning sub-digraph with all in/out degrees r.
+
+    No r above the min semi-degree is feasible; a regular g has every r up
+    to it (a regular bipartite graph splits into perfect matchings), so a
+    flow runs only below the min semi-degree of a non-regular g.
+    """
+    if r <= 0:
+        return r == 0
+    degs = degree_summary(g)
+    if r > degs.min_semi:
+        return False
+    if degs.min_semi == degs.max_semi:
         return True
-    _, _, value = _oriented_factor_flow(g, r)
+    value, _ = _oriented_factor_flow(g, r)
     return value == r * g.n
 
 
@@ -435,18 +453,21 @@ def oriented_reg(g: OrientedGraph) -> int:
     """Largest r for which g has a spanning sub-digraph with all in/out
     degrees exactly r.
 
-    One flow first tests r = min semi-degree, which holds on regular inputs.
-    Otherwise its value F bounds reg by F // n, since an r'-factor with
-    r' <= r is a flow of r' * n in the same network; below that bound
-    factor existence is monotone in r, so a binary search finishes.
+    reg is at most the min semi-degree, and a g whose in- and out-degrees
+    all equal it is its own factor, so regular inputs need no flow.
+    Otherwise one flow tests r = min semi-degree; its value F bounds reg by
+    F // n, since an r'-factor with r' <= r is a flow of r' * n in the same
+    network; below that bound factor existence is monotone in r, so a
+    binary search finishes.
     """
-    n = g.n
-    hi = min(min(g.out_degree(v) for v in range(n)),
-             min(g.in_degree(v) for v in range(n)))
-    _, _, value = _oriented_factor_flow(g, hi)
-    if value == hi * n:
+    degs = degree_summary(g)
+    hi = degs.min_semi
+    if hi == degs.max_semi:
         return hi
-    lo, hi = 0, value // n
+    value, _ = _oriented_factor_flow(g, hi)
+    if value == hi * g.n:
+        return hi
+    lo, hi = 0, value // g.n
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if has_oriented_r_factor(g, mid):
@@ -460,11 +481,13 @@ def extract_oriented_r_factor(g: OrientedGraph, r: int) -> FactorCertificate:
     """A spanning sub-digraph with every in/out-degree exactly r."""
     if r == 0:
         return FactorCertificate(0, frozenset(), "oriented")
-    net, eids, value = _oriented_factor_flow(g, r)
+    degs = degree_summary(g)
+    if r == degs.min_semi == degs.max_semi:
+        return FactorCertificate(r, g.edges, "oriented")
+    value, chosen = _oriented_factor_flow(g, r)
     if value != r * g.n:
         raise NoFactorError(f"graph has no {r}-factor")
-    chosen = frozenset(edge for eid, edge in eids.items() if net.flow_on(eid) == 1)
-    return FactorCertificate(r, chosen, "oriented")
+    return FactorCertificate(r, frozenset(chosen), "oriented")
 
 
 def is_oriented_r_factor(g: OrientedGraph, cert: FactorCertificate) -> bool:

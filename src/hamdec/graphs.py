@@ -347,8 +347,12 @@ def remove_edges(g: OrientedGraph, removed: Iterable[Edge]) -> OrientedGraph:
 
 
 def write_edge_list(g: OrientedGraph) -> str:
+    """The edge list with edges in (u, v) order, built vertex by vertex:
+    sorting small integer sets is much cheaper than sorting all tuples."""
     lines = [f"og {g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    for u, outs in enumerate(g.out_neighbors):
+        prefix = f"{u} "
+        lines.extend([prefix + str(v) for v in sorted(outs)])
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamdec.errors import (
     HypothesisViolatedError,
@@ -21,6 +22,7 @@ from hamdec.factors import (
     gale_ryser_oracle,
     has_bipartite_r_factor,
     has_oriented_r_factor,
+    _unit_flow,
     almost_regular_factor,
     is_oriented_r_factor,
     maximum_bipartite_matching,
@@ -29,7 +31,14 @@ from hamdec.factors import (
     random_regular_bipartite,
     sample_matching_family,
 )
-from hamdec.graphs import BipartiteGraph, build_oriented, random_oriented, rotational_tournament
+from hamdec.flows import Dinic
+from hamdec.graphs import (
+    BipartiteGraph,
+    build_oriented,
+    random_oriented,
+    random_regular_oriented,
+    rotational_tournament,
+)
 
 from conftest import oriented_graphs
 
@@ -425,9 +434,12 @@ def networkx_reg(nx, g):
     return 0
 
 
-def test_reg_matches_networkx_max_flow():
+def test_reg_matches_networkx_max_flow(monkeypatch):
     nx = pytest.importorskip("networkx")
-    graphs = [rotational_tournament(n) for n in (7, 21)] + [lopsided_graph()]
+    # the greedy pass of the flow leaves a deficit on this tournament, so
+    # Dinic's augmentation decides its reg
+    deficit = random_oriented("tournament", 61, seed=0)
+    graphs = [rotational_tournament(n) for n in (7, 21)] + [lopsided_graph(), deficit]
     graphs += [random_oriented("tournament", n, seed=s) for n in (9, 20, 31) for s in range(3)]
     rng = random.Random(4)
     for g in graphs[:]:
@@ -437,6 +449,60 @@ def test_reg_matches_networkx_max_flow():
     graphs += [random_oriented("regular", 25, seed=s, r=4) for s in range(2)]
     for g in graphs:
         assert oriented_reg(g) == networkx_reg(nx, g)
+
+    augmented = []
+    max_flow = Dinic.max_flow
+
+    def recording_max_flow(self, s, t):
+        augmented.append(max_flow(self, s, t))
+        return augmented[-1]
+
+    monkeypatch.setattr(Dinic, "max_flow", recording_max_flow)
+    oriented_reg(deficit)
+    assert augmented and augmented[0] > 0
+
+
+class FailingDinic:
+    def __init__(self, n):
+        raise AssertionError("a regular graph needs no flow network")
+
+
+@pytest.mark.parametrize("make, r", [
+    (lambda: rotational_tournament(401), 200),
+    (lambda: random_regular_oriented(51, 10, 3), 10),
+], ids=["rotational-401", "regular-51-10"])
+def test_regular_graphs_need_no_flow(monkeypatch, make, r):
+    g = make()
+    monkeypatch.setattr("hamdec.flows.Dinic", FailingDinic)
+    monkeypatch.setattr("hamdec.factors.Dinic", FailingDinic)
+    assert oriented_reg(g) == r
+    assert has_oriented_r_factor(g, r) and has_oriented_r_factor(g, 1)
+    assert not has_oriented_r_factor(g, r + 1)
+    assert extract_oriented_r_factor(g, r).edges == g.edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_seeded_flow_equals_plain_dinic(data):
+    nl, nr = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    pairs = [(a, b) for a in range(nl) for b in range(nr)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    left_caps = data.draw(st.lists(st.integers(0, 4), min_size=nl, max_size=nl))
+    right_caps = data.draw(st.lists(st.integers(0, 4), min_size=nr, max_size=nr))
+    value, used = _unit_flow(left_caps, right_caps, edges)
+
+    net = Dinic(nl + nr + 2)
+    src, snk = nl + nr, nl + nr + 1
+    for a, cap in enumerate(left_caps):
+        net.add_edge(src, a, cap)
+    for b, cap in enumerate(right_caps):
+        net.add_edge(nl + b, snk, cap)
+    for a, b in edges:
+        net.add_edge(a, nl + b, 1)
+    assert value == net.max_flow(src, snk)
+    assert len(used) == value and set(used) <= set(edges)
+    assert all(sum(a == v for a, _ in used) <= cap for v, cap in enumerate(left_caps))
+    assert all(sum(b == v for _, b in used) <= cap for v, cap in enumerate(right_caps))
 
 
 def recursive_kuhn(left_size, right_size, adj, scan_order):

@@ -125,6 +125,17 @@ def test_random_regular_frozen_edge_lists(n, r, seed, sha256):
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("make, sha256", [
+    (lambda: rotational_tournament(51),
+     "17b8bc36b7c01594117e15fcfda0f6ae0fe266afd2271601fc015302fb5842c8"),
+    (lambda: random_oriented("tournament", 201, seed=0),
+     "32d4fa2b765195679489028d28c96a8993d905256e45f29391267f79d90196d7"),
+], ids=["rotational-51", "tournament-201-0"])
+def test_frozen_edge_list_digests(make, sha256):
+    # certificates carry the SHA-256 of this text, so its bytes must not move
+    assert hashlib.sha256(write_edge_list(make()).encode()).hexdigest() == sha256
+
+
 def test_random_regular_needs_no_recursion():
     # at n = 401, seed 0 needs an augmenting path through 393 vertices,
     # far more than the 100 frames left above this test
