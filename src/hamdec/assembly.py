@@ -123,34 +123,28 @@ class PatchingOutcome:
     stop_reason: str
 
 
-def patch_hamilton_cycles(g: OrientedGraph, used: set[Edge] | frozenset[Edge] = frozenset(),
-                          seed: int | str = 0, max_cycles: int | None = None
-                          ) -> PatchingOutcome:
-    """Edge-disjoint Hamilton cycles of g outside ``used``, one per round.
+def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutcome:
+    """Edge-disjoint Hamilton cycles of g, one per round.
 
-    A round draws a cycle factor of the residual graph: a perfect matching
-    between out- and in-copies, with neighbour and scan order shuffled by
-    the seeded generator.  It then merges the smallest cycle into another
-    by a 2-switch until one cycle is left: for u in it and a residual edge
-    u -> w into another cycle, with p = pred(w), a residual edge
-    p -> succ(u) allows succ(u) = w and succ(p) = old succ(u).  The Hamilton
-    cycle's edges leave the residual.  A factor whose smallest cycle has no
-    switch is redrawn; PATCH_REDRAWS such draws in a row end the search.
+    A round draws a cycle factor of the residual graph (g without the
+    cycles found so far): a perfect matching between out- and in-copies,
+    with neighbour and scan order shuffled by the seeded generator.  It
+    then merges the smallest cycle into another by a 2-switch until one
+    cycle is left: for u in it and a residual edge u -> w into another
+    cycle, with p = pred(w), a residual edge p -> succ(u) allows
+    succ(u) = w and succ(p) = old succ(u).  The Hamilton cycle's edges leave
+    the residual.  A factor whose smallest cycle has no switch is redrawn;
+    PATCH_REDRAWS such draws in a row end the search.
     """
     n = g.n
     rng = random.Random(f"{seed}:patch")
     out: list[set[int]] = [set() for _ in range(n)]
-    for u, v in g.edges - used:
+    for u, v in g.edges:
         out[u].add(v)
     cycles: list[HamiltonCycle] = []
     failures = switches = consecutive = 0
-    while True:
-        if max_cycles is not None and len(cycles) >= max_cycles:
-            reason = f"max_cycles {max_cycles} reached"
-            break
-        if consecutive == PATCH_REDRAWS:
-            reason = f"{PATCH_REDRAWS} consecutive factors without a merging switch"
-            break
+    reason = f"{PATCH_REDRAWS} consecutive factors without a merging switch"
+    while consecutive < PATCH_REDRAWS:
         adj = [sorted(row) for row in out]
         for row in adj:
             rng.shuffle(row)

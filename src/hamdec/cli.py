@@ -49,7 +49,14 @@ def _default_seed(value: int | None) -> int:
 
 
 def _read_graph(path: str) -> OrientedGraph:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="ascii").read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"graph file {path} is not ASCII: {exc}") from exc
     return read_edge_list(text)
 
 
@@ -89,10 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decompose", help="run the decomposition pipeline")
     d.add_argument("graph")
     d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--completion", choices=("none", "exact-backtracking"),
-                   default="exact-backtracking")
-    d.add_argument("--no-direct", action="store_true",
-                   help="skip the direct completion stage")
     d.add_argument("--out", default=None)
 
     v = sub.add_parser("verify", help="check a certificate against a graph")
@@ -152,9 +155,7 @@ def _dispatch(args) -> int:
 
     if args.command == "decompose":
         g = _read_graph(args.graph)
-        config = RunConfig(seed=_default_seed(args.seed),
-                           completion_stage=args.completion,
-                           direct_stage=not args.no_direct)
+        config = RunConfig(seed=_default_seed(args.seed))
         cert, report = approximate_decomposition(g, config)
         _emit_json({"certificate": cert.to_json(), "report": report.to_json()},
                    args.out)

@@ -22,6 +22,7 @@ from .errors import (
     GenerationFailedError,
     LoopEdgeError,
     OverlappingSidesError,
+    ROutOfRangeError,
     UnequalSidesError,
     UnknownEdgeError,
     VertexOutOfRangeError,
@@ -242,6 +243,8 @@ def random_regular_oriented(n: int, r: int, seed: int, rounds_budget: int = 100)
     whole construction restarts with a derived seed, up to ``rounds_budget``
     attempts.
     """
+    if r < 0:
+        raise ROutOfRangeError(f"r={r} is negative")
     if r > (n - 1) // 2:
         raise DegreeTooLargeError(f"r={r} exceeds (n-1)/2 for n={n}")
     for attempt in range(rounds_budget):

@@ -1,22 +1,20 @@
 """End-to-end driver: compute reg(G), extract edge-disjoint Hamilton
 cycles by cycle-factor patching, and emit a verifiable certificate.
 
-The direct stage runs the patching engine of ``assembly`` on the whole
-residual graph until no cycle factor is left or its factors stop merging.
-Below n = 12 exact search then extracts further cycles one at a time, and a
-completion stage decomposes a tiny regular leftover by exact backtracking.
-Certificates are re-verified from scratch before being returned.
+The pipeline has two stages: ``reg`` computes reg(G), and ``direct`` runs
+the patching engine of ``assembly`` on the whole graph until no cycle factor
+is left or its factors stop merging.  Certificates are re-verified from
+scratch before being returned.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .assembly import HamiltonCycle, hamilton_path_between, patch_hamilton_cycles
+from .assembly import HamiltonCycle, patch_hamilton_cycles
 from .counting import (
     BoundReport,
     LogCount,
@@ -25,35 +23,19 @@ from .counting import (
     decomposition_upper_bound,
     find_hamilton_decomposition,
 )
-from .errors import (
-    BudgetExhaustedError,
-    HamdecError,
-    InvariantViolationError,
-    HypothesisViolatedError,
-    TooLargeError,
-)
+from .errors import HamdecError, InvariantViolationError, TooLargeError
 from .factors import oriented_reg
 from .graphs import Edge, OrientedGraph, rotational_tournament, write_edge_list
 
-# below this order the direct stage finishes with exact cycle extraction
-EXACT_FINISH_N = 12
+# largest order the pipeline accepts
+MAX_N = 2000
 
 
 @dataclass
 class RunConfig:
-    """Pipeline knobs."""
+    """Pipeline settings."""
 
-    path_budget: int = 20_000     # expansions per exact Hamilton-path search
     seed: int = 0
-    completion_stage: str = "exact-backtracking"   # "none" | "exact-backtracking"
-    direct_stage: bool = True
-    max_cycles: int | None = None
-    max_n: int = 2000
-    min_semi_floor: int = 0
-
-    def __post_init__(self):
-        if self.completion_stage not in ("none", "exact-backtracking"):
-            raise ValueError(f"unknown completion stage {self.completion_stage!r}")
 
 
 @dataclass(frozen=True)
@@ -154,95 +136,17 @@ def verify_certificate(g: OrientedGraph, cert: DecompositionCertificate
 # -- the pipeline ---------------------------------------------------------
 
 
-def _extract_cycle_exact(residual: OrientedGraph, budget: int) -> HamiltonCycle | None:
-    """One Hamilton cycle of the residual graph by exact search through its
-    lowest-labelled active vertex."""
-    anchors = [v for v in range(residual.n) if residual.out_neighbors[v]]
-    if not anchors:
-        return None
-    v0 = anchors[0]
-    for w in sorted(residual.out_neighbors[v0]):
-        try:
-            path = hamilton_path_between(residual, w, v0, budget=budget, seed=0)
-        except BudgetExhaustedError:
-            path = None
-        if path is not None:
-            return HamiltonCycle.from_order(path.vertices)
-    return None
-
-
-def _direct_stage(g: OrientedGraph, config: RunConfig, used: set[Edge],
-                  cycles: list[HamiltonCycle], report: RunReport) -> None:
-    outcome = patch_hamilton_cycles(g, used, seed=config.seed,
-                                    max_cycles=config.max_cycles)
-    for cyc in outcome.cycles:
-        used |= cyc.edges
-        cycles.append(cyc)
-    row: dict[str, Any] = {"name": "direct", "mode": "patching",
-                           "rounds": len(outcome.cycles), "failures": outcome.failures,
-                           "switches": outcome.switches,
-                           "stop_reason": outcome.stop_reason}
-    if g.n < EXACT_FINISH_N:
-        found = 0
-        while config.max_cycles is None or len(cycles) < config.max_cycles:
-            residual = OrientedGraph(g.n, g.edges - used, _validated=True)
-            cyc = _extract_cycle_exact(residual, config.path_budget)
-            if cyc is None:
-                break
-            used |= cyc.edges
-            cycles.append(cyc)
-            found += 1
-        row["exact_rounds"] = found
-    report.stages.append(row)
-
-
-def _completion_stage(g: OrientedGraph, config: RunConfig, used: set[Edge],
-                      cycles: list[HamiltonCycle], report: RunReport) -> None:
-    leftover = g.edges - used
-    if not leftover:
-        return
-    outs = [0] * g.n
-    ins = [0] * g.n
-    for u, v in leftover:
-        outs[u] += 1
-        ins[v] += 1
-    degs = set(outs) | set(ins)
-    if len(degs) != 1:
-        report.stages.append({"name": "completion", "skipped": "leftover not regular"})
-        return
-    rho = degs.pop()
-    if rho == 0 or rho > 2 or g.n > 12:
-        report.stages.append({"name": "completion",
-                              "skipped": f"leftover degree {rho}, n {g.n} beyond caps"})
-        return
-    leftover_graph = OrientedGraph(g.n, leftover, _validated=True)
-    found = find_hamilton_decomposition(leftover_graph)
-    if found is None:
-        report.stages.append({"name": "completion", "found": 0})
-        return
-    for order in found:
-        cyc = HamiltonCycle.from_order(order)
-        used |= cyc.edges
-        cycles.append(cyc)
-    report.stages.append({"name": "completion", "found": len(found)})
-
-
 def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
                               ) -> tuple[DecompositionCertificate, RunReport]:
     """Greedily build verified edge-disjoint Hamilton cycles of g.
 
-    Returns the certificate together with a per-stage report; on internal
-    stage failures whatever cycles were completed are still certified.
+    Returns the certificate together with a per-stage report.  A
+    ``HamdecError`` raised by the patching stage goes to
+    ``report.hard_failures``, and a certificate without cycles is returned.
     """
     config = config or RunConfig()
-    if g.n > config.max_n:
-        raise TooLargeError(f"n={g.n} exceeds the configured budget {config.max_n}")
-    min_semi = min(min(g.out_degree(v) for v in range(g.n)),
-                   min(g.in_degree(v) for v in range(g.n)))
-    if min_semi < config.min_semi_floor:
-        raise HypothesisViolatedError(
-            f"min semi-degree {min_semi} below the configured floor "
-            f"{config.min_semi_floor}")
+    if g.n > MAX_N:
+        raise TooLargeError(f"n={g.n} exceeds the limit MAX_N = {MAX_N}")
     report = RunReport(n=g.n, seed=config.seed)
     t0 = time.perf_counter()
     reg = oriented_reg(g)
@@ -252,20 +156,20 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
     if reg == 0:
         return DecompositionCertificate(g.n, digest, (), frozenset(g.edges), 0), report
 
-    used: set[Edge] = set()
     cycles: list[HamiltonCycle] = []
-    for stage, enabled in ((_direct_stage, config.direct_stage),
-                           (_completion_stage, config.completion_stage != "none")):
-        if not enabled:
-            continue
-        t1 = time.perf_counter()
-        try:
-            stage(g, config, used, cycles, report)
-        except HamdecError as exc:
-            report.hard_failures.append(f"{stage.__name__}: {type(exc).__name__}: {exc}")
-        if report.stages:
-            report.stages[-1].setdefault("seconds", time.perf_counter() - t1)
-
+    t1 = time.perf_counter()
+    try:
+        outcome = patch_hamilton_cycles(g, seed=config.seed)
+    except HamdecError as exc:
+        report.hard_failures.append(f"direct: {type(exc).__name__}: {exc}")
+    else:
+        cycles = outcome.cycles
+        report.stages.append({"name": "direct", "mode": "patching",
+                              "rounds": len(cycles), "failures": outcome.failures,
+                              "switches": outcome.switches,
+                              "stop_reason": outcome.stop_reason,
+                              "seconds": time.perf_counter() - t1})
+    used = {e for cyc in cycles for e in cyc.edges}
     cycles_sorted = tuple(sorted(cycles, key=lambda c: c.order))
     cert = DecompositionCertificate(g.n, digest, cycles_sorted,
                                     frozenset(g.edges - used), reg)
@@ -314,7 +218,3 @@ def bounds_payload(n: int, r: int) -> dict[str, Any]:
     upper = decomposition_upper_bound(n, r)
     return {"n": n, "r": r, "lower_log": None, "exact_log": None,
             "upper_log": upper.log}
-
-
-def certificate_to_text(cert: DecompositionCertificate) -> str:
-    return json.dumps(cert.to_json(), indent=2) + "\n"

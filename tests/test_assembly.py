@@ -21,7 +21,7 @@ from hamdec.errors import (
     InvariantViolationError,
     SameEndpointsError,
 )
-from hamdec.graphs import build_oriented, random_oriented, rotational_tournament
+from hamdec.graphs import build_oriented, random_oriented, remove_edges, rotational_tournament
 from hamdec.pathcovers import DirectedPath, PathCover, PathCoverFamily
 
 
@@ -256,7 +256,7 @@ def test_complete_family_t1_matches_single_completion():
 def test_patching_cycles_are_disjoint_hamiltonian_and_residual():
     g = rotational_tournament(31)
     used = set(HamiltonCycle.from_order([i * 3 % 31 for i in range(31)]).edges)
-    out = patch_hamilton_cycles(g, used, seed=4)
+    out = patch_hamilton_cycles(remove_edges(g, used), seed=4)
     assert len(out.cycles) >= 1
     seen = set(used)
     for cyc in out.cycles:
@@ -290,11 +290,11 @@ def test_patching_stops_after_consecutive_failed_factors():
     assert out.stop_reason == f"{PATCH_REDRAWS} consecutive factors without a merging switch"
 
 
-def test_patching_respects_max_cycles_and_seed():
+def test_patching_is_deterministic_per_seed():
     g = rotational_tournament(21)
-    out = patch_hamilton_cycles(g, seed=1, max_cycles=3)
-    assert len(out.cycles) == 3 and out.stop_reason == "max_cycles 3 reached"
-    again = patch_hamilton_cycles(g, seed=1, max_cycles=3)
+    out = patch_hamilton_cycles(g, seed=1)
+    assert len(out.cycles) >= 3
+    again = patch_hamilton_cycles(g, seed=1)
     assert again == out
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -77,9 +78,15 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
 def test_bad_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.og"
     bad.write_text("og 3 1\n1 1\n")
-    assert cli_main(["reg", str(bad)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["reg", str(bad)]) == 2
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     missing = tmp_path / "missing.og"
     assert cli_main(["reg", str(missing)]) == 2
+    not_ascii = tmp_path / "latin1.og"
+    not_ascii.write_bytes(b"og 3 0\n\xe9\n")
+    assert cli_main(["reg", str(not_ascii)]) == 2
 
 
 def test_bounds_command(capsys):
@@ -141,6 +148,11 @@ def test_verify_certificate_missing_keys_is_input_error(triangle_file, tmp_path,
 def test_generate_regular_without_r_is_usage_error(capsys):
     assert cli_main(["generate", "--kind", "regular", "--n", "9"]) == 2
     assert "--r" in _one_line_error(capsys)
+
+
+def test_generate_regular_with_negative_r_is_input_error(capsys):
+    assert cli_main(["generate", "--kind", "regular", "--n", "7", "--r", "-1"]) == 2
+    assert "r=-1" in _one_line_error(capsys)
 
 
 def test_bounds_with_zero_r_is_usage_error(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,8 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 import hamdec
 from hamdec.errors import TooLargeError
-from hamdec.graphs import build_oriented, random_oriented, rotational_tournament, write_edge_list
+from hamdec.graphs import (
+    OrientedGraph,
+    build_oriented,
+    random_oriented,
+    random_tournament,
+    rotational_tournament,
+    write_edge_list,
+)
 from hamdec.pipeline import (
+    MAX_N,
     DecompositionCertificate,
     RunConfig,
     approximate_decomposition,
@@ -39,12 +48,11 @@ def test_transitive_tournament_reg_zero():
     assert verify_certificate(g, cert) == (True, None)
 
 
-def test_rotational5_with_completion_stage():
+def test_rotational5_finds_a_cycle():
     g = rotational_tournament(5)
     cert, report = approximate_decomposition(g, RunConfig(seed=0))
     assert verify_certificate(g, cert) == (True, None)
-    # reg = 2 and the unique decomposition exists; the tiny-leftover exact
-    # stage should finish the job whenever the first cycle leaves a 1-factor
+    # reg = 2 and the unique decomposition exists
     assert cert.k >= 1
 
 
@@ -115,12 +123,8 @@ def test_partial_failure_certificates_still_verify():
 
 
 def test_pipeline_preconditions():
-    g = rotational_tournament(11)
     with pytest.raises(TooLargeError):
-        approximate_decomposition(g, RunConfig(max_n=5))
-    from hamdec.errors import HypothesisViolatedError
-    with pytest.raises(HypothesisViolatedError):
-        approximate_decomposition(g, RunConfig(min_semi_floor=6))
+        approximate_decomposition(OrientedGraph(MAX_N + 1, []))
 
 
 def test_sandwich_values():
@@ -161,13 +165,41 @@ def test_patching_quality_floor_rotational_101():
 
 def test_direct_stage_reports_patching_counters():
     cert, report = approximate_decomposition(rotational_tournament(25), RunConfig(seed=0))
-    assert [row["name"] for row in report.stages] == ["reg", "direct", "completion"]
+    assert [row["name"] for row in report.stages] == ["reg", "direct"]
     direct = report.stages[1]
     assert direct["mode"] == "patching"
     assert direct["rounds"] == cert.k
     assert direct["switches"] >= 0 and direct["failures"] >= 0
     assert direct["stop_reason"] in ("no cycle factor in residual",
                                      "20 consecutive factors without a merging switch")
+
+
+# SHA-256 of json.dumps(cert.to_json(), sort_keys=True) for RunConfig seeds
+# 0, 1 and 2, computed before the exact finisher below n = 12 and the
+# completion stage were removed from the pipeline
+FROZEN_CERTIFICATES = {
+    ("rotational", 11): (
+        "fa94b367fff73bfb08e7331c709b028e8a9e5d32595ff6027577df3b6452bdfc",
+        "f64847b5968552432ca25715e7aa35497445c29070c4acc0b3394093ad3c97f6",
+        "34154e4243b541ad9a32bc1a1aad3df6b3af9c375070b3037dff65f6d64f21d2"),
+    ("rotational", 25): (
+        "8ebb6f3cf82fc9d6271ab27ec04f6f6de2dfb2009b466ca879b9f1dc5e2090b6",
+        "70e45fdbbc3a1637ada3b0656facce059f0734723069b237bdfdc1aa52fd98ca",
+        "035e78c15b9b2b2134e9339f0ee91142850fc58f8f2b128c343bb8509182263c"),
+    ("tournament", 13): (   # random_tournament(13, 0)
+        "214bb39cc47f50543430a975561587ac020b4530b2e0828ff164a409d1b49170",
+        "a2ecea59369e564b6e4ebe421f9c11ee3506ff2c34a7cf23a99cefcce041fff2",
+        "35d3c8aa6e8483018ffdd7087fa47b90d9f1d6bfebdee6a99930f5290978ce04"),
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(FROZEN_CERTIFICATES))
+def test_certificate_bytes_frozen(kind, n):
+    g = rotational_tournament(n) if kind == "rotational" else random_tournament(n, 0)
+    for seed, expected in enumerate(FROZEN_CERTIFICATES[kind, n]):
+        cert, _ = approximate_decomposition(g, RunConfig(seed=seed))
+        text = json.dumps(cert.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, f"seed {seed}"
 
 
 def test_certificates_identical_across_hash_seeds(tmp_path):
@@ -186,7 +218,7 @@ def test_certificates_identical_across_hash_seeds(tmp_path):
 
 
 def test_pipeline_on_1201_vertices():
-    # above the default recursion limit, below RunConfig.max_n
+    # above the default recursion limit, below MAX_N
     n = 1201
     g = build_oriented(n, {(v, (v + j) % n) for v in range(n) for j in (1, 2, 5, 11)})
     cert, report = approximate_decomposition(g, RunConfig(seed=0))
