@@ -23,20 +23,16 @@ from .graphs import (
 from .factors import (
     FactorCertificate,
     Matching,
-    MatchingFamily,
-    extract_bipartite_r_factor,
     extract_oriented_r_factor,
     gale_ryser_oracle,
     has_bipartite_r_factor,
     oriented_reg,
     pm_decompose_regular,
-    sample_matching_family,
 )
 from .counting import (
     BoundReport,
     LogCount,
     bregman_bound,
-    bregman_maxdeg_bound,
     count_hamilton_cycles_exact,
     count_hamilton_decompositions_exact,
     decomposition_upper_bound,

@@ -34,6 +34,16 @@ from .pathcovers import DirectedPath, PathCoverFamily
 
 # consecutive cycle factors without a merging switch before patching stops
 PATCH_REDRAWS = 20
+# budget slices, each with fresh tie-breaking, of a budgeted path search
+PATH_SEARCH_SLICES = 4
+# (start, end) pairs a free-endpoint path search tries
+ENDPOINT_PAIRS = 6
+# reservoir partitions a splice draws before it gives up
+SPLICE_ATTEMPTS = 20
+# most reservoir vertices one splice block may hold
+BLOCK_CAP = 24
+# node expansions allowed for each block's Hamilton-path search
+BLOCK_PATH_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -211,17 +221,17 @@ def _merge_factor(succ: list[int], adj: list[list[int]], out: list[set[int]]
 
 
 def hamilton_path_between(f: OrientedGraph, s: int, t: int,
-                          budget: int | None = None, seed: int = 0,
-                          restarts: int = 4) -> DirectedPath | None:
+                          budget: int | None = None, seed: int = 0) -> DirectedPath | None:
     """A Hamilton path of f from s to t, or None once the search tree is
     fully explored.
 
     Backtracking branches on the out-neighbour with the fewest remaining
     out-options, prunes heads from which some unvisited vertex is
-    unreachable or cannot reach t, and restarts with reshuffled tie-breaking
-    when a budget slice runs out.  Raises BudgetExhaustedError if the budget
-    is consumed without either finding a path or completing an exhaustive
-    pass.  Vertices are f's local indices.
+    unreachable or cannot reach t, and splits a budget into
+    PATH_SEARCH_SLICES slices, reshuffling tie-breaking when one runs out.
+    Raises BudgetExhaustedError if the budget is consumed without either
+    finding a path or completing an exhaustive pass.  Vertices are f's local
+    indices.
     """
     n = f.n
     if s == t:
@@ -230,7 +240,7 @@ def hamilton_path_between(f: OrientedGraph, s: int, t: int,
         raise InvariantViolationError("endpoints outside the graph")
     if n == 1:
         return None
-    slices = 1 if budget is None else max(1, restarts)
+    slices = 1 if budget is None else PATH_SEARCH_SLICES
     per_slice = None if budget is None else max(1, budget // slices)
     spent = 0
     for attempt in range(slices):
@@ -333,11 +343,11 @@ def _bounded_path_search(f: OrientedGraph, s: int, t: int,
 
 
 def hamilton_path_any(f: OrientedGraph, budget: int | None = None,
-                      seed: int = 0, endpoint_tries: int = 6) -> DirectedPath | None:
+                      seed: int = 0) -> DirectedPath | None:
     """Best-effort Hamilton path with free endpoints.
 
-    Tries a handful of diverse (start, end) pairs, preferring starts that are
-    hard to enter and ends that are hard to leave.
+    Tries up to ENDPOINT_PAIRS diverse (start, end) pairs, preferring starts
+    that are hard to enter and ends that are hard to leave.
     """
     n = f.n
     if n == 1:
@@ -346,7 +356,7 @@ def hamilton_path_any(f: OrientedGraph, budget: int | None = None,
     starts = sorted(range(n), key=lambda v: (f.in_degree(v), rng.random()))
     ends = sorted(range(n), key=lambda v: (f.out_degree(v), rng.random()))
     pairs: list[tuple[int, int]] = []
-    for i in range(min(endpoint_tries, n)):
+    for i in range(min(ENDPOINT_PAIRS, n)):
         s = starts[i % len(starts)]
         t = next(e for e in ends if e != s)
         if i > 0:
@@ -426,8 +436,7 @@ def _block_viable(out_adj: dict[int, set[int]], in_adj: dict[int, set[int]],
 
 
 def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGraph,
-                            connectors: Connectors, seed: int | str = 0, retries: int = 20,
-                            block_cap: int = 24, path_budget: int | None = 200_000,
+                            connectors: Connectors, seed: int | str = 0,
                             enforce_margin: bool = True) -> HamiltonCycle:
     """Complete vertex-disjoint paths into one cycle through the reservoir.
 
@@ -459,9 +468,9 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGr
     if enforce_margin and len(wset) < 4 * a:
         raise ReservoirMismatchError(
             f"reservoir of {len(wset)} is tight for {a} blocks (margin wants >= {4 * a})")
-    if a * block_cap < len(wset):
+    if a * BLOCK_CAP < len(wset):
         raise ReservoirMismatchError(
-            f"{a} blocks of <= {block_cap} cannot absorb {len(wset)} reservoir vertices")
+            f"{a} blocks of <= {BLOCK_CAP} cannot absorb {len(wset)} reservoir vertices")
     floor = 2 * a if enforce_margin else 1
     for i in range(a):
         if len(connectors.into_start[i]) < floor:
@@ -485,10 +494,10 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGr
         out_adj[u].add(v)
         in_adj[v].add(u)
     sizes = [len(wset) // a + (1 if i < len(wset) % a else 0) for i in range(a)]
-    if max(sizes) > block_cap:
+    if max(sizes) > BLOCK_CAP:
         raise ReservoirMismatchError("block sizes exceed the cap")
     last_block = None
-    for attempt in range(retries):
+    for attempt in range(SPLICE_ATTEMPTS):
         # Re-draw the connector choice alongside the reservoir partition:
         # with few blocks the partition alone carries too little freedom.
         choice = _choose_connectors(connectors, f"{seed}:{attempt}")
@@ -525,7 +534,7 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGr
             try:
                 got = hamilton_path_between(
                     sub, sub_of[pinned_pairs[i][0]], sub_of[pinned_pairs[i][1]],
-                    budget=path_budget, seed=rng.randrange(1 << 30))
+                    budget=BLOCK_PATH_BUDGET, seed=rng.randrange(1 << 30))
             except BudgetExhaustedError:
                 got = None
             if got is None:
@@ -539,8 +548,8 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGr
                 order.extend(intervals[i])
             return HamiltonCycle.from_order(order)
     raise SpliceFailedError(
-        f"splice failed after {retries} reservoir partitions",
-        block_index=last_block, attempts=retries)
+        f"splice failed after {SPLICE_ATTEMPTS} reservoir partitions",
+        block_index=last_block, attempts=SPLICE_ATTEMPTS)
 
 
 def verify_completed_cycle(cycle: HamiltonCycle, paths: Sequence[DirectedPath],
@@ -587,10 +596,8 @@ class CompletionOutcome:
 
 def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
                               w_set: Sequence[int], family: PathCoverFamily,
-                              slack: int, seed: int = 0, strict: bool = True,
-                              retries: int = 20, block_cap: int = 24,
-                              path_budget: int | None = 200_000,
-                              reservoir_floor: int | None = None) -> CompletionOutcome:
+                              slack: int, seed: int = 0,
+                              strict: bool = True) -> CompletionOutcome:
     """Complete each cover of the family into a Hamilton cycle of h, removing
     each finished cycle's edges before the next round.
 
@@ -598,7 +605,7 @@ def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
     edges come from the not-yet-used edges of h.  Strict mode enforces the
     working hypotheses: every U vertex needs more than 2a + slack unused
     edges to W in both directions, and h[W] needs min semi-degree at least
-    ``reservoir_floor`` (default: the family size).
+    the family size.
     """
     u_sorted = sorted(u_set)
     w_sorted = sorted(w_set)
@@ -617,12 +624,11 @@ def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
                     f"vertex {u} has degrees ({d_in}, {d_out}) towards the "
                     f"reservoir, needs > {2 * a_bound + slack}")
         fw = h.induced_subgraph(w_sorted)
-        floor = t if reservoir_floor is None else reservoir_floor
         min_semi = min(min(fw.out_degree(v) for v in range(fw.n)),
                        min(fw.in_degree(v) for v in range(fw.n))) if fw.n else 0
-        if min_semi < floor:
+        if min_semi < t:
             raise HypothesisViolatedError(
-                f"reservoir min semi-degree {min_semi} below floor {floor}")
+                f"reservoir min semi-degree {min_semi} below floor {t}")
 
     used: set[Edge] = set()
     cycles: list[HamiltonCycle] = []
@@ -637,7 +643,6 @@ def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
         try:
             cycle = complete_cover_to_cycle(
                 cover.paths, f_j, connectors, seed=f"{seed}:round:{j}",
-                retries=retries, block_cap=block_cap, path_budget=path_budget,
                 enforce_margin=strict)
         except (ConnectorDegreeTooLowError, SpliceFailedError,
                 ReservoirMismatchError) as exc:

@@ -1,15 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 input/usage error,
-3 stage failure with partial output, 4 internal error.  The HAMDEC_SEED
-environment variable supplies a default seed; an explicit --seed wins.
+3 stage failure with partial output, 4 internal error.  Commands that take
+--seed default to seed 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -39,13 +38,6 @@ from .pipeline import (
 
 class UsageError(HamdecError):
     """Arguments that parse but cannot be acted on."""
-
-
-def _default_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("HAMDEC_SEED")
-    return int(env) if env else 0
 
 
 def _read_graph(path: str) -> OrientedGraph:
@@ -82,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="rotational")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--r", type=int, default=None, help="degree for --kind regular")
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
 
     r = sub.add_parser("reg", help="print the maximum regular factor degree")
@@ -95,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decompose", help="run the decomposition pipeline")
     d.add_argument("graph")
-    d.add_argument("--seed", type=int, default=None)
+    d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", default=None)
 
     v = sub.add_parser("verify", help="check a certificate against a graph")
@@ -131,13 +123,12 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "generate":
-        seed = _default_seed(args.seed)
         if args.kind == "rotational":
             g = rotational_tournament(args.n)
         elif args.kind == "regular" and args.r is None:
             raise UsageError("--kind regular needs --r")
         else:
-            g = random_oriented(args.kind, args.n, seed=seed, r=args.r)
+            g = random_oriented(args.kind, args.n, seed=args.seed, r=args.r)
         _write_text(write_edge_list(g), args.out)
         return 0
 
@@ -155,7 +146,7 @@ def _dispatch(args) -> int:
 
     if args.command == "decompose":
         g = _read_graph(args.graph)
-        config = RunConfig(seed=_default_seed(args.seed))
+        config = RunConfig(seed=args.seed)
         cert, report = approximate_decomposition(g, config)
         _emit_json({"certificate": cert.to_json(), "report": report.to_json()},
                    args.out)
@@ -182,6 +173,9 @@ def _dispatch(args) -> int:
     if args.command == "bounds":
         if args.n < 1 or args.r < 1:
             raise UsageError("bounds needs --n >= 1 and --r >= 1")
+        if args.r > (args.n - 1) // 2:
+            raise UsageError(f"no oriented graph on {args.n} vertices is "
+                             f"{args.r}-regular: r exceeds (n-1)/2")
         _emit_json(bounds_payload(args.n, args.r), None)
         return 0
 

@@ -143,14 +143,6 @@ def bregman_bound(row_degrees: Sequence[int]) -> LogCount:
     return LogCount.from_log(log)
 
 
-def bregman_maxdeg_bound(m: int, max_degree: int) -> LogCount:
-    """Stirling form of the degree bound: (8*D)^(m/D) * (D/e)^m."""
-    if max_degree < 1:
-        raise ValueError("max degree must be >= 1")
-    log = (m / max_degree) * math.log(8 * max_degree) + m * (math.log(max_degree) - 1)
-    return LogCount.from_log(log)
-
-
 def vdw_bound(m: int, d: int) -> LogCount:
     """Lower bound on perfect matchings of a d-regular bipartite graph:
     d^m * m! / m^m."""

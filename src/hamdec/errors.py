@@ -74,31 +74,12 @@ class NoFactorError(HamdecError):
     """The requested factor does not exist."""
 
 
-class NoComplementFactorError(HamdecError):
-    """Supergraph construction failed although the hypothesis held (bug-level)."""
-
-
 class HypothesisViolatedError(HamdecError):
     """A degree-window precondition failed; the message names the inequality."""
 
 
 class NotRegularError(HamdecError):
     """A regular graph was required."""
-
-
-class QuotaUnreachableError(HamdecError):
-    """Fewer matchings/covers met the size quota than requested.
-
-    ``achieved`` holds the count that was reachable; ``partial`` holds
-    whatever valid objects were produced, ``limiting_pair`` the part pair
-    (if any) that ran dry first.
-    """
-
-    def __init__(self, message, achieved=0, partial=None, limiting_pair=None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.partial = partial
-        self.limiting_pair = limiting_pair
 
 
 # --- path covers ---

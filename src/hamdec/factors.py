@@ -1,11 +1,10 @@
-"""Bipartite matchings, r-factors, matching families, and reg() for digraphs.
+"""Bipartite matchings, r-factors and reg() for digraphs.
 
 Factor feasibility is decided by max-flow, except on regular oriented
 graphs, where the degrees decide it; the literal subset inequality of
 the Gale-Ryser criterion is kept as an independent exponential oracle for
-cross-validation.  Matching families mirror the construction "embed in a
-regular supergraph, split it into perfect matchings, restrict to the original
-edges" with all quotas checked on the actual output.
+cross-validation.  Regular bipartite graphs split into perfect matchings,
+which is also how the random regular bipartite test instances are built.
 """
 
 from __future__ import annotations
@@ -17,20 +16,15 @@ from typing import Sequence
 
 from .errors import (
     GenerationFailedError,
-    HypothesisViolatedError,
-    NoComplementFactorError,
     NoFactorError,
     NotRegularError,
-    QuotaUnreachableError,
     ROutOfRangeError,
     TooLargeError,
-    UnknownEdgeError,
 )
 from .flows import Dinic
-from .graphs import BipartiteGraph, Edge, OrientedGraph, degree_summary
+from .graphs import GENERATION_ATTEMPTS, BipartiteGraph, Edge, OrientedGraph, degree_summary
 
 GALE_RYSER_CAP = 12
-MATCHING_COUNT_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -51,40 +45,12 @@ class Matching:
 
 
 @dataclass(frozen=True)
-class MatchingFamily:
-    """t pairwise edge-disjoint matchings, each of size >= a."""
-
-    matchings: tuple[Matching, ...]
-    a: int
-    t: int
-
-    def validate(self) -> None:
-        from .errors import InvariantViolationError
-        if len(self.matchings) != self.t:
-            raise InvariantViolationError("family length differs from t")
-        seen: set[Edge] = set()
-        for mt in self.matchings:
-            if mt.size < self.a:
-                raise InvariantViolationError(f"matching of size {mt.size} below quota {self.a}")
-            if seen & mt.pairs:
-                raise InvariantViolationError("matchings share an edge")
-            seen |= mt.pairs
-
-    def union_pairs(self) -> set[Edge]:
-        out: set[Edge] = set()
-        for mt in self.matchings:
-            out |= mt.pairs
-        return out
-
-
-@dataclass(frozen=True)
 class FactorCertificate:
     """An r-regular spanning subgraph, bipartite or oriented."""
 
     r: int
     edges: frozenset[Edge]
     kind: str  # "bipartite" | "oriented"
-    regular: bool = True
 
 
 # -- generic matching machinery ----------------------------------------
@@ -230,92 +196,6 @@ def gale_ryser_oracle(b: BipartiteGraph, r: int) -> bool:
     return True
 
 
-def extract_bipartite_r_factor(b: BipartiteGraph, r: int) -> FactorCertificate:
-    """An r-regular spanning subgraph of b, found by integral max-flow."""
-    m = b.m
-    if not 0 <= r <= m:
-        raise ROutOfRangeError(f"r={r} outside [0, {m}]")
-    if r == 0:
-        return FactorCertificate(0, frozenset(), "bipartite")
-    value, chosen = _unit_flow([r] * m, [r] * m, sorted(b.edges))
-    if value != r * m:
-        raise NoFactorError(f"no {r}-factor (flow {value} < {r * m})")
-    return FactorCertificate(r, frozenset(chosen), "bipartite")
-
-
-def almost_regular_factor(b: BipartiteGraph, alpha: float, xi: float) -> FactorCertificate:
-    """An (alpha*m)-factor of an almost-regular dense bipartite graph.
-
-    Hypothesis, checked: alpha >= 1/2 and
-    alpha*m + xi <= min degree <= max degree <= alpha*m + xi + xi^2/m.
-    """
-    m = b.m
-    am = alpha * m
-    r = round(am)
-    if abs(am - r) > 1e-9:
-        raise HypothesisViolatedError(f"alpha*m = {am} is not integral")
-    if alpha < 0.5 - 1e-12:
-        raise HypothesisViolatedError(f"alpha={alpha} < 1/2")
-    if xi < 0:
-        raise HypothesisViolatedError(f"xi={xi} < 0")
-    lo, hi = b.min_degree(), b.max_degree()
-    if lo < am + xi - 1e-9:
-        raise HypothesisViolatedError(f"min degree {lo} < alpha*m + xi = {am + xi}")
-    if hi > am + xi + xi * xi / m + 1e-9:
-        raise HypothesisViolatedError(
-            f"max degree {hi} > alpha*m + xi + xi^2/m = {am + xi + xi * xi / m}")
-    try:
-        return extract_bipartite_r_factor(b, r)
-    except NoFactorError as exc:
-        raise NoFactorError(
-            "hypothesis held but extraction failed; this is a bug") from exc
-
-
-def embed_in_regular(b: BipartiteGraph, d: int, xi: float,
-                     enforce_window: bool = True) -> BipartiteGraph:
-    """A d-regular supergraph of b on the same sides.
-
-    By default the degree window d - xi - xi^2/m <= min degree <=
-    max degree <= d - xi is required.  For d <= m/2 the supergraph comes
-    from complementing an (m-d)-factor of the complement graph; for larger d
-    the missing edges are found directly by a degree-demand flow.  With
-    ``enforce_window=False`` any d in [max degree, m] is accepted and only
-    the demand flow decides feasibility.
-    """
-    m = b.m
-    lo, hi = b.min_degree(), b.max_degree()
-    if d > m:
-        raise HypothesisViolatedError(f"d={d} > m={m}")
-    if enforce_window:
-        if hi > d - xi + 1e-9:
-            raise HypothesisViolatedError(f"max degree {hi} > d - xi = {d - xi}")
-        if lo < d - xi - xi * xi / m - 1e-9:
-            raise HypothesisViolatedError(
-                f"min degree {lo} < d - xi - xi^2/m = {d - xi - xi * xi / m}")
-    elif d < hi:
-        raise HypothesisViolatedError(f"d={d} below max degree {hi}")
-
-    if enforce_window and d <= m // 2:
-        comp = b.complement()
-        try:
-            anti = extract_bipartite_r_factor(comp, m - d)
-        except NoFactorError as exc:
-            raise NoComplementFactorError(
-                f"complement has no {m - d}-factor despite hypothesis") from exc
-        edges = {(a, bb) for a in range(m) for bb in range(m)} - anti.edges
-        return BipartiteGraph(m, m, edges, b.left_labels, b.right_labels)
-
-    # Demand flow: vertex v still needs d - deg(v) extra edges, all from the
-    # complement of b.
-    need_left = [d - b.degree_left(a) for a in range(m)]
-    need_right = [d - b.degree_right(bb) for bb in range(m)]
-    missing = [(a, bb) for a in range(m) for bb in range(m) if (a, bb) not in b.edges]
-    value, added = _unit_flow(need_left, need_right, missing)
-    if value != sum(need_left):
-        raise NoComplementFactorError(f"no {d}-regular supergraph exists")
-    return BipartiteGraph(m, m, set(b.edges) | set(added), b.left_labels, b.right_labels)
-
-
 def pm_decompose_regular(b: BipartiteGraph) -> list[Matching]:
     """Split a d-regular bipartite graph into d disjoint perfect matchings."""
     m = b.m
@@ -334,82 +214,6 @@ def pm_decompose_regular(b: BipartiteGraph) -> list[Matching]:
         for a, mb in enumerate(match_left):
             adj[a].remove(mb)
     return out
-
-
-def count_matchings_with_few_special(b: BipartiteGraph, special: set[Edge],
-                                     ell: int) -> tuple[int, int]:
-    """Exact perfect-matching counts: (total, those with <= ell special edges)."""
-    m = b.m
-    if m > MATCHING_COUNT_CAP:
-        raise TooLargeError(f"m={m} exceeds cap {MATCHING_COUNT_CAP}")
-    unknown = set(special) - set(b.edges)
-    if unknown:
-        raise UnknownEdgeError(f"special edges not in graph: {sorted(unknown)[:3]}")
-    # dp[(mask, s)] = matchings of A[0:popcount(mask)] onto B-set mask using
-    # s special edges.
-    dp: dict[tuple[int, int], int] = {(0, 0): 1}
-    for a in range(m):
-        nxt: dict[tuple[int, int], int] = {}
-        for (mask, s), ways in dp.items():
-            for bb in b.adj_left[a]:
-                bit = 1 << bb
-                if mask & bit:
-                    continue
-                key = (mask | bit, s + ((a, bb) in special))
-                nxt[key] = nxt.get(key, 0) + ways
-        dp = nxt
-    total = sum(dp.values())
-    with_few = sum(ways for (_, s), ways in dp.items() if s <= ell)
-    return total, with_few
-
-
-def sample_matching_family(b: BipartiteGraph, a: int, t: int, xi: float,
-                           seed: int | str) -> tuple[MatchingFamily, int]:
-    """t edge-disjoint matchings of size >= a, plus the union's min degree.
-
-    Embeds b in the smallest feasible regular supergraph, splits the
-    supergraph into perfect matchings, restricts each to E(b) in a
-    seed-shuffled order, and keeps the first t restrictions meeting the
-    quota.  Raises QuotaUnreachableError (carrying the achieved family) when
-    fewer than t qualify.
-    """
-    m = b.m
-    lo, hi = b.min_degree(), b.max_degree()
-    if hi > lo + xi + 1e-9:
-        raise HypothesisViolatedError(f"degree spread {hi - lo} exceeds slack {xi}")
-    supergraph = None
-    for d in range(hi, m + 1):
-        try:
-            supergraph = embed_in_regular(b, d, xi, enforce_window=False)
-            break
-        except NoComplementFactorError:
-            continue
-    if supergraph is None:
-        raise NoComplementFactorError("no regular supergraph up to degree m; bug")
-    pms = pm_decompose_regular(supergraph)
-    rng = random.Random(f"{seed}:family")
-    rng.shuffle(pms)
-    kept: list[Matching] = []
-    for pm in pms:
-        restricted = Matching(frozenset(pm.pairs & b.edges))
-        if restricted.size >= a:
-            kept.append(restricted)
-        if len(kept) == t:
-            break
-    family = MatchingFamily(tuple(kept), a=a, t=len(kept))
-    union = family.union_pairs()
-    deg: dict[tuple[str, int], int] = {}
-    for aa, bb in union:
-        deg[("a", aa)] = deg.get(("a", aa), 0) + 1
-        deg[("b", bb)] = deg.get(("b", bb), 0) + 1
-    min_union = 0 if not kept else min(
-        min(deg.get(("a", v), 0) for v in range(m)),
-        min(deg.get(("b", v), 0) for v in range(m)))
-    if len(kept) < t:
-        raise QuotaUnreachableError(
-            f"only {len(kept)} of {t} matchings met quota {a}",
-            achieved=len(kept), partial=(family, min_union))
-    return family, min_union
 
 
 # -- factors of oriented graphs ----------------------------------------
@@ -490,27 +294,16 @@ def extract_oriented_r_factor(g: OrientedGraph, r: int) -> FactorCertificate:
     return FactorCertificate(r, frozenset(chosen), "oriented")
 
 
-def is_oriented_r_factor(g: OrientedGraph, cert: FactorCertificate) -> bool:
-    if not cert.edges <= g.edges:
-        return False
-    outs = {v: 0 for v in range(g.n)}
-    ins = {v: 0 for v in range(g.n)}
-    for u, v in cert.edges:
-        outs[u] += 1
-        ins[v] += 1
-    return all(outs[v] == cert.r and ins[v] == cert.r for v in range(g.n))
-
-
 # -- test-instance generator -------------------------------------------
 
 
-def random_regular_bipartite(m: int, d: int, seed: int,
-                             rounds_budget: int = 100) -> BipartiteGraph:
+def random_regular_bipartite(m: int, d: int, seed: int) -> BipartiteGraph:
     """Random d-regular bipartite graph as a union of d disjoint perfect
-    matchings, retrying with derived seeds when a round gets stuck."""
+    matchings, starting over with a derived seed when a round gets stuck, up
+    to GENERATION_ATTEMPTS times."""
     if d > m:
         raise ROutOfRangeError(f"d={d} > m={m}")
-    for attempt in range(rounds_budget):
+    for attempt in range(GENERATION_ATTEMPTS):
         rng = random.Random(f"{seed}:bipartite:{attempt}")
         edges: set[Edge] = set()
         ok = True

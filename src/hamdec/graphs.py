@@ -30,6 +30,9 @@ from .errors import (
 
 Edge = tuple[int, int]
 
+# fresh derived-seed attempts a random regular generator makes before giving up
+GENERATION_ATTEMPTS = 100
+
 
 @dataclass(frozen=True)
 class DegreeSummary:
@@ -176,14 +179,6 @@ class BipartiteGraph:
     def degree_right(self, b: int) -> int:
         return len(self.adj_right[b])
 
-    def min_degree(self) -> int:
-        degs = [len(s) for s in self.adj_left] + [len(s) for s in self.adj_right]
-        return min(degs) if degs else 0
-
-    def max_degree(self) -> int:
-        degs = [len(s) for s in self.adj_left] + [len(s) for s in self.adj_right]
-        return max(degs) if degs else 0
-
     def host_edge(self, edge: Edge) -> Edge:
         a, b = edge
         u = a if self.left_labels is None else self.left_labels[a]
@@ -193,12 +188,6 @@ class BipartiteGraph:
     def directed_host_edges(self) -> set[Edge]:
         """The parent-graph directed edges this bipartite graph records."""
         return {self.host_edge(e) for e in self.edges}
-
-    def complement(self) -> "BipartiteGraph":
-        edges = {(a, b) for a in range(self.left_size) for b in range(self.right_size)
-                 if (a, b) not in self.edges}
-        return BipartiteGraph(self.left_size, self.right_size, edges,
-                              self.left_labels, self.right_labels)
 
     def __repr__(self) -> str:
         return (f"BipartiteGraph({self.left_size}+{self.right_size}, "
@@ -234,20 +223,22 @@ def random_tournament(n: int, seed: int) -> OrientedGraph:
     return OrientedGraph(n, edges, _validated=True)
 
 
-def random_regular_oriented(n: int, r: int, seed: int, rounds_budget: int = 100) -> OrientedGraph:
+def random_regular_oriented(n: int, r: int, seed: int) -> OrientedGraph:
     """Random r-regular oriented graph as a union of r permutation digraphs.
 
     Each round adds a permutation digraph v -> sigma(v) chosen by a randomized
     matching on the still-available pairs (no loops, no reuse, no antiparallel
     conflicts).  A round with no feasible permutation aborts the attempt; the
-    whole construction restarts with a derived seed, up to ``rounds_budget``
-    attempts.
+    whole construction starts over with a derived seed, up to
+    GENERATION_ATTEMPTS attempts.
     """
+    if n < 1:
+        raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
     if r < 0:
         raise ROutOfRangeError(f"r={r} is negative")
     if r > (n - 1) // 2:
         raise DegreeTooLargeError(f"r={r} exceeds (n-1)/2 for n={n}")
-    for attempt in range(rounds_budget):
+    for attempt in range(GENERATION_ATTEMPTS):
         rng = random.Random(f"{seed}:regular:{attempt}")
         edges: set[Edge] = set()
         ok = True

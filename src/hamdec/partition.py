@@ -8,7 +8,7 @@ edges that survive outside every reservoir are then scattered independently:
 an edge may go to the inner graph of any subproblem whose reservoir misses
 both endpoints, or to the connector set of any subproblem whose reservoir
 contains exactly one.  Concentration is not assumed: the target properties
-are re-verified on the emitted subgraphs and the sampler retries on failure,
+are re-verified on the emitted subgraphs and the sampler resamples on failure,
 finally returning its best attempt with a flag.
 """
 
@@ -111,9 +111,7 @@ def _memberships(specs: Sequence[SubproblemSpec], n: int) -> list[list[int]]:
 
 
 def _compute_stats(g: OrientedGraph, factor: FactorCertificate,
-                   specs: Sequence[SubproblemSpec], k: int, eps: float,
-                   p2_window: float | None, p3_floor: float | None,
-                   p4_floor: float | None) -> PartitionStats:
+                   specs: Sequence[SubproblemSpec], k: int, eps: float) -> PartitionStats:
     n = g.n
     d = factor.r
     member = _memberships(specs, n)
@@ -153,7 +151,7 @@ def _compute_stats(g: OrientedGraph, factor: FactorCertificate,
             outs[u] += 1
             ins[v] += 1
         mean = len(spec.inner_edges) / max(1, len(uset))
-        window = p2_window if p2_window is not None else 2 * math.sqrt(max(mean, 1.0) * math.log(n))
+        window = 2 * math.sqrt(max(mean, 1.0) * math.log(n))
         degs = list(outs.values()) + list(ins.values())
         ok2 = all(mean - window <= x <= mean + window for x in degs)
         inner_means.append(mean)
@@ -168,7 +166,7 @@ def _compute_stats(g: OrientedGraph, factor: FactorCertificate,
             else:
                 cross_in[v] += 1
         cmin = min(min(cross_out.values()), min(cross_in.values())) if uset else 0
-        floor3 = p3_floor if p3_floor is not None else eps * len(spec.w_vertices) / (4 * k)
+        floor3 = eps * len(spec.w_vertices) / (4 * k)
         cross_mins.append(cmin)
         cross_floors.append(floor3)
         cross_ok.append(cmin >= floor3)
@@ -180,7 +178,7 @@ def _compute_stats(g: OrientedGraph, factor: FactorCertificate,
             r_out[u] += 1
             r_in[v] += 1
         rmin = min(min(r_out.values()), min(r_in.values())) if wset else 0
-        floor4 = p4_floor if p4_floor is not None else (beta - eps) * len(spec.w_vertices)
+        floor4 = (beta - eps) * len(spec.w_vertices)
         res_mins.append(rmin)
         res_floors.append(floor4)
         res_ok.append(rmin >= floor4)
@@ -252,9 +250,7 @@ def _sample_specs(g: OrientedGraph, factor: FactorCertificate, k: int,
 
 
 def build_partition(g: OrientedGraph, factor: FactorCertificate, k: int, eps: float,
-                    seed: int, retry_budget: int = 5,
-                    p2_window: float | None = None, p3_floor: float | None = None,
-                    p4_floor: float | None = None
+                    seed: int, retry_budget: int = 5
                     ) -> tuple[list[SubproblemSpec], PartitionReport]:
     """Sample the K^3 subproblem split, retrying until the target properties
     hold or the budget runs out (then: best-scoring attempt, flag down).
@@ -282,7 +278,7 @@ def build_partition(g: OrientedGraph, factor: FactorCertificate, k: int, eps: fl
     for attempt in range(max(1, retry_budget)):
         rng = random.Random(seed + attempt)
         specs = _sample_specs(g, factor, k, eps, rng)
-        stats = _compute_stats(g, factor, specs, k, eps, p2_window, p3_floor, p4_floor)
+        stats = _compute_stats(g, factor, specs, k, eps)
         if stats.properties_met:
             return specs, PartitionReport(stats=stats, seed=seed, retries=attempt)
         if best is None or stats.score() > best[0]:
@@ -293,9 +289,7 @@ def build_partition(g: OrientedGraph, factor: FactorCertificate, k: int, eps: fl
 
 
 def verify_partition(g: OrientedGraph, factor: FactorCertificate,
-                     specs: Sequence[SubproblemSpec], k: int, eps: float,
-                     p2_window: float | None = None, p3_floor: float | None = None,
-                     p4_floor: float | None = None) -> PartitionStats:
+                     specs: Sequence[SubproblemSpec], k: int, eps: float) -> PartitionStats:
     """Recompute the achieved statistics from the emitted specs alone,
     after checking structural consistency."""
     n = g.n
@@ -327,4 +321,4 @@ def verify_partition(g: OrientedGraph, factor: FactorCertificate,
         for u, v in spec.reservoir_edges:
             if u not in wset or v not in wset:
                 raise InconsistentSpecsError(f"spec {spec.index}: reservoir edge leaves W")
-    return _compute_stats(g, factor, specs, k, eps, p2_window, p3_floor, p4_floor)
+    return _compute_stats(g, factor, specs, k, eps)

@@ -6,7 +6,8 @@ part pair is used exactly once), and for each label path chain one matching
 per consecutive part pair.  The union of a chain of matchings is a path cover
 whose size is (vertex count) - (matching edges), so large matchings give
 small covers.  Families of edge-disjoint covers come from edge-disjoint
-matching families on each part pair.
+matchings on each part pair, each a maximum matching of the edges the
+earlier ones left.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from .errors import (
     OddOrderError,
     PartsOverlapError,
     PartsTooSmallError,
-    QuotaUnreachableError,
 )
-from .factors import Matching, sample_matching_family, maximum_matching_of
+from .factors import Matching, maximum_matching_of
 from .graphs import BipartiteGraph, Edge, OrientedGraph, bipartite_between
+
+# random equipartitions tried; the one whose thinnest part pair is fattest wins
+PARTITION_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -228,26 +231,11 @@ def _equipartition(n: int, b: int, rng: random.Random) -> list[list[int]]:
     return parts
 
 
-def _matching_chain(b: BipartiteGraph, quota: int, want: int, xi: float,
+def _matching_chain(b: BipartiteGraph, quota: int, want: int,
                     seed: int | str) -> list[Matching]:
-    """Up to ``want`` edge-disjoint matchings of size >= quota in b.
-
-    Equal-sided almost-regular graphs go through the regular-supergraph
-    family sampler; anything else falls back to repeated maximum matchings
-    on the remaining edges.
-    """
-    if want <= 0:
-        return []
-    if b.left_size == b.right_size and b.left_size > 0:
-        spread = b.max_degree() - b.min_degree()
-        if spread <= xi:
-            try:
-                family, _ = sample_matching_family(b, a=quota, t=want, xi=xi, seed=seed)
-                return list(family.matchings)
-            except QuotaUnreachableError as exc:
-                family, _ = exc.partial
-                return list(family.matchings)
-    # greedy route: maximum matchings are non-increasing in size as edges go
+    """Up to ``want`` edge-disjoint matchings of size >= quota in b: repeated
+    maximum matchings on the remaining edges, whose sizes never increase as
+    edges go."""
     rng = random.Random(f"{seed}:greedy")
     remaining = set(b.edges)
     out: list[Matching] = []
@@ -262,8 +250,7 @@ def _matching_chain(b: BipartiteGraph, quota: int, want: int, xi: float,
 
 
 def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
-                            seed: int, partition_attempts: int = 3
-                            ) -> tuple[PathCoverFamily, int]:
+                            seed: int) -> tuple[PathCoverFamily, int]:
     """A family of up to t edge-disjoint path covers of h, each of size <= a.
 
     Returns the family (its ``t`` field reports the achieved count, and
@@ -287,7 +274,7 @@ def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
     # Pick the partition whose thinnest ordered part pair is fattest.
     best_parts: list[list[int]] | None = None
     best_score = -1
-    for attempt in range(partition_attempts):
+    for attempt in range(PARTITION_ATTEMPTS):
         rng = random.Random(f"{seed}:partition:{attempt}")
         parts = _equipartition(n, b, rng)
         score = min(
@@ -316,7 +303,7 @@ def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
         for j in range(b - 1):
             quota = max(0, min(len(seq[j]), len(seq[j + 1])) - (a - base))
             bip = bipartite_between(h, seq[j], seq[j + 1], allow_unequal=True)
-            ms = _matching_chain(bip, quota, want, xi, seed=f"{seed}:{i}:{j}")
+            ms = _matching_chain(bip, quota, want, seed=f"{seed}:{i}:{j}")
             # lift side indices back to the vertices of the two parts
             lifted = [Matching(frozenset((seq[j][ai], seq[j + 1][bi]) for ai, bi in mt.pairs))
                       for mt in ms]
@@ -348,14 +335,3 @@ def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
     else:
         min_union = 0
     return family, min_union
-
-
-def lift_path_cover_family(family: PathCoverFamily, g: OrientedGraph) -> PathCoverFamily:
-    """Re-express a family found in g's local indices in g's parent labels."""
-    if g.labels is None:
-        return family
-    covers = tuple(
-        PathCover(tuple(DirectedPath(g.host_path(p.vertices)) for p in cov.paths))
-        for cov in family.covers)
-    return PathCoverFamily(covers, a=family.a, t=family.t,
-                           limiting_pair=family.limiting_pair)

@@ -109,17 +109,13 @@ def test_sandwich_command(capsys):
     assert doc["exact_count"] == 1 and doc["holds"]
 
 
-def test_env_seed_default(tmp_path, capsys, monkeypatch):
+def test_decompose_seed_flag_and_default(tmp_path, capsys):
     gpath = tmp_path / "g.og"
     gpath.write_text(write_edge_list(rotational_tournament(11)))
-    monkeypatch.setenv("HAMDEC_SEED", "7")
     assert cli_main(["decompose", str(gpath)]) == 0
-    with_env = json.loads(capsys.readouterr().out)
-    assert with_env["report"]["seed"] == 7
-    # explicit flag wins over the environment
+    assert json.loads(capsys.readouterr().out)["report"]["seed"] == 0
     assert cli_main(["decompose", str(gpath), "--seed", "2"]) == 0
-    explicit = json.loads(capsys.readouterr().out)
-    assert explicit["report"]["seed"] == 2
+    assert json.loads(capsys.readouterr().out)["report"]["seed"] == 2
 
 
 def _one_line_error(capsys):
@@ -155,8 +151,18 @@ def test_generate_regular_with_negative_r_is_input_error(capsys):
     assert "r=-1" in _one_line_error(capsys)
 
 
+def test_generate_regular_with_zero_n_is_input_error(capsys):
+    # the vertex count is at fault, not the degree
+    assert cli_main(["generate", "--kind", "regular", "--n", "0", "--r", "0"]) == 2
+    err = _one_line_error(capsys)
+    assert "vertex count" in err and "r=" not in err
+
+
 def test_bounds_with_zero_r_is_usage_error(capsys):
     assert cli_main(["bounds", "--n", "5", "--r", "0"]) == 2
+    _one_line_error(capsys)
+    # no oriented graph on 3 vertices has degree 5
+    assert cli_main(["bounds", "--n", "3", "--r", "5"]) == 2
     _one_line_error(capsys)
 
 

@@ -9,7 +9,6 @@ from hamdec.counting import (
     LogCount,
     adjacency_matrix,
     bregman_bound,
-    bregman_maxdeg_bound,
     count_hamilton_cycles_exact,
     count_hamilton_decompositions_exact,
     count_hamilton_decompositions_ordered,
@@ -174,16 +173,6 @@ def test_bregman_tight_on_block_diagonal_ones():
         exact = permanent(mat)
         bound = bregman_bound([k] * n)
         assert bound.close_to(exact, tol=1e-9)
-
-
-def test_bregman_maxdeg_bound_values():
-    for m in range(2, 11):
-        assert bregman_maxdeg_bound(m, m).log >= math.lgamma(m + 1) - 1e-9
-    assert bregman_maxdeg_bound(5, 1).log == pytest.approx(5 * math.log(8) - 5)
-    for seed in range(5):
-        b = random_regular_bipartite(6, 3, seed=seed)
-        mat = [[1 if (a, bb) in b.edges else 0 for bb in range(6)] for a in range(6)]
-        assert permanent(mat).log <= bregman_maxdeg_bound(6, 3).log + 1e-9
 
 
 # -- Van der Waerden --------------------------------------------------------
