@@ -1,8 +1,10 @@
 """Hamilton cycles: cycle-factor patching, exact path search, and splicing
 path covers into cycles through a reservoir vertex set.
 
-The pipeline's engine is patching (Karp 1979): draw a cycle factor of the
-residual graph and merge its cycles by 2-switches into one Hamilton cycle.
+The pipeline's engine is patching (Karp 1979): draw a random cycle factor
+of the residual graph (a greedy random matching of out- to in-copies,
+completed by shortest augmenting paths) and merge its cycles by 2-switches
+into one Hamilton cycle.
 
 A cover of a vertex-disjoint paths is completed into one cycle by picking,
 for each path, a reservoir in-neighbour of its start and a reservoir
@@ -28,7 +30,7 @@ from .errors import (
     SameEndpointsError,
     SpliceFailedError,
 )
-from .factors import maximum_bipartite_matching
+from .factors import random_cycle_factor
 from .graphs import Edge, OrientedGraph
 from .pathcovers import DirectedPath, PathCoverFamily
 
@@ -137,14 +139,16 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
     """Edge-disjoint Hamilton cycles of g, one per round.
 
     A round draws a cycle factor of the residual graph (g without the
-    cycles found so far): a perfect matching between out- and in-copies,
-    with neighbour and scan order shuffled by the seeded generator.  It
-    then merges the smallest cycle into another by a 2-switch until one
-    cycle is left: for u in it and a residual edge u -> w into another
-    cycle, with p = pred(w), a residual edge p -> succ(u) allows
-    succ(u) = w and succ(p) = old succ(u).  The Hamilton cycle's edges leave
-    the residual.  A factor whose smallest cycle has no switch is redrawn;
-    PATCH_REDRAWS such draws in a row end the search.
+    cycles found so far) with ``factors.random_cycle_factor``: a random
+    greedy matching between out- and in-copies, completed by shortest
+    augmenting paths, under the seeded generator.  It then merges the
+    smallest cycle into another by a 2-switch until one cycle is left: for
+    u in it and a residual edge u -> w into another cycle, with
+    p = pred(w), a residual edge p -> succ(u) allows succ(u) = w and
+    succ(p) = old succ(u); u and w are tried in cycle and sorted order.  The
+    Hamilton cycle's edges leave the residual.  A factor whose smallest
+    cycle has no switch is redrawn; PATCH_REDRAWS such draws in a row end
+    the search.
     """
     n = g.n
     rng = random.Random(f"{seed}:patch")
@@ -155,16 +159,11 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
     failures = switches = consecutive = 0
     reason = f"{PATCH_REDRAWS} consecutive factors without a merging switch"
     while consecutive < PATCH_REDRAWS:
-        adj = [sorted(row) for row in out]
-        for row in adj:
-            rng.shuffle(row)
-        scan = list(range(n))
-        rng.shuffle(scan)
-        succ = maximum_bipartite_matching(n, n, adj, scan)
+        succ = random_cycle_factor(out, rng)
         if n < 3 or -1 in succ:
             reason = "no cycle factor in residual"
             break
-        merged, made = _merge_factor(succ, adj, out)
+        merged, made = _merge_factor(succ, out)
         switches += made
         if not merged:
             failures += 1
@@ -180,8 +179,7 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
     return PatchingOutcome(cycles, failures, switches, reason)
 
 
-def _merge_factor(succ: list[int], adj: list[list[int]], out: list[set[int]]
-                  ) -> tuple[bool, int]:
+def _merge_factor(succ: list[int], out: list[set[int]]) -> tuple[bool, int]:
     """Merge the cycles of the factor ``succ`` in place by 2-switches over
     residual edges; returns (merged into one cycle?, switches made)."""
     n = len(succ)
@@ -201,7 +199,7 @@ def _merge_factor(succ: list[int], adj: list[list[int]], out: list[set[int]]
     made = 0
     while len(members) > 1:
         small = min(members, key=lambda c: (len(members[c]), c))
-        switch = next(((u, w) for u in members[small] for w in adj[u]
+        switch = next(((u, w) for u in members[small] for w in sorted(out[u])
                        if label[w] != small and succ[u] in out[pred[w]]), None)
         if switch is None:
             return False, made

@@ -105,6 +105,62 @@ def maximum_bipartite_matching(left_size: int, right_size: int,
     return match_left
 
 
+def random_cycle_factor(out: Sequence[set[int]], rng: random.Random) -> list[int]:
+    """A random maximum matching between the out- and in-copies of the
+    digraph with out-neighbour sets ``out``: ``succ[u]`` is u's successor,
+    or -1 for a vertex left unmatched.  With no -1 it is a cycle factor,
+    and there is a -1 exactly when the digraph has no cycle factor.
+
+    The vertices are scanned in one random order, and each is matched to a
+    uniformly drawn free out-neighbour.  Each vertex this greedy pass leaves
+    unmatched then roots one breadth-first search for a shortest augmenting
+    path, visiting neighbours in sorted order; the path ends at a free
+    out-neighbour, drawn the same way, of the first vertex that has one.
+    That search is complete, so by Kuhn's argument the result is a maximum
+    matching.  Candidates are sorted before any draw, so the result depends
+    only on ``out`` and the generator's state, never on set iteration order.
+    """
+    n = len(out)
+    succ = [-1] * n
+    pred = [-1] * n
+    free = set(range(n))
+    scan = list(range(n))
+    rng.shuffle(scan)
+    unmatched = []
+
+    def draw_free(a: int) -> int:
+        cands = free & out[a]
+        if len(cands) < 2:
+            return cands.pop() if cands else -1
+        return rng.choice(sorted(cands))
+
+    for a in scan:
+        b = draw_free(a)
+        if b == -1:
+            unmatched.append(a)
+            continue
+        succ[a], pred[b] = b, a
+        free.discard(b)
+    for root in unmatched:
+        # parent[a] is the left vertex whose edge to succ[a] reached a
+        parent = {root: -1}
+        queue = [root]
+        for a in queue:
+            b = draw_free(a)
+            if b != -1:
+                free.discard(b)
+                while a != -1:
+                    succ[a], pred[b], b = b, a, succ[a]
+                    a = parent[a]
+                break
+            for b in sorted(out[a]):
+                nxt = pred[b]
+                if nxt not in parent:
+                    parent[nxt] = a
+                    queue.append(nxt)
+    return succ
+
+
 def maximum_matching_of(b: BipartiteGraph, rng: random.Random | None = None) -> Matching:
     """A maximum matching of b; neighbour order shuffled when rng is given."""
     adj = [sorted(b.adj_left[a]) for a in range(b.left_size)]

@@ -21,6 +21,7 @@ from hamdec.factors import (
     maximum_bipartite_matching,
     oriented_reg,
     pm_decompose_regular,
+    random_cycle_factor,
     random_regular_bipartite,
 )
 from hamdec.flows import Dinic
@@ -408,3 +409,19 @@ def test_matching_augmenting_path_beyond_recursion_limit():
     adj = [[a, a + 1] for a in range(length)] + [[0]]
     match_left = maximum_bipartite_matching(length + 1, length + 1, adj)
     assert match_left == [a + 1 for a in range(length)] + [0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(oriented_graphs(min_n=1, max_n=12), st.integers(0, 2 ** 32 - 1))
+def test_random_cycle_factor_against_kuhn(g, seed):
+    # sparse draws often have no cycle factor; Kuhn's matcher is the oracle
+    out = [set(row) for row in g.out_neighbors]
+    succ = random_cycle_factor(out, random.Random(seed))
+    kuhn = maximum_bipartite_matching(g.n, g.n, [sorted(row) for row in out])
+    assert (sorted(succ) == list(range(g.n))) == (-1 not in kuhn)
+    matched = [b for b in succ if b != -1]
+    assert len(matched) == sum(b != -1 for b in kuhn)
+    assert len(set(matched)) == len(matched)
+    assert all((u, b) in g.edges for u, b in enumerate(succ) if b != -1)
+    assert random_cycle_factor(out, random.Random(seed)) == succ
+    assert out == [set(row) for row in g.out_neighbors]

@@ -175,21 +175,22 @@ def test_direct_stage_reports_patching_counters():
 
 
 # SHA-256 of json.dumps(cert.to_json(), sort_keys=True) for RunConfig seeds
-# 0, 1 and 2, computed before the exact finisher below n = 12 and the
-# completion stage were removed from the pipeline
+# 0, 1 and 2, computed with the engine that draws each cycle factor by
+# factors.random_cycle_factor (a random greedy matching completed by
+# shortest augmenting paths)
 FROZEN_CERTIFICATES = {
     ("rotational", 11): (
-        "fa94b367fff73bfb08e7331c709b028e8a9e5d32595ff6027577df3b6452bdfc",
-        "f64847b5968552432ca25715e7aa35497445c29070c4acc0b3394093ad3c97f6",
-        "34154e4243b541ad9a32bc1a1aad3df6b3af9c375070b3037dff65f6d64f21d2"),
+        "f65be70a563de0dcd197f04c227ede1ea0fe8822ce695ba77f1d56e61b2556ee",
+        "2129bec9ecfd61d4340f2cfeb77e364e666093bf44c20bf258d8619daf55e460",
+        "5edb626360758162054e61770f63c79bc62fc45baed9c1d5acc97727edf70f98"),
     ("rotational", 25): (
-        "8ebb6f3cf82fc9d6271ab27ec04f6f6de2dfb2009b466ca879b9f1dc5e2090b6",
-        "70e45fdbbc3a1637ada3b0656facce059f0734723069b237bdfdc1aa52fd98ca",
-        "035e78c15b9b2b2134e9339f0ee91142850fc58f8f2b128c343bb8509182263c"),
+        "29661663e6cfc2e843fb209312643a8038ddcb36898572855421bda50e0bb165",
+        "736a303d9e1c81e93d6de884b65e64d7ebb3ff3975650f920c4ca926aae4dac8",
+        "6dac7121cdfb6ac4f7edc10f5d2e0bff2927d185e4a2cf6c7668105913fd1f95"),
     ("tournament", 13): (   # random_tournament(13, 0)
-        "214bb39cc47f50543430a975561587ac020b4530b2e0828ff164a409d1b49170",
-        "a2ecea59369e564b6e4ebe421f9c11ee3506ff2c34a7cf23a99cefcce041fff2",
-        "35d3c8aa6e8483018ffdd7087fa47b90d9f1d6bfebdee6a99930f5290978ce04"),
+        "8e5ae0e3e0876587330b41ab6d02b4a7bcf73e529280af3f5ab76855b0b4bec5",
+        "428bd897023b131a221d16df09417e20c7790f5cbbfbbffd0366c65868cf58cf",
+        "9d93f0d9968b8c02c158cc886051e02e9ddb40b16302e69b8e92f53e7f6c3a67"),
 }
 
 
@@ -224,3 +225,19 @@ def test_pipeline_on_1201_vertices():
     cert, report = approximate_decomposition(g, RunConfig(seed=0))
     assert cert.reg == 4 and 1 <= cert.k <= 4
     assert not report.hard_failures
+
+
+def test_pipeline_at_max_n():
+    # the largest accepted order, on a 4-regular circulant
+    n = MAX_N
+    g = build_oriented(n, {(v, (v + j) % n) for v in range(n) for j in (1, 3, 7, 19)})
+    cert, report = approximate_decomposition(g, RunConfig(seed=0))
+    assert cert.reg == 4 and cert.k <= 4
+    assert verify_certificate(g, cert) == (True, None)
+    assert not report.hard_failures
+
+
+def test_patching_quality_rotational_401():
+    g = rotational_tournament(401)
+    cert, _ = approximate_decomposition(g, RunConfig(seed=0))
+    assert cert.reg == 200 and cert.k >= 197
