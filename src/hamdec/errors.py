@@ -36,14 +36,6 @@ class DegreeTooLargeError(HamdecError):
     """Requested regular degree exceeds (n - 1) / 2."""
 
 
-class GenerationFailedError(HamdecError):
-    """Random generation exhausted its retry budget."""
-
-    def __init__(self, message, seed=None):
-        super().__init__(message)
-        self.seed = seed
-
-
 class FormatError(HamdecError):
     """Malformed edge-list or certificate file."""
 

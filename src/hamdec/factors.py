@@ -3,8 +3,10 @@
 Factor feasibility is decided by max-flow, except on regular oriented
 graphs, where the degrees decide it; the literal subset inequality of
 the Gale-Ryser criterion is kept as an independent exponential oracle for
-cross-validation.  Regular bipartite graphs split into perfect matchings,
-which is also how the random regular bipartite test instances are built.
+cross-validation.  Every maximum matching comes from one routine,
+:func:`random_cycle_factor`; regular bipartite graphs split into perfect
+matchings with it.  The random regular bipartite test instances come from
+the switch chain that also draws random regular oriented graphs.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
-    GenerationFailedError,
     NoFactorError,
     NotRegularError,
     ROutOfRangeError,
     TooLargeError,
 )
 from .flows import Dinic
-from .graphs import GENERATION_ATTEMPTS, BipartiteGraph, Edge, OrientedGraph, degree_summary
+from .graphs import BipartiteGraph, Edge, OrientedGraph, _switch_chain, degree_summary
 
 GALE_RYSER_CAP = 12
 
@@ -54,55 +55,6 @@ class FactorCertificate:
 
 
 # -- generic matching machinery ----------------------------------------
-
-
-def maximum_bipartite_matching(left_size: int, right_size: int,
-                               adj: Sequence[Sequence[int]],
-                               scan_order: Sequence[int] | None = None) -> list[int]:
-    """Kuhn's augmenting-path maximum matching.
-
-    ``adj[a]`` lists the right vertices reachable from left vertex a, in the
-    order the search should try them; returns match_left with -1 for
-    unmatched left vertices.  Fully deterministic for fixed inputs.
-    """
-    match_left = [-1] * left_size
-    match_right = [-1] * right_size
-    order = range(left_size) if scan_order is None else scan_order
-
-    def augment(root: int, visited: list[bool]) -> bool:
-        # Depth-first search over alternating paths with an explicit stack,
-        # trying neighbours in adjacency order; rights[i] is the right vertex
-        # through which lefts[i + 1] was reached.
-        lefts, pos, rights = [root], [0], []
-        while lefts:
-            a = lefts[-1]
-            row = adj[a]
-            i = pos[-1]
-            while i < len(row) and visited[row[i]]:
-                i += 1
-            if i == len(row):
-                lefts.pop()
-                pos.pop()
-                if rights:
-                    rights.pop()
-                continue
-            b = row[i]
-            pos[-1] = i + 1
-            visited[b] = True
-            rights.append(b)
-            if match_right[b] == -1:
-                for a, b in zip(lefts, rights):
-                    match_right[b] = a
-                    match_left[a] = b
-                return True
-            lefts.append(match_right[b])
-            pos.append(0)
-        return False
-
-    for a in order:
-        if match_left[a] == -1:
-            augment(a, [False] * right_size)
-    return match_left
 
 
 def random_cycle_factor(out: Sequence[set[int]], rng: random.Random) -> list[int]:
@@ -161,14 +113,13 @@ def random_cycle_factor(out: Sequence[set[int]], rng: random.Random) -> list[int
     return succ
 
 
-def maximum_matching_of(b: BipartiteGraph, rng: random.Random | None = None) -> Matching:
-    """A maximum matching of b; neighbour order shuffled when rng is given."""
-    adj = [sorted(b.adj_left[a]) for a in range(b.left_size)]
-    if rng is not None:
-        for row in adj:
-            rng.shuffle(row)
-    match_left = maximum_bipartite_matching(b.left_size, b.right_size, adj)
-    return Matching(frozenset((a, mb) for a, mb in enumerate(match_left) if mb != -1))
+def maximum_matching_of(b: BipartiteGraph, rng: random.Random) -> Matching:
+    """A random maximum matching of b: :func:`random_cycle_factor` on its
+    left-to-right adjacency, padded with empty rows to a square."""
+    size = max(b.left_size, b.right_size)
+    out = list(b.adj_left) + [frozenset()] * (size - b.left_size)
+    succ = random_cycle_factor(out, rng)
+    return Matching(frozenset((a, mb) for a, mb in enumerate(succ) if mb != -1))
 
 
 # -- r-factors in bipartite graphs -------------------------------------
@@ -259,16 +210,16 @@ def pm_decompose_regular(b: BipartiteGraph) -> list[Matching]:
     if len(degs) != 1:
         raise NotRegularError(f"degrees {sorted(degs)} are not uniform")
     d = degs.pop()
-    adj = [sorted(b.adj_left[a]) for a in range(m)]
+    adj = [set(row) for row in b.adj_left]
+    rng = random.Random(0)
     out: list[Matching] = []
     for _ in range(d):
-        match_left = maximum_bipartite_matching(m, m, adj)
-        if any(mb == -1 for mb in match_left):
+        succ = random_cycle_factor(adj, rng)
+        if -1 in succ:
             raise NoFactorError("regular graph lost its perfect matching; bug")
-        pairs = frozenset((a, mb) for a, mb in enumerate(match_left))
-        out.append(Matching(pairs))
-        for a, mb in enumerate(match_left):
-            adj[a].remove(mb)
+        out.append(Matching(frozenset(enumerate(succ))))
+        for row, mb in zip(adj, succ):
+            row.remove(mb)
     return out
 
 
@@ -354,25 +305,16 @@ def extract_oriented_r_factor(g: OrientedGraph, r: int) -> FactorCertificate:
 
 
 def random_regular_bipartite(m: int, d: int, seed: int) -> BipartiteGraph:
-    """Random d-regular bipartite graph as a union of d disjoint perfect
-    matchings, starting over with a derived seed when a round gets stuck, up
-    to GENERATION_ATTEMPTS times."""
+    """Random d-regular bipartite graph: the circulant a ~ a + j (mod m),
+    j = 0..d-1, under random relabellings of both sides, then the switch
+    chain of :func:`hamdec.graphs._switch_chain` on it as a digraph from
+    left copies [0, m) to right copies [m, 2m), where no triangle or
+    antiparallel pair can arise."""
     if d > m:
         raise ROutOfRangeError(f"d={d} > m={m}")
-    for attempt in range(GENERATION_ATTEMPTS):
-        rng = random.Random(f"{seed}:bipartite:{attempt}")
-        edges: set[Edge] = set()
-        ok = True
-        for _ in range(d):
-            adj = [[bb for bb in range(m) if (aa, bb) not in edges] for aa in range(m)]
-            for row in adj:
-                rng.shuffle(row)
-            match_left = maximum_bipartite_matching(m, m, adj)
-            if any(mb == -1 for mb in match_left):
-                ok = False
-                break
-            for aa, mb in enumerate(match_left):
-                edges.add((aa, mb))
-        if ok:
-            return BipartiteGraph(m, m, edges)
-    raise GenerationFailedError(f"no {d}-regular bipartite graph on {m}+{m}", seed=seed)
+    rng = random.Random(f"{seed}:bipartite")
+    left, right = list(range(m)), list(range(m, 2 * m))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    edges = [(left[a], right[(a + j) % m]) for a in range(m) for j in range(d)]
+    return BipartiteGraph(m, m, [(a, bb - m) for a, bb in _switch_chain(edges, rng)])

@@ -19,7 +19,6 @@ from .errors import (
     DuplicateEdgeError,
     EvenOrderError,
     FormatError,
-    GenerationFailedError,
     LoopEdgeError,
     OverlappingSidesError,
     ROutOfRangeError,
@@ -30,8 +29,8 @@ from .errors import (
 
 Edge = tuple[int, int]
 
-# fresh derived-seed attempts a random regular generator makes before giving up
-GENERATION_ATTEMPTS = 100
+# attempted switch-chain moves per edge when a random regular graph is drawn
+MOVES_PER_EDGE = 10
 
 
 @dataclass(frozen=True)
@@ -179,15 +178,11 @@ class BipartiteGraph:
     def degree_right(self, b: int) -> int:
         return len(self.adj_right[b])
 
-    def host_edge(self, edge: Edge) -> Edge:
-        a, b = edge
-        u = a if self.left_labels is None else self.left_labels[a]
-        v = b if self.right_labels is None else self.right_labels[b]
-        return (u, v)
-
     def directed_host_edges(self) -> set[Edge]:
         """The parent-graph directed edges this bipartite graph records."""
-        return {self.host_edge(e) for e in self.edges}
+        left = self.left_labels or range(self.left_size)
+        right = self.right_labels or range(self.right_size)
+        return {(left[a], right[b]) for a, b in self.edges}
 
     def __repr__(self) -> str:
         return (f"BipartiteGraph({self.left_size}+{self.right_size}, "
@@ -224,53 +219,55 @@ def random_tournament(n: int, seed: int) -> OrientedGraph:
 
 
 def random_regular_oriented(n: int, r: int, seed: int) -> OrientedGraph:
-    """Random r-regular oriented graph as a union of r permutation digraphs.
-
-    Each round adds a permutation digraph v -> sigma(v) chosen by a randomized
-    matching on the still-available pairs (no loops, no reuse, no antiparallel
-    conflicts).  A round with no feasible permutation aborts the attempt; the
-    whole construction starts over with a derived seed, up to
-    GENERATION_ATTEMPTS attempts.
-    """
+    """Random r-regular oriented graph: the circulant i -> i + j (mod n),
+    j = 1..r, under a random relabelling, then :func:`_switch_chain`."""
     if n < 1:
         raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
     if r < 0:
         raise ROutOfRangeError(f"r={r} is negative")
     if r > (n - 1) // 2:
         raise DegreeTooLargeError(f"r={r} exceeds (n-1)/2 for n={n}")
-    for attempt in range(GENERATION_ATTEMPTS):
-        rng = random.Random(f"{seed}:regular:{attempt}")
-        edges: set[Edge] = set()
-        ok = True
-        for _ in range(r):
-            sigma = _random_conflict_free_permutation(n, edges, rng)
-            if sigma is None:
-                ok = False
-                break
-            for u in range(n):
-                edges.add((u, sigma[u]))
-        if ok:
-            return OrientedGraph(n, edges, _validated=True)
-    raise GenerationFailedError(
-        f"could not build {r}-regular oriented graph on {n} vertices", seed=seed)
+    rng = random.Random(f"{seed}:regular")
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[i], label[(i + j) % n]) for i in range(n) for j in range(1, r + 1)]
+    return OrientedGraph(n, _switch_chain(edges, rng), _validated=True)
 
 
-def _random_conflict_free_permutation(n: int, edges: set[Edge],
-                                      rng: random.Random) -> list[int] | None:
-    """Random permutation sigma with sigma(v) != v and (v, sigma(v)),
-    (sigma(v), v) both unused; None if no such permutation exists."""
-    avail = [[w for w in range(n)
-              if w != v and (v, w) not in edges and (w, v) not in edges]
-             for v in range(n)]
-    # factors imports this module, so the matching routine is imported here
-    from .factors import maximum_bipartite_matching
+def _switch_chain(edges: list[Edge], rng: random.Random) -> list[Edge]:
+    """Run MOVES_PER_EDGE * len(edges) attempted moves of a degree-preserving
+    chain on an oriented graph's edges and return the new edge list.
 
-    for row in avail:
-        rng.shuffle(row)
-    order = list(range(n))
-    rng.shuffle(order)
-    sigma = maximum_bipartite_matching(n, n, avail, scan_order=order)
-    return None if -1 in sigma else sigma
+    Each attempt draws two edges a -> b and c -> d.  If d -> a is an edge
+    and so is b -> d, the directed triangle a -> b -> d -> a is reversed;
+    otherwise, when a, b, c, d are distinct and neither a -> d nor c -> b is
+    present in either direction, the 2-switch to a -> d, c -> b is made.
+    These are the moves of Kannan, Tetali and Vempala (1999); the triangle
+    reversal lets a regular tournament, which has no 2-switch, move at all.
+    Every in- and out-degree is kept, and no loop, duplicate or
+    antiparallel pair is ever made.
+    """
+    edges = list(edges)
+    where = {e: i for i, e in enumerate(edges)}
+    m = len(edges)
+    for _ in range(MOVES_PER_EDGE * m):
+        i, j = rng.randrange(m), rng.randrange(m)
+        (a, b), (c, d) = edges[i], edges[j]
+        if (d, a) in where:
+            if (b, d) not in where:
+                continue
+            moves = [(i, (b, a)), (where[(b, d)], (d, b)), (where[(d, a)], (a, d))]
+        elif (len({a, b, c, d}) == 4 and (a, d) not in where
+              and (c, b) not in where and (b, c) not in where):
+            moves = [(i, (a, d)), (j, (c, b))]
+        else:
+            continue
+        for k, _ in moves:
+            del where[edges[k]]
+        for k, e in moves:
+            edges[k] = e
+            where[e] = k
+    return edges
 
 
 def random_oriented(kind: str, n: int, seed: int, r: int | None = None) -> OrientedGraph:

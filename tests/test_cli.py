@@ -31,6 +31,15 @@ def test_generate_regular_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_generate_regular_decompose_verify_roundtrip(tmp_path, capsys):
+    # a generated regular graph must be a valid oriented graph for decompose
+    gpath, cpath = tmp_path / "g.og", tmp_path / "cert.json"
+    assert cli_main(["generate", "--kind", "regular", "--n", "51", "--r", "10",
+                     "--out", str(gpath)]) == 0
+    assert cli_main(["decompose", str(gpath), "--out", str(cpath)]) == 0
+    assert cli_main(["verify", str(gpath), str(cpath)]) == 0
+
+
 def test_reg_command(triangle_file, capsys):
     assert cli_main(["reg", triangle_file]) == 0
     assert capsys.readouterr().out.strip() == "1"

@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,7 @@ from hamdec.factors import (
     has_bipartite_r_factor,
     has_oriented_r_factor,
     _unit_flow,
-    maximum_bipartite_matching,
+    maximum_matching_of,
     oriented_reg,
     pm_decompose_regular,
     random_cycle_factor,
@@ -371,57 +370,42 @@ def test_seeded_flow_equals_plain_dinic(data):
     assert all(sum(b == v for _, b in used) <= cap for v, cap in enumerate(right_caps))
 
 
-def recursive_kuhn(left_size, right_size, adj, scan_order):
-    """Kuhn's matching with a recursive augmenting-path search."""
-    match_left = [-1] * left_size
-    match_right = [-1] * right_size
-
-    def augment(a, visited):
-        for b in adj[a]:
-            if visited[b]:
-                continue
-            visited[b] = True
-            if match_right[b] == -1 or augment(match_right[b], visited):
-                match_right[b] = a
-                match_left[a] = b
-                return True
-        return False
-
-    for a in scan_order:
-        if match_left[a] == -1:
-            augment(a, [False] * right_size)
-    return match_left
-
-
-def test_matching_equals_recursive_kuhn():
-    rng = random.Random(12)
-    for _ in range(300):
-        left, right = rng.randint(1, 12), rng.randint(1, 12)
-        adj = [rng.sample(range(right), rng.randint(0, right)) for _ in range(left)]
-        scan = rng.sample(range(left), left)
-        assert maximum_bipartite_matching(left, right, adj, scan) == \
-            recursive_kuhn(left, right, adj, scan)
-
-
-def test_matching_augmenting_path_beyond_recursion_limit():
-    # left a < L grabs right a first; left L then augments through all L
-    length = sys.getrecursionlimit() + 100
-    adj = [[a, a + 1] for a in range(length)] + [[0]]
-    match_left = maximum_bipartite_matching(length + 1, length + 1, adj)
-    assert match_left == [a + 1 for a in range(length)] + [0]
-
-
 @settings(max_examples=300, deadline=None)
 @given(oriented_graphs(min_n=1, max_n=12), st.integers(0, 2 ** 32 - 1))
-def test_random_cycle_factor_against_kuhn(g, seed):
-    # sparse draws often have no cycle factor; Kuhn's matcher is the oracle
+def test_random_cycle_factor_against_max_flow(g, seed):
+    # sparse draws often have no cycle factor; a unit-capacity Dinic flow
+    # gives the maximum matching size as the oracle
     out = [set(row) for row in g.out_neighbors]
     succ = random_cycle_factor(out, random.Random(seed))
-    kuhn = maximum_bipartite_matching(g.n, g.n, [sorted(row) for row in out])
-    assert (sorted(succ) == list(range(g.n))) == (-1 not in kuhn)
+    size, _ = _unit_flow([1] * g.n, [1] * g.n, sorted(g.edges))
+    assert (sorted(succ) == list(range(g.n))) == (size == g.n)
     matched = [b for b in succ if b != -1]
-    assert len(matched) == sum(b != -1 for b in kuhn)
+    assert len(matched) == size
     assert len(set(matched)) == len(matched)
     assert all((u, b) in g.edges for u, b in enumerate(succ) if b != -1)
     assert random_cycle_factor(out, random.Random(seed)) == succ
     assert out == [set(row) for row in g.out_neighbors]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_maximum_matching_of_rectangular_graphs(data):
+    nl, nr = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    pairs = [(a, b) for a in range(nl) for b in range(nr)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    mt = maximum_matching_of(BipartiteGraph(nl, nr, edges),
+                             random.Random(data.draw(st.integers(0, 2 ** 32 - 1))))
+    assert mt.pairs <= set(edges)
+    assert mt.size == _unit_flow([1] * nl, [1] * nr, edges)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_random_regular_bipartite_properties(data):
+    m = data.draw(st.integers(0, 25))
+    d = data.draw(st.integers(0, m))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    b = random_regular_bipartite(m, d, seed)
+    assert len(b.edges) == m * d  # the constructor rejects duplicates
+    assert all(b.degree_left(a) == d and b.degree_right(a) == d for a in range(m))
+    assert random_regular_bipartite(m, d, seed).edges == b.edges

