@@ -4,7 +4,8 @@ path covers into cycles through a reservoir vertex set.
 The pipeline's engine is patching (Karp 1979): draw a random cycle factor
 of the residual graph (a greedy random matching of out- to in-copies,
 completed by shortest augmenting paths) and merge its cycles by 2-switches
-into one Hamilton cycle.
+into one Hamilton cycle.  The residual graph is held as sorted out-neighbour
+rows, built once and shrunk by each cycle found.
 
 A cover of a vertex-disjoint paths is completed into one cycle by picking,
 for each path, a reservoir in-neighbour of its start and a reservoir
@@ -18,6 +19,7 @@ failed blocks trigger a fresh random partition of the reservoir.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -138,23 +140,22 @@ class PatchingOutcome:
 def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutcome:
     """Edge-disjoint Hamilton cycles of g, one per round.
 
-    A round draws a cycle factor of the residual graph (g without the
-    cycles found so far) with ``factors.random_cycle_factor``: a random
-    greedy matching between out- and in-copies, completed by shortest
-    augmenting paths, under the seeded generator.  It then merges the
-    smallest cycle into another by a 2-switch until one cycle is left: for
-    u in it and a residual edge u -> w into another cycle, with
+    The residual graph (g without the cycles found so far) is held as
+    sorted out-neighbour rows, built once from ``g.out_neighbors``.  A round
+    draws a cycle factor of it with ``factors.random_cycle_factor``: a
+    random greedy matching between out- and in-copies, completed by
+    shortest augmenting paths, under the seeded generator.  It then merges
+    the smallest cycle into another by a 2-switch until one cycle is left:
+    for u in it and a residual edge u -> w into another cycle, with
     p = pred(w), a residual edge p -> succ(u) allows succ(u) = w and
     succ(p) = old succ(u); u and w are tried in cycle and sorted order.  The
-    Hamilton cycle's edges leave the residual.  A factor whose smallest
-    cycle has no switch is redrawn; PATCH_REDRAWS such draws in a row end
-    the search.
+    Hamilton cycle's edges are deleted from the rows by bisection.  A
+    factor whose smallest cycle has no switch is redrawn; PATCH_REDRAWS
+    such draws in a row end the search.
     """
     n = g.n
     rng = random.Random(f"{seed}:patch")
-    out: list[set[int]] = [set() for _ in range(n)]
-    for u, v in g.edges:
-        out[u].add(v)
+    out = [sorted(row) for row in g.out_neighbors]
     cycles: list[HamiltonCycle] = []
     failures = switches = consecutive = 0
     reason = f"{PATCH_REDRAWS} consecutive factors without a merging switch"
@@ -173,15 +174,16 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
         order = [0]
         while len(order) < n:
             order.append(succ[order[-1]])
-        for u in range(n):
-            out[u].discard(succ[u])
+        for row, v in zip(out, succ):
+            del row[bisect_left(row, v)]
         cycles.append(HamiltonCycle.from_order(order))
     return PatchingOutcome(cycles, failures, switches, reason)
 
 
-def _merge_factor(succ: list[int], out: list[set[int]]) -> tuple[bool, int]:
+def _merge_factor(succ: list[int], out: list[list[int]]) -> tuple[bool, int]:
     """Merge the cycles of the factor ``succ`` in place by 2-switches over
-    residual edges; returns (merged into one cycle?, switches made)."""
+    the residual edges of the sorted rows ``out``; returns (merged into one
+    cycle?, switches made)."""
     n = len(succ)
     pred = [0] * n
     for u, w in enumerate(succ):
@@ -199,8 +201,8 @@ def _merge_factor(succ: list[int], out: list[set[int]]) -> tuple[bool, int]:
     made = 0
     while len(members) > 1:
         small = min(members, key=lambda c: (len(members[c]), c))
-        switch = next(((u, w) for u in members[small] for w in sorted(out[u])
-                       if label[w] != small and succ[u] in out[pred[w]]), None)
+        switch = next(((u, w) for u in members[small] for w in out[u]
+                       if label[w] != small and _in_row(out[pred[w]], succ[u])), None)
         if switch is None:
             return False, made
         u, w = switch
@@ -213,6 +215,12 @@ def _merge_factor(succ: list[int], out: list[set[int]]) -> tuple[bool, int]:
         members[big].extend(members.pop(small))
         made += 1
     return True, made
+
+
+def _in_row(row: list[int], v: int) -> bool:
+    """Whether the sorted row holds v."""
+    i = bisect_left(row, v)
+    return i < len(row) and row[i] == v
 
 
 # -- exact Hamilton-path search -----------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamdec import factors
 from hamdec.errors import (
     NoFactorError,
     NotRegularError,
@@ -149,6 +150,12 @@ def test_pm_decompose_one_regular_returns_itself():
     pm = BipartiteGraph(3, 3, {(0, 1), (1, 2), (2, 0)})
     ms = pm_decompose_regular(pm)
     assert len(ms) == 1 and ms[0].pairs == pm.edges
+
+
+def test_pm_decompose_empty_graph_is_zero_regular():
+    empty = BipartiteGraph(0, 0, [])
+    assert has_bipartite_r_factor(empty, 0)
+    assert pm_decompose_regular(empty) == []
 
 
 def test_pm_decompose_rejects_irregular():
@@ -375,7 +382,7 @@ def test_seeded_flow_equals_plain_dinic(data):
 def test_random_cycle_factor_against_max_flow(g, seed):
     # sparse draws often have no cycle factor; a unit-capacity Dinic flow
     # gives the maximum matching size as the oracle
-    out = [set(row) for row in g.out_neighbors]
+    out = [sorted(row) for row in g.out_neighbors]
     succ = random_cycle_factor(out, random.Random(seed))
     size, _ = _unit_flow([1] * g.n, [1] * g.n, sorted(g.edges))
     assert (sorted(succ) == list(range(g.n))) == (size == g.n)
@@ -384,7 +391,7 @@ def test_random_cycle_factor_against_max_flow(g, seed):
     assert len(set(matched)) == len(matched)
     assert all((u, b) in g.edges for u, b in enumerate(succ) if b != -1)
     assert random_cycle_factor(out, random.Random(seed)) == succ
-    assert out == [set(row) for row in g.out_neighbors]
+    assert out == [sorted(row) for row in g.out_neighbors]
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,6 +404,34 @@ def test_maximum_matching_of_rectangular_graphs(data):
                              random.Random(data.draw(st.integers(0, 2 ** 32 - 1))))
     assert mt.pairs <= set(edges)
     assert mt.size == _unit_flow([1] * nl, [1] * nr, edges)[0]
+
+
+@pytest.mark.parametrize("fallback_only", [False, True])
+@pytest.mark.parametrize("nl, nr, draws", [(3, 3, 6_000), (4, 4, 24_000), (2, 3, 6_000)])
+def test_maximum_matching_is_uniform_on_complete_graphs(monkeypatch, nl, nr, draws,
+                                                        fallback_only):
+    # every maximum matching of K_{nl,nr} is equally likely.  With no
+    # rejection tries every greedy pick takes the fallback draw, whose law
+    # is then checked on its own; on a square K_{m,m} the random scan order
+    # would hide a fallback that always takes the first free entry, K_{2,3}
+    # does not
+    if fallback_only:
+        monkeypatch.setattr(factors, "DRAW_TRIES", 0, raising=False)
+    rng = random.Random(0)
+    graph = BipartiteGraph(nl, nr, {(a, b) for a in range(nl) for b in range(nr)})
+    counts = dict.fromkeys(itertools.permutations(range(nr), nl), 0)
+    for _ in range(draws):
+        pairs = maximum_matching_of(graph, rng).pairs
+        counts[tuple(b for _, b in sorted(pairs))] += 1
+    p = 1 / len(counts)
+    sigma = (draws * p * (1 - p)) ** 0.5
+    assert all(abs(c - draws * p) <= 5 * sigma for c in counts.values()), counts
+
+
+@pytest.mark.parametrize("d", [-1, 4])
+def test_random_regular_bipartite_rejects_degree_out_of_range(d):
+    with pytest.raises(ROutOfRangeError):
+        random_regular_bipartite(3, d, 0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -176,21 +176,22 @@ def test_direct_stage_reports_patching_counters():
 
 # SHA-256 of json.dumps(cert.to_json(), sort_keys=True) for RunConfig seeds
 # 0, 1 and 2, computed with the engine that draws each cycle factor by
-# factors.random_cycle_factor (a random greedy matching completed by
-# shortest augmenting paths)
+# factors.random_cycle_factor (a random greedy matching, each pick drawn by
+# rejection over sorted residual rows, completed by shortest augmenting
+# paths)
 FROZEN_CERTIFICATES = {
     ("rotational", 11): (
-        "f65be70a563de0dcd197f04c227ede1ea0fe8822ce695ba77f1d56e61b2556ee",
-        "2129bec9ecfd61d4340f2cfeb77e364e666093bf44c20bf258d8619daf55e460",
-        "5edb626360758162054e61770f63c79bc62fc45baed9c1d5acc97727edf70f98"),
+        "e1d2480fb547cac78acf41b922a818d57210a63833d082455407bf0f818d7f45",
+        "2fcc0d86ff0d681bed3c25dfcb02085228ba69554392edba215e7b67690b1315",
+        "de353cdd4dd80d1405de08a1421ad0a9bd27d21c92a8fa43b9fe848b13bc1df5"),
     ("rotational", 25): (
-        "29661663e6cfc2e843fb209312643a8038ddcb36898572855421bda50e0bb165",
-        "736a303d9e1c81e93d6de884b65e64d7ebb3ff3975650f920c4ca926aae4dac8",
-        "6dac7121cdfb6ac4f7edc10f5d2e0bff2927d185e4a2cf6c7668105913fd1f95"),
+        "e2d98b359b27b1fd07251f3c399715deb07138e5fc3fdeeb7fea2eaebaf70ba6",
+        "4eac325afad15868f7e0fb955db7a33a1bf1d87b1b72cc1fa59ca3124b34f236",
+        "d4c50ac54b92867912ab341bc68951a3a64f78ba501ed56d9ceaf45bc0db3fee"),
     ("tournament", 13): (   # random_tournament(13, 0)
-        "8e5ae0e3e0876587330b41ab6d02b4a7bcf73e529280af3f5ab76855b0b4bec5",
-        "428bd897023b131a221d16df09417e20c7790f5cbbfbbffd0366c65868cf58cf",
-        "9d93f0d9968b8c02c158cc886051e02e9ddb40b16302e69b8e92f53e7f6c3a67"),
+        "702b7400d15b0cd54d725dcb961c46c2c21bc4bb675b2e2651c231eb84f34429",
+        "d98838fda70a96e3fc6aba2b33711b427927a1b1659300b6a4d131b64bbff690",
+        "e5d4e928e8fc6b630caa01fd3f7d467cf7a94e8aecce1380876c277c25dc9dd9"),
 }
 
 
