@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .errors import NotRegularError, TooLargeError
-from .graphs import Edge, OrientedGraph
+from .errors import TooLargeError
+from .graphs import OrientedGraph, degree_summary
 
 PERMANENT_CAP = 24
 # columns whose subset sums permanent() precomputes (2^10 packed ints)
@@ -212,133 +212,123 @@ def count_hamilton_cycles_exact(g: OrientedGraph) -> LogCount:
 
 # -- exact decomposition counting --------------------------------------
 
-
-def _adjacency_of(n: int, edges: frozenset[Edge]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(edges):
-        adj[u].append(v)
-    return adj
+# a Hamilton cycle as its vertex order and its edge mask
+_Cycle = tuple[tuple[int, ...], int]
 
 
-def _ham_cycles_with_edge(n: int, edges: frozenset[Edge],
-                          anchor: Edge) -> Iterator[tuple[tuple[int, ...], frozenset[Edge]]]:
-    """All Hamilton cycles of (V=[0,n), edges) containing the directed edge
-    ``anchor``; yields (cycle order starting with anchor, cycle edge set)."""
-    u0, v0 = anchor
-    adj = _adjacency_of(n, edges)
-    path = [u0, v0]
-    visited = [False] * n
-    visited[u0] = visited[v0] = True
+def _hamilton_cycles(g: OrientedGraph) -> list[_Cycle]:
+    """Every Hamilton cycle of g once, as (vertex order from 0, edge mask).
 
-    def rec() -> Iterator[tuple[tuple[int, ...], frozenset[Edge]]]:
-        cur = path[-1]
-        if len(path) == n:
-            if u0 in adj[cur]:
-                order = tuple(path)
-                cyc = frozenset((order[i], order[(i + 1) % n]) for i in range(n))
-                yield order, cyc
-            return
-        for w in adj[cur]:
-            if not visited[w]:
-                visited[w] = True
-                path.append(w)
-                yield from rec()
-                path.pop()
-                visited[w] = False
-
-    yield from rec()
-
-
-def _all_ham_cycles(n: int, edges: frozenset[Edge]
-                    ) -> Iterator[tuple[tuple[int, ...], frozenset[Edge]]]:
-    """All Hamilton cycles, each exactly once, anchored at vertex 0."""
-    adj = _adjacency_of(n, edges)
-    for v in adj[0]:
-        yield from _ham_cycles_with_edge(n, edges, (0, v))
+    Bit i of a mask stands for the i-th edge of ``sorted(g.edges)``.  One
+    iterative depth-first pass from vertex 0 tries out-neighbours in
+    ascending order, so the cycles come in lexicographic order.
+    """
+    n = g.n
+    bit = {e: 1 << i for i, e in enumerate(sorted(g.edges))}
+    succ = [sorted(g.out_neighbors[u]) for u in range(n)]
+    cycles: list[_Cycle] = []
+    path = [0]
+    on_path = [False] * n
+    on_path[0] = True
+    branches = [iter(succ[0])]
+    while branches:
+        for v in branches[-1]:
+            if not on_path[v]:
+                break
+        else:
+            branches.pop()
+            on_path[path.pop()] = False
+            continue
+        if len(path) + 1 < n:
+            on_path[v] = True
+            path.append(v)
+            branches.append(iter(succ[v]))
+        elif (v, 0) in bit:
+            order = (*path, v)
+            cycles.append((order, sum(bit[e] for e in zip(order, order[1:] + (0,)))))
+    return cycles
 
 
-def _regular_degree(g: OrientedGraph) -> int | None:
-    degs = {g.out_degree(v) for v in range(g.n)} | {g.in_degree(v) for v in range(g.n)}
-    return degs.pop() if len(degs) == 1 else None
+def _regular_cycles(g: OrientedGraph) -> tuple[int, list[_Cycle]] | None:
+    """(r, the Hamilton cycles of g) when g is r-regular, else None.  The
+    edgeless graph is 0-regular; any other beyond the caps raises."""
+    if not g.edges:
+        return 0, []
+    degrees = degree_summary(g)
+    r = degrees.max_semi
+    if degrees.min_semi != r:
+        return None
+    if g.n > DECOMP_CAP_DENSE and (r > 2 or g.n > DECOMP_CAP_SPARSE):
+        raise TooLargeError(f"n={g.n}, degree {r} beyond exact-decomposition caps")
+    return r, _hamilton_cycles(g)
 
 
-def _check_decomp_cap(n: int, r: int) -> None:
-    if n <= DECOMP_CAP_DENSE:
-        return
-    if r <= 2 and n <= DECOMP_CAP_SPARSE:
-        return
-    raise TooLargeError(f"n={n}, degree {r} beyond exact-decomposition caps")
+def _through_each_edge(g: OrientedGraph, cycles: list[_Cycle]) -> list[list[_Cycle]]:
+    """The cycles through each edge, indexed by the edge's bit."""
+    return [[c for c in cycles if c[1] >> i & 1] for i in range(len(g.edges))]
 
 
 def count_hamilton_decompositions_exact(g: OrientedGraph) -> LogCount:
     """Number of unordered partitions of E(g) into Hamilton cycles.
 
-    Backtracks over cycles in canonical order: each next cycle must contain
-    the smallest remaining edge, so every partition is discovered once.
+    Counts exact covers of the edge mask by cycle masks in canonical order:
+    each next cycle must contain the lowest remaining edge, so every
+    partition is counted once.  Counts are memoised on the remaining mask.
     """
-    if not g.edges:
-        return LogCount.from_int(1)
-    r = _regular_degree(g)
-    if r is None:
+    found = _regular_cycles(g)
+    if found is None:
         return LogCount.from_int(0)
-    _check_decomp_cap(g.n, r)
+    through = _through_each_edge(g, found[1])
+    memo = {0: 1}
 
-    def rec(edges: frozenset[Edge]) -> int:
-        if not edges:
-            return 1
-        anchor = min(edges)
-        total = 0
-        for _, cyc in _ham_cycles_with_edge(g.n, edges, anchor):
-            total += rec(edges - cyc)
-        return total
+    def covers(rest: int) -> int:
+        if rest not in memo:
+            low = (rest & -rest).bit_length() - 1
+            memo[rest] = sum(covers(rest ^ m) for _, m in through[low] if m & rest == m)
+        return memo[rest]
 
-    return LogCount.from_int(rec(g.edges))
+    return LogCount.from_int(covers((1 << len(g.edges)) - 1))
 
 
 def count_hamilton_decompositions_ordered(g: OrientedGraph) -> LogCount:
     """Same count via the second route: count ordered sequences of
     edge-disjoint Hamilton cycles exhausting E(g), then divide by r!
     (cycles within one decomposition are distinct as edge sets)."""
-    if not g.edges:
-        return LogCount.from_int(1)
-    r = _regular_degree(g)
-    if r is None:
+    found = _regular_cycles(g)
+    if found is None:
         return LogCount.from_int(0)
-    _check_decomp_cap(g.n, r)
+    r, cycles = found
+    masks = [m for _, m in cycles]
 
-    def rec(edges: frozenset[Edge]) -> int:
-        if not edges:
+    def sequences(rest: int) -> int:
+        if not rest:
             return 1
-        total = 0
-        for _, cyc in _all_ham_cycles(g.n, edges):
-            total += rec(edges - cyc)
-        return total
+        return sum(sequences(rest ^ m) for m in masks if m & rest == m)
 
-    sequences = rec(g.edges)
+    total = sequences((1 << len(g.edges)) - 1)
     divisor = math.factorial(r)
-    if sequences % divisor != 0:
-        raise NotRegularError(
-            f"ordered count {sequences} not divisible by {r}!; bug")
-    return LogCount.from_int(sequences // divisor)
+    if total % divisor != 0:
+        raise AssertionError(f"ordered count {total} not divisible by {r}!; bug")
+    return LogCount.from_int(total // divisor)
 
 
 def find_hamilton_decomposition(g: OrientedGraph) -> list[tuple[int, ...]] | None:
-    """One full Hamilton decomposition as vertex orders, or None."""
-    if not g.edges:
-        return []
-    r = _regular_degree(g)
-    if r is None:
+    """One full Hamilton decomposition as vertex orders, or None: the first
+    cover met by the exact count's canonical search."""
+    found = _regular_cycles(g)
+    if found is None:
         return None
-    _check_decomp_cap(g.n, r)
+    through = _through_each_edge(g, found[1])
 
-    def rec(edges: frozenset[Edge]) -> list[tuple[int, ...]] | None:
-        if not edges:
+    def first(rest: int) -> list[tuple[int, ...]] | None:
+        if not rest:
             return []
-        anchor = min(edges)
-        for order, cyc in _ham_cycles_with_edge(g.n, edges, anchor):
-            rest = rec(edges - cyc)
-            if rest is not None:
-                return [order] + rest
+        low = (rest & -rest).bit_length() - 1
+        for order, m in through[low]:
+            if m & rest == m:
+                tail = first(rest ^ m)
+                if tail is not None:
+                    return [order] + tail
         return None
 
-    return rec(g.edges)
+    return first((1 << len(g.edges)) - 1)

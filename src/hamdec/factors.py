@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    InvariantViolationError,
     NoFactorError,
     NotRegularError,
     ROutOfRangeError,
@@ -48,7 +49,7 @@ class Matching:
         lefts = [a for a, _ in self.pairs]
         rights = [b for _, b in self.pairs]
         if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
-            raise NotRegularError("matching has repeated endpoints")
+            raise InvariantViolationError("matching has repeated endpoints")
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ def pm_decompose_regular(b: BipartiteGraph) -> list[Matching]:
     for _ in range(d):
         succ = random_cycle_factor(rows, rng)
         if -1 in succ:
-            raise NoFactorError("regular graph lost its perfect matching; bug")
+            raise AssertionError("regular graph lost its perfect matching; bug")
         out.append(Matching(frozenset(enumerate(succ))))
         for row, mb in zip(rows, succ):
             row.remove(mb)

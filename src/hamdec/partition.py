@@ -54,9 +54,6 @@ class SubproblemSpec:
     def all_edges(self) -> frozenset[Edge]:
         return self.inner_edges | self.cross_edges | self.reservoir_edges
 
-    def combined_graph(self, n: int) -> OrientedGraph:
-        return OrientedGraph(n, self.all_edges(), _validated=True)
-
 
 @dataclass(frozen=True)
 class PartitionStats:

@@ -143,6 +143,8 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
     Returns the certificate together with a per-stage report.  A
     ``HamdecError`` raised by the patching stage goes to
     ``report.hard_failures``, and a certificate without cycles is returned.
+    A certificate that fails its own re-verification is a bug and raises
+    ``AssertionError``.
     """
     config = config or RunConfig()
     if g.n > MAX_N:
@@ -176,7 +178,7 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
     report.k = cert.k
     ok, violation = verify_certificate(g, cert)
     if not ok:
-        raise InvariantViolationError(f"emitted certificate failed self-check: {violation}")
+        raise AssertionError(f"emitted certificate failed self-check: {violation}")
     return cert, report
 
 
@@ -193,7 +195,7 @@ def sandwich_experiment(n: int) -> tuple[BoundReport, dict[str, Any]]:
     exact = count_hamilton_decompositions_exact(g)
     cross = count_hamilton_decompositions_ordered(g)
     if exact.exact != cross.exact:
-        raise InvariantViolationError(
+        raise AssertionError(
             f"enumeration strategies disagree: {exact.exact} vs {cross.exact}")
     constructed = find_hamilton_decomposition(g)
     lower = LogCount.from_int(1 if constructed is not None else 0)
@@ -202,7 +204,7 @@ def sandwich_experiment(n: int) -> tuple[BoundReport, dict[str, Any]]:
                          methods=("constructive-search", "canonical-backtracking",
                                   "iterated-matching-bound"))
     if not bounds.holds(tol=1e-9):
-        raise InvariantViolationError(f"sandwich failed at n={n}")
+        raise AssertionError(f"sandwich failed at n={n}")
     payload = {
         "n": n, "r": r,
         "lower_log": None if lower.is_zero else lower.log,

@@ -183,3 +183,13 @@ def test_internal_error_exit_code(triangle_file, capsys, monkeypatch):
     assert cli_main(["reg", triangle_file]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: simulated bug\n"
+
+
+def test_failed_self_check_is_internal_error(triangle_file, capsys, monkeypatch):
+    # a certificate the pipeline emits must verify; if not, hamdec has a bug
+    monkeypatch.setattr("hamdec.pipeline.verify_certificate",
+                        lambda g, cert: (False, "Simulated"))
+    assert cli_main(["decompose", triangle_file]) == 4
+    err = capsys.readouterr().err
+    assert err == ("internal error: AssertionError: emitted certificate "
+                   "failed self-check: Simulated\n")

@@ -5,8 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from hamdec import counting
 from hamdec.counting import (
     LogCount,
+    _hamilton_cycles,
     adjacency_matrix,
     bregman_bound,
     count_hamilton_cycles_exact,
@@ -19,7 +21,12 @@ from hamdec.counting import (
 )
 from hamdec.errors import TooLargeError
 from hamdec.factors import random_regular_bipartite
-from hamdec.graphs import build_oriented, random_oriented, rotational_tournament
+from hamdec.graphs import (
+    build_oriented,
+    random_oriented,
+    random_regular_oriented,
+    rotational_tournament,
+)
 
 from conftest import oriented_graphs
 
@@ -54,6 +61,23 @@ def ham_cycles_bruteforce(g):
         if all(g.has_edge(seq[i], seq[(i + 1) % g.n]) for i in range(g.n)):
             count += 1
     return count
+
+
+def ham_cycle_edge_sets_bruteforce(g):
+    cycles = []
+    for perm in itertools.permutations(range(1, g.n)):
+        seq = (0,) + perm
+        edges = frozenset((seq[i], seq[(i + 1) % g.n]) for i in range(g.n))
+        if edges <= g.edges:
+            cycles.append(edges)
+    return cycles
+
+
+def decompositions_bruteforce(g, r):
+    """r-subsets of pairwise edge-disjoint Hamilton cycles covering E(g)."""
+    return sum(
+        1 for chosen in itertools.combinations(ham_cycle_edge_sets_bruteforce(g), r)
+        if sum(map(len, chosen)) == len(g.edges) and frozenset().union(*chosen) == g.edges)
 
 
 # -- LogCount -------------------------------------------------------------
@@ -225,6 +249,38 @@ def test_count_cycles_matches_bruteforce_hypothesis(g):
 
 
 # -- decomposition counts ----------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(oriented_graphs(max_n=8))
+def test_hamilton_cycle_masks_match_orders_and_the_cycle_count(g):
+    cycles = _hamilton_cycles(g)
+    assert len(cycles) == count_hamilton_cycles_exact(g).exact
+    index = {e: i for i, e in enumerate(sorted(g.edges))}
+    for order, mask in cycles:
+        assert sorted(order) == list(range(g.n))
+        steps = zip(order, order[1:] + order[:1])
+        assert mask == sum(1 << index[e] for e in steps)
+
+
+@pytest.mark.parametrize("n, r", [(5, 2), (7, 2), (7, 3), (8, 2), (8, 3)])
+def test_decomposition_counts_match_bruteforce(n, r, monkeypatch):
+    if n > counting.DECOMP_CAP_DENSE and r > 2:
+        with pytest.raises(TooLargeError):
+            count_hamilton_decompositions_exact(random_regular_oriented(n, r, 0))
+        # past the cap only to compare with the oracle
+        monkeypatch.setattr(counting, "DECOMP_CAP_DENSE", n)
+    for seed in range(5):
+        g = random_regular_oriented(n, r, seed)
+        expected = decompositions_bruteforce(g, r)
+        assert count_hamilton_decompositions_exact(g).exact == expected
+        assert count_hamilton_decompositions_ordered(g).exact == expected
+        found = find_hamilton_decomposition(g)
+        assert (found is not None) == (expected >= 1)
+        if found is not None:
+            sets = [frozenset(zip(o, o[1:] + o[:1])) for o in found]
+            assert all(len(o) == n for o in found) and len(sets) == r
+            assert sum(map(len, sets)) == len(g.edges)
+            assert frozenset().union(*sets) == g.edges
 
 def test_decomposition_counts_trivial():
     assert count_hamilton_decompositions_exact(rotational_tournament(3)).exact == 1

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from hamdec import factors
 from hamdec.errors import (
+    InvariantViolationError,
     NoFactorError,
     NotRegularError,
     ROutOfRangeError,
     TooLargeError,
 )
 from hamdec.factors import (
+    Matching,
     extract_oriented_r_factor,
     gale_ryser_oracle,
     has_bipartite_r_factor,
@@ -156,6 +158,13 @@ def test_pm_decompose_empty_graph_is_zero_regular():
     empty = BipartiteGraph(0, 0, [])
     assert has_bipartite_r_factor(empty, 0)
     assert pm_decompose_regular(empty) == []
+
+
+def test_matching_rejects_repeated_endpoints():
+    with pytest.raises(InvariantViolationError):
+        Matching(frozenset({(0, 1), (0, 2)}))
+    with pytest.raises(InvariantViolationError):
+        Matching(frozenset({(0, 2), (1, 2)}))
 
 
 def test_pm_decompose_rejects_irregular():
