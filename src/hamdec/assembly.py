@@ -54,27 +54,22 @@ BLOCK_PATH_BUDGET = 200_000
 class HamiltonCycle:
     """Directed Hamilton cycle, canonicalized to start at its smallest vertex.
 
-    Two cycles are equal iff their edge sets are equal.
+    Two cycles are equal iff their orders are, iff their edge sets are.
     """
 
     order: tuple[int, ...]
-    edges: frozenset[Edge]
 
     @classmethod
     def from_order(cls, seq: Sequence[int]) -> "HamiltonCycle":
         if len(seq) < 3 or len(set(seq)) != len(seq):
             raise InvariantViolationError("cycle must visit >= 3 distinct vertices")
         k = seq.index(min(seq))
-        order = tuple(seq[k:]) + tuple(seq[:k])
-        n = len(order)
-        edges = frozenset((order[i], order[(i + 1) % n]) for i in range(n))
-        return cls(order, edges)
+        return cls(tuple(seq[k:]) + tuple(seq[:k]))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HamiltonCycle) and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash(self.edges)
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edge set, built from the order on each read."""
+        return frozenset(zip(self.order, self.order[1:] + self.order[:1]))
 
     def spans(self, vertices: set[int]) -> bool:
         return set(self.order) == vertices
@@ -128,20 +123,21 @@ def connectors_from_edges(edges: set[Edge] | frozenset[Edge],
 
 @dataclass
 class PatchingOutcome:
-    """Cycles found in order, failed factor draws, switches made, and why
-    the search stopped."""
+    """Cycles found in order, failed factor draws, switches made, why the
+    search stopped, and the sorted out-rows of the residual graph."""
 
     cycles: list[HamiltonCycle]
     failures: int
     switches: int
     stop_reason: str
+    residual: list[list[int]]
 
 
 def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutcome:
     """Edge-disjoint Hamilton cycles of g, one per round.
 
     The residual graph (g without the cycles found so far) is held as
-    sorted out-neighbour rows, built once from ``g.out_neighbors``.  A round
+    sorted out-neighbour rows, copied once from ``g.out_neighbors``.  A round
     draws a cycle factor of it with ``factors.random_cycle_factor``: a
     random greedy matching between out- and in-copies, completed by
     shortest augmenting paths, under the seeded generator.  It then merges
@@ -149,13 +145,13 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
     for u in it and a residual edge u -> w into another cycle, with
     p = pred(w), a residual edge p -> succ(u) allows succ(u) = w and
     succ(p) = old succ(u); u and w are tried in cycle and sorted order.  The
-    Hamilton cycle's edges are deleted from the rows by bisection.  A
-    factor whose smallest cycle has no switch is redrawn; PATCH_REDRAWS
-    such draws in a row end the search.
+    Hamilton cycle's edges are deleted from the rows by bisection.  A factor
+    whose smallest cycle has no switch is redrawn; PATCH_REDRAWS such draws
+    in a row end the search, and the rows left are returned as ``residual``.
     """
     n = g.n
     rng = random.Random(f"{seed}:patch")
-    out = [sorted(row) for row in g.out_neighbors]
+    out = [list(row) for row in g.out_neighbors]
     cycles: list[HamiltonCycle] = []
     failures = switches = consecutive = 0
     reason = f"{PATCH_REDRAWS} consecutive factors without a merging switch"
@@ -177,7 +173,7 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
         for row, v in zip(out, succ):
             del row[bisect_left(row, v)]
         cycles.append(HamiltonCycle.from_order(order))
-    return PatchingOutcome(cycles, failures, switches, reason)
+    return PatchingOutcome(cycles, failures, switches, reason, out)
 
 
 def _merge_factor(succ: list[int], out: list[list[int]]) -> tuple[bool, int]:

@@ -186,7 +186,7 @@ def count_hamilton_cycles_exact(g: OrientedGraph) -> LogCount:
         raise TooLargeError(f"n={n} exceeds cycle-count cap {HC_COUNT_CAP}")
     if n < 3:
         return LogCount.from_int(0)
-    targets = [(w, 1 << w, sorted(g.in_neighbors[w])) for w in range(1, n)]
+    targets = [(w, 1 << w, g.in_neighbors[w]) for w in range(1, n)]
     layer: dict[int, list[int]] = {}
     for w in g.out_neighbors[0]:
         row = [0] * n
@@ -219,13 +219,13 @@ _Cycle = tuple[tuple[int, ...], int]
 def _hamilton_cycles(g: OrientedGraph) -> list[_Cycle]:
     """Every Hamilton cycle of g once, as (vertex order from 0, edge mask).
 
-    Bit i of a mask stands for the i-th edge of ``sorted(g.edges)``.  One
+    Bit i of a mask stands for the i-th edge in (u, v) order.  One
     iterative depth-first pass from vertex 0 tries out-neighbours in
     ascending order, so the cycles come in lexicographic order.
     """
     n = g.n
-    bit = {e: 1 << i for i, e in enumerate(sorted(g.edges))}
-    succ = [sorted(g.out_neighbors[u]) for u in range(n)]
+    succ = g.out_neighbors
+    bit = {e: 1 << i for i, e in enumerate((u, v) for u, row in enumerate(succ) for v in row)}
     cycles: list[_Cycle] = []
     path = [0]
     on_path = [False] * n

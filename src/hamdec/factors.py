@@ -250,8 +250,7 @@ def _oriented_factor_flow(g: OrientedGraph, r: int) -> tuple[int, list[Edge]]:
     graph such as a rotational tournament it alone saturates the flow.
     """
     edges = []
-    for u, outs in enumerate(g.out_neighbors):
-        row = sorted(outs)
+    for u, row in enumerate(g.out_neighbors):
         i = bisect.bisect(row, u)
         edges.extend((u, v) for v in row[i:] + row[:i])
     return _unit_flow([r] * g.n, [r] * g.n, edges)

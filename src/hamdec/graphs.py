@@ -10,6 +10,7 @@ mistakes.  Graph objects are immutable after construction and safe to share.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -50,30 +51,28 @@ class DegreeSummary:
 
 
 class OrientedGraph:
-    """Immutable simple digraph without antiparallel edge pairs."""
+    """Immutable simple digraph without antiparallel edge pairs, held as sorted
+    out- and in-neighbour tuples only; ``_validated`` edges must be distinct."""
 
-    __slots__ = ("n", "edges", "out_neighbors", "in_neighbors", "labels")
+    __slots__ = ("n", "out_neighbors", "in_neighbors", "labels")
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: tuple[int, ...] | None = None,
                  _validated: bool = False):
         if n < 1:
             raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
-        edge_set = frozenset(edges) if _validated else self._validate(n, edges)
+        outs, ins = [[] for _ in range(n)], [[] for _ in range(n)]
+        for u, v in (edges if _validated else self._validate(n, edges)):
+            outs[u].append(v)
+            ins[v].append(u)
         self.n = n
-        self.edges = edge_set
-        outs: list[set[int]] = [set() for _ in range(n)]
-        ins: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edge_set:
-            outs[u].add(v)
-            ins[v].add(u)
-        self.out_neighbors = tuple(frozenset(s) for s in outs)
-        self.in_neighbors = tuple(frozenset(s) for s in ins)
+        self.out_neighbors = tuple(tuple(sorted(row)) for row in outs)
+        self.in_neighbors = tuple(tuple(sorted(row)) for row in ins)
         if labels is not None and len(labels) != n:
             raise VertexOutOfRangeError("label map length must equal n")
         self.labels = labels
 
     @staticmethod
-    def _validate(n: int, edges: Iterable[Edge]) -> frozenset[Edge]:
+    def _validate(n: int, edges: Iterable[Edge]) -> set[Edge]:
         seen: set[Edge] = set()
         for e in edges:
             u, v = e
@@ -86,7 +85,7 @@ class OrientedGraph:
             if (v, u) in seen:
                 raise AntiparallelPairError(f"both ({v}, {u}) and ({u}, {v}) supplied")
             seen.add((u, v))
-        return frozenset(seen)
+        return seen
 
     # -- queries -------------------------------------------------------
 
@@ -96,8 +95,15 @@ class OrientedGraph:
     def in_degree(self, v: int) -> int:
         return len(self.in_neighbors[v])
 
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edge set, built from the out-rows on each read."""
+        return frozenset((u, v) for u, row in enumerate(self.out_neighbors) for v in row)
+
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
+        row = self.out_neighbors[u] if 0 <= u < self.n else ()
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def host(self, v: int) -> int:
         """Lift a local vertex index to the parent graph's labels."""
@@ -114,19 +120,19 @@ class OrientedGraph:
         """Subgraph on ``vertices`` (local indices), labels composed with self's."""
         verts = sorted(set(vertices))
         index = {v: i for i, v in enumerate(verts)}
-        edges = {(index[u], index[v]) for u, v in self.edges if u in index and v in index}
+        edges = [(index[u], index[v]) for u in verts for v in self.out_neighbors[u] if v in index]
         labels = tuple(self.host(v) for v in verts)
         return OrientedGraph(len(verts), edges, labels=labels, _validated=True)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OrientedGraph) and self.n == other.n
-                and self.edges == other.edges and self.labels == other.labels)
+                and self.out_neighbors == other.out_neighbors and self.labels == other.labels)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.labels))
+        return hash((self.n, self.out_neighbors, self.labels))
 
     def __repr__(self) -> str:
-        return f"OrientedGraph(n={self.n}, m={len(self.edges)})"
+        return f"OrientedGraph(n={self.n}, m={sum(map(len, self.out_neighbors))})"
 
 
 class BipartiteGraph:
@@ -178,12 +184,6 @@ class BipartiteGraph:
     def degree_right(self, b: int) -> int:
         return len(self.adj_right[b])
 
-    def directed_host_edges(self) -> set[Edge]:
-        """The parent-graph directed edges this bipartite graph records."""
-        left = self.left_labels or range(self.left_size)
-        right = self.right_labels or range(self.right_size)
-        return {(left[a], right[b]) for a, b in self.edges}
-
     def __repr__(self) -> str:
         return (f"BipartiteGraph({self.left_size}+{self.right_size}, "
                 f"m_edges={len(self.edges)})")
@@ -204,17 +204,17 @@ def rotational_tournament(n: int) -> OrientedGraph:
     if n < 3:
         raise VertexOutOfRangeError("need n >= 3")
     half = (n - 1) // 2
-    edges = {(i, (i + j) % n) for i in range(n) for j in range(1, half + 1)}
+    edges = ((i, (i + j) % n) for i in range(n) for j in range(1, half + 1))
     return OrientedGraph(n, edges, _validated=True)
 
 
 def random_tournament(n: int, seed: int) -> OrientedGraph:
     """Each unordered pair oriented uniformly at random."""
     rng = random.Random(seed)
-    edges = set()
+    edges = []
     for u in range(n):
         for v in range(u + 1, n):
-            edges.add((u, v) if rng.random() < 0.5 else (v, u))
+            edges.append((u, v) if rng.random() < 0.5 else (v, u))
     return OrientedGraph(n, edges, _validated=True)
 
 
@@ -338,12 +338,12 @@ def remove_edges(g: OrientedGraph, removed: Iterable[Edge]) -> OrientedGraph:
 
 
 def write_edge_list(g: OrientedGraph) -> str:
-    """The edge list with edges in (u, v) order, built vertex by vertex:
-    sorting small integer sets is much cheaper than sorting all tuples."""
-    lines = [f"og {g.n} {len(g.edges)}"]
-    for u, outs in enumerate(g.out_neighbors):
-        prefix = f"{u} "
-        lines.extend([prefix + str(v) for v in sorted(outs)])
+    """The edge list in (u, v) order: each sorted out-row joined into its
+    lines in one call, from vertex names converted once."""
+    names = list(map(str, range(g.n)))
+    lines = [f"og {g.n} {sum(map(len, g.out_neighbors))}"]
+    lines.extend(f"{u} " + f"\n{u} ".join(map(names.__getitem__, row))
+                 for u, row in enumerate(g.out_neighbors) if row)
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import chain
+from typing import Any, Sequence
 
 from .assembly import HamiltonCycle, patch_hamilton_cycles
 from .counting import (
@@ -23,7 +24,7 @@ from .counting import (
     decomposition_upper_bound,
     find_hamilton_decomposition,
 )
-from .errors import HamdecError, InvariantViolationError, TooLargeError
+from .errors import FormatError, HamdecError, InvariantViolationError, TooLargeError
 from .factors import oriented_reg
 from .graphs import Edge, OrientedGraph, rotational_tournament, write_edge_list
 
@@ -64,11 +65,14 @@ class DecompositionCertificate:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "DecompositionCertificate":
+        numbers = chain((doc["n"], doc["reg"], doc["k"]), *doc["cycles"], *doc["leftover"])
+        if not set(map(type, numbers)) <= {int}:
+            raise FormatError("certificate numbers must be JSON integers")
         cycles = tuple(HamiltonCycle.from_order(seq) for seq in doc["cycles"])
-        leftover = frozenset((int(u), int(v)) for u, v in doc["leftover"])
-        cert = cls(n=int(doc["n"]), graph_sha256=str(doc["graph_sha256"]),
-                   cycles=cycles, leftover=leftover, reg=int(doc["reg"]))
-        if cert.k != int(doc["k"]):
+        leftover = frozenset((u, v) for u, v in doc["leftover"])
+        cert = cls(n=doc["n"], graph_sha256=str(doc["graph_sha256"]),
+                   cycles=cycles, leftover=leftover, reg=doc["reg"])
+        if cert.k != doc["k"]:
             raise InvariantViolationError("certificate k field disagrees with cycles")
         return cert
 
@@ -104,28 +108,40 @@ def graph_digest(g: OrientedGraph) -> str:
 
 def verify_certificate(g: OrientedGraph, cert: DecompositionCertificate
                        ) -> tuple[bool, str | None]:
-    """Re-check every certificate invariant from scratch; returns
-    (ok, first violation)."""
-    if cert.n != g.n:
+    """Re-check every certificate invariant from scratch; returns (ok, first
+    violation).  Per vertex, the sorted heads of its cycle and leftover edges
+    must equal its out-row; only vertices where they differ are classified.
+    Of several faults the first in this order is reported: SizeMismatch,
+    GraphHashMismatch, NotHamiltonian, UnknownEdge (a leftover tail outside
+    [0, n)), then over all vertices UnknownEdge (on a cycle), EdgeReuse,
+    LeftoverOverlap, UnknownEdge (in the leftover), LeftoverMismatch, and
+    then RegMismatch, TooManyCycles."""
+    n = g.n
+    if cert.n != n:
         return False, "SizeMismatch"
     if cert.graph_sha256 != graph_digest(g):
         return False, "GraphHashMismatch"
-    vertices = set(range(g.n))
-    used: set[Edge] = set()
+    vertices = set(range(n))
+    succs = []
     for cyc in cert.cycles:
         if not cyc.spans(vertices):
             return False, "NotHamiltonian"
-        if not cyc.edges <= g.edges:
+        succ = dict(zip(cyc.order, cyc.order[1:] + cyc.order[:1]))
+        succs.append([succ[u] for u in range(n)])
+    rest: list[list[int]] = [[] for _ in range(n)]
+    for u, v in cert.leftover:
+        if not 0 <= u < n:
             return False, "UnknownEdge"
-        if used & cyc.edges:
-            return False, "EdgeReuse"
-        used |= cyc.edges
-    if cert.leftover & used:
-        return False, "LeftoverOverlap"
-    if not cert.leftover <= g.edges:
-        return False, "UnknownEdge"
-    if used | cert.leftover != g.edges:
-        return False, "LeftoverMismatch"
+        rest[u].append(v)
+    faults = []
+    for row, heads, tails in zip(g.out_neighbors, zip(*succs) if succs else [()] * n, rest):
+        if tuple(sorted(heads + tuple(tails))) != row:
+            have, seen = set(row), set(heads)
+            faults.append((not have >= seen, len(seen) < len(heads), not seen.isdisjoint(tails),
+                           not have.issuperset(tails), True).index(True))
+    if faults:
+        return False, ("UnknownEdge", "EdgeReuse", "LeftoverOverlap", "UnknownEdge",
+                       "LeftoverMismatch")[min(faults)]
     if cert.reg != oriented_reg(g):
         return False, "RegMismatch"
     if cert.k > cert.reg:
@@ -155,26 +171,25 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
     report.reg = reg
     digest = graph_digest(g)
     report.stages.append({"name": "reg", "reg": reg, "seconds": time.perf_counter() - t0})
-    if reg == 0:
-        return DecompositionCertificate(g.n, digest, (), frozenset(g.edges), 0), report
 
     cycles: list[HamiltonCycle] = []
-    t1 = time.perf_counter()
-    try:
-        outcome = patch_hamilton_cycles(g, seed=config.seed)
-    except HamdecError as exc:
-        report.hard_failures.append(f"direct: {type(exc).__name__}: {exc}")
-    else:
-        cycles = outcome.cycles
-        report.stages.append({"name": "direct", "mode": "patching",
-                              "rounds": len(cycles), "failures": outcome.failures,
-                              "switches": outcome.switches,
-                              "stop_reason": outcome.stop_reason,
-                              "seconds": time.perf_counter() - t1})
-    used = {e for cyc in cycles for e in cyc.edges}
-    cycles_sorted = tuple(sorted(cycles, key=lambda c: c.order))
-    cert = DecompositionCertificate(g.n, digest, cycles_sorted,
-                                    frozenset(g.edges - used), reg)
+    rest: Sequence[Sequence[int]] = g.out_neighbors
+    if reg:
+        t1 = time.perf_counter()
+        try:
+            outcome = patch_hamilton_cycles(g, seed=config.seed)
+        except HamdecError as exc:
+            report.hard_failures.append(f"direct: {type(exc).__name__}: {exc}")
+        else:
+            cycles, rest = outcome.cycles, outcome.residual
+            report.stages.append({"name": "direct", "mode": "patching",
+                                  "rounds": len(cycles), "failures": outcome.failures,
+                                  "switches": outcome.switches,
+                                  "stop_reason": outcome.stop_reason,
+                                  "seconds": time.perf_counter() - t1})
+    leftover = frozenset((u, v) for u, row in enumerate(rest) for v in row)
+    cert = DecompositionCertificate(g.n, digest, tuple(sorted(cycles, key=lambda c: c.order)),
+                                    leftover, reg)
     report.k = cert.k
     ok, violation = verify_certificate(g, cert)
     if not ok:

@@ -84,6 +84,42 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     assert cli_main(["verify", str(gpath), str(cpath)]) == 1
 
 
+def _certificate_files(tmp_path, n):
+    """Paths of the rotational tournament of order n and its seed-0 certificate."""
+    gpath, cpath = tmp_path / "g.og", tmp_path / "cert.json"
+    gpath.write_text(write_edge_list(rotational_tournament(n)))
+    assert cli_main(["decompose", str(gpath), "--out", str(cpath)]) == 0
+    return gpath, cpath
+
+
+def _with_non_integer(doc, where):
+    cert = doc["certificate"]
+    if where == "n":
+        cert["n"] += 0.9
+    elif where == "leftover":
+        cert["leftover"] = [[u + 0.3, v + 0.4] for u, v in cert["leftover"]]
+    elif where == "cycle":
+        cert["cycles"][0] = [float(v) for v in cert["cycles"][0]]
+    elif where == "k":
+        cert["k"] = float(cert["k"])
+    else:
+        cert["reg"] = bool(cert["reg"])
+
+
+@pytest.mark.parametrize("where, n", [("n", 5), ("leftover", 25), ("cycle", 25),
+                                      ("k", 25), ("reg", 3)])
+def test_verify_rejects_non_integer_numbers(tmp_path, capsys, where, n):
+    # int() used to truncate 5.9 to 5 and 3.3 to 3, and floats and bools
+    # equal to integers passed through, so such certificates verified
+    gpath, cpath = _certificate_files(tmp_path, n)
+    doc = json.loads(cpath.read_text())
+    _with_non_integer(doc, where)
+    cpath.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["verify", str(gpath), str(cpath)]) == 2
+    _one_line_error(capsys)
+
+
 def test_bad_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.og"
     bad.write_text("og 3 1\n1 1\n")
