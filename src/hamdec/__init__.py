@@ -1,6 +1,6 @@
 """hamdec: edge-disjoint Hamilton cycles in dense regular oriented graphs.
 
-Construction side: reg() by max-flow and verified edge-disjoint Hamilton
+Construction side: reg() by b-matching and verified edge-disjoint Hamilton
 cycles by cycle-factor patching, plus the lemma-level library of subproblem
 partitioning, matching-based path covers and reservoir splicing.  Counting side: exact permanents and
 Hamilton-decomposition counts at tiny sizes, sandwiched between the standard
@@ -20,6 +20,7 @@ from .graphs import (
     rotational_tournament,
     write_edge_list,
 )
+from . import flows  # noqa: F401  loads flows.Dinic, which bench/spans.py wraps
 from .factors import (
     FactorCertificate,
     Matching,

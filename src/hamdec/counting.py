@@ -275,7 +275,10 @@ def count_hamilton_decompositions_exact(g: OrientedGraph) -> LogCount:
     each next cycle must contain the lowest remaining edge, so every
     partition is counted once.  Counts are memoised on the remaining mask.
     """
-    found = _regular_cycles(g)
+    return _count_exact(g, _regular_cycles(g))
+
+
+def _count_exact(g: OrientedGraph, found: tuple[int, list[_Cycle]] | None) -> LogCount:
     if found is None:
         return LogCount.from_int(0)
     through = _through_each_edge(g, found[1])
@@ -294,7 +297,10 @@ def count_hamilton_decompositions_ordered(g: OrientedGraph) -> LogCount:
     """Same count via the second route: count ordered sequences of
     edge-disjoint Hamilton cycles exhausting E(g), then divide by r!
     (cycles within one decomposition are distinct as edge sets)."""
-    found = _regular_cycles(g)
+    return _count_ordered(g, _regular_cycles(g))
+
+
+def _count_ordered(g: OrientedGraph, found: tuple[int, list[_Cycle]] | None) -> LogCount:
     if found is None:
         return LogCount.from_int(0)
     r, cycles = found
@@ -315,7 +321,11 @@ def count_hamilton_decompositions_ordered(g: OrientedGraph) -> LogCount:
 def find_hamilton_decomposition(g: OrientedGraph) -> list[tuple[int, ...]] | None:
     """One full Hamilton decomposition as vertex orders, or None: the first
     cover met by the exact count's canonical search."""
-    found = _regular_cycles(g)
+    return _find(g, _regular_cycles(g))
+
+
+def _find(g: OrientedGraph, found: tuple[int, list[_Cycle]] | None
+          ) -> list[tuple[int, ...]] | None:
     if found is None:
         return None
     through = _through_each_edge(g, found[1])

@@ -1,13 +1,14 @@
 """Bipartite matchings, r-factors and reg() for digraphs.
 
-Factor feasibility is decided by max-flow, except on regular oriented
-graphs, where the degrees decide it; the literal subset inequality of
-the Gale-Ryser criterion is kept as an independent exponential oracle for
-cross-validation.  Every maximum matching comes from one routine,
-:func:`random_cycle_factor`, which reads sorted adjacency rows and draws
-each greedy pick by rejection; regular bipartite graphs split into perfect
-matchings with it.  The random regular bipartite test instances come from
-the switch chain that also draws random regular oriented graphs.
+An r-factor exists iff a b-matching on the edges it leaves out saturates
+the excess degrees, except on regular oriented graphs, where the degrees
+decide it; the literal subset inequality of the Gale-Ryser criterion is
+kept as an independent exponential oracle for cross-validation.  Every
+maximum matching comes from one routine, :func:`random_cycle_factor`,
+which reads sorted adjacency rows and draws each greedy pick by rejection;
+regular bipartite graphs split into perfect matchings with it.  The random
+regular bipartite test instances come from the switch chain that also
+draws random regular oriented graphs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .errors import (
     InvariantViolationError,
@@ -24,7 +25,6 @@ from .errors import (
     ROutOfRangeError,
     TooLargeError,
 )
-from .flows import Dinic
 from .graphs import BipartiteGraph, Edge, OrientedGraph, _switch_chain, degree_summary
 
 GALE_RYSER_CAP = 12
@@ -136,48 +136,89 @@ def maximum_matching_of(b: BipartiteGraph, rng: random.Random) -> Matching:
     return Matching(frozenset((a, mb) for a, mb in enumerate(succ) if mb != -1))
 
 
-# -- r-factors in bipartite graphs -------------------------------------
+# -- b-matchings and r-factors -----------------------------------------
 
 
-def _unit_flow(left_caps: Sequence[int], right_caps: Sequence[int],
-               edges: Sequence[Edge]) -> tuple[int, list[Edge]]:
-    """Maximum flow from a source through left vertex a (capacity
-    ``left_caps[a]``), a unit edge (a, b) and right vertex b (capacity
-    ``right_caps[b]``) to a sink; returns its value and the edges carrying
-    flow.
+def _greedy_b_matching(left_caps: Sequence[int], right_caps: Sequence[int],
+                       rows: Sequence[Sequence[int]]
+                       ) -> tuple[list[set[int]], list[set[int]], list[int]]:
+    """Greedy pass of :func:`_b_matching`: heads per left vertex, holders and spare per head."""
+    rest = list(right_caps)
+    picks: list[set[int]] = [set() for _ in rows]
+    owners: list[set[int]] = [set() for _ in rest]
+    for a in sorted(range(len(rows)), key=left_caps.__getitem__, reverse=True):
+        for b in sorted(rows[a], key=rest.__getitem__, reverse=True)[:left_caps[a]]:
+            if not rest[b]:
+                break
+            rest[b] -= 1
+            picks[a].add(b)
+            owners[b].add(a)
+    return picks, owners, rest
 
-    One pass over ``edges`` in order first fills every edge whose two ends
-    both have capacity left; Dinic augments that flow to a maximum.
+
+def _b_matching(left_caps: Sequence[int], right_caps: Sequence[int],
+                rows: Sequence[Sequence[int]]) -> tuple[int, list[set[int]]]:
+    """A largest edge set with each edge (a, b) having b in ``rows[a]``, at
+    most ``left_caps[a]`` edges at a and ``right_caps[b]`` at b: its size
+    and the heads it gives each left vertex.
+
+    A greedy pass takes the left vertices in decreasing cap order, each
+    taking its cap of heads with the most cap left (stable sorts).  Then
+    each breadth-first search from all unsaturated left vertices at once
+    augments along the first alternating path it finds to a head with cap
+    left; once one finds none, the set is maximum by max-flow/min-cut.
     """
-    left_rest, right_rest = list(left_caps), list(right_caps)
-    seeded = []
-    for a, b in edges:
-        fill = left_rest[a] > 0 and right_rest[b] > 0
-        if fill:
-            left_rest[a] -= 1
-            right_rest[b] -= 1
-        seeded.append(fill)
-    nl, nr = len(left_caps), len(right_caps)
-    net = Dinic(nl + nr + 2)
-    src, snk = nl + nr, nl + nr + 1
-    for a, (cap, rest) in enumerate(zip(left_caps, left_rest)):
-        net.add_edge(src, a, cap, cap - rest)
-    for b, (cap, rest) in enumerate(zip(right_caps, right_rest)):
-        net.add_edge(nl + b, snk, cap, cap - rest)
-    eids = [net.add_edge(a, nl + b, 1, fill) for (a, b), fill in zip(edges, seeded)]
-    value = sum(left_caps) - sum(left_rest) + net.max_flow(src, snk)
-    return value, [edge for edge, eid in zip(edges, eids) if net.flow_on(eid)]
+    picks, owners, rest = _greedy_b_matching(left_caps, right_caps, rows)
+    while True:
+        free = {b for b, cap in enumerate(rest) if cap}
+        # parent[x] = (w, b): the path reaches x when w takes b from it
+        parent = {a: None for a, cap in enumerate(left_caps) if len(picks[a]) < cap}
+        queue, seen = list(parent), set()
+        for w in queue:
+            hits = free.intersection(rows[w]) - picks[w]
+            if hits:
+                b = min(hits)
+                rest[b] -= 1
+                while True:
+                    picks[w].add(b)
+                    owners[b].add(w)
+                    if parent[w] is None:
+                        break
+                    x, (w, b) = w, parent[w]
+                    picks[x].discard(b)
+                    owners[b].discard(x)
+                break
+            for b in rows[w]:
+                if b not in seen and b not in picks[w]:
+                    seen.add(b)
+                    for x in owners[b]:
+                        if x not in parent:
+                            parent[x] = (w, b)
+                            queue.append(x)
+        else:
+            break
+    return sum(map(len, picks)), picks
+
+
+def _factor_deletions(rows: Sequence[Sequence[int]], in_rows: Sequence[Collection[int]],
+                      r: int) -> list[set[int]] | None:
+    """Per vertex, the heads of the edges an r-factor of the digraph with
+    out-rows ``rows`` and in-rows ``in_rows`` leaves out (a b-matching that
+    saturates the caps d+(u) - r and d-(v) - r), or None if it has none."""
+    out_caps = [len(row) - r for row in rows]
+    in_caps = [len(row) - r for row in in_rows]
+    if min(out_caps + in_caps, default=0) < 0:
+        return None
+    size, picks = _b_matching(out_caps, in_caps, rows)
+    return picks if size == sum(out_caps) else None
 
 
 def has_bipartite_r_factor(b: BipartiteGraph, r: int) -> bool:
-    """True iff b contains an r-regular spanning subgraph (flow criterion)."""
+    """True iff b contains an r-regular spanning subgraph."""
     m = b.m
     if not 0 <= r <= m:
         raise ROutOfRangeError(f"r={r} outside [0, {m}]")
-    if r == 0:
-        return True
-    value, _ = _unit_flow([r] * m, [r] * m, sorted(b.edges))
-    return value == r * m
+    return _factor_deletions([sorted(row) for row in b.adj_left], b.adj_right, r) is not None
 
 
 def gale_ryser_oracle(b: BipartiteGraph, r: int) -> bool:
@@ -241,78 +282,51 @@ def pm_decompose_regular(b: BipartiteGraph) -> list[Matching]:
 # -- factors of oriented graphs ----------------------------------------
 
 
-def _oriented_factor_flow(g: OrientedGraph, r: int) -> tuple[int, list[Edge]]:
-    """Flow of the r-factor network on the out- and in-copies of g: its
-    value, r * n exactly when g has an r-factor, and the edges it uses.
-
-    Each vertex offers its out-neighbours in cyclic order after itself, so
-    the greedy pass spreads the load over the in-copies; on a circulant
-    graph such as a rotational tournament it alone saturates the flow.
-    """
-    edges = []
-    for u, row in enumerate(g.out_neighbors):
-        i = bisect.bisect(row, u)
-        edges.extend((u, v) for v in row[i:] + row[:i])
-    return _unit_flow([r] * g.n, [r] * g.n, edges)
-
-
 def has_oriented_r_factor(g: OrientedGraph, r: int) -> bool:
     """True iff g has a spanning sub-digraph with all in/out degrees r.
 
     No r above the min semi-degree is feasible; a regular g has every r up
     to it (a regular bipartite graph splits into perfect matchings), so a
-    flow runs only below the min semi-degree of a non-regular g.
+    b-matching runs only below the min semi-degree of a non-regular g.
     """
     if r <= 0:
         return r == 0
     degs = degree_summary(g)
-    if r > degs.min_semi:
-        return False
     if degs.min_semi == degs.max_semi:
-        return True
-    value, _ = _oriented_factor_flow(g, r)
-    return value == r * g.n
+        return r <= degs.min_semi
+    return _factor_deletions(g.out_neighbors, g.in_neighbors, r) is not None
 
 
 def oriented_reg(g: OrientedGraph) -> int:
     """Largest r for which g has a spanning sub-digraph with all in/out
     degrees exactly r.
 
-    reg is at most the min semi-degree, and a g whose in- and out-degrees
-    all equal it is its own factor, so regular inputs need no flow.
-    Otherwise one flow tests r = min semi-degree; its value F bounds reg by
-    F // n, since an r'-factor with r' <= r is a flow of r' * n in the same
-    network; below that bound factor existence is monotone in r, so a
-    binary search finishes.
+    reg is at most the min semi-degree, which one b-matching tests (none
+    on a regular g).  Below it factor existence is monotone in r, so steps
+    down from it, doubling, then a binary search find reg; reg usually lies
+    near the min semi-degree, where the greedy pass leaves the search least.
     """
-    degs = degree_summary(g)
-    hi = degs.min_semi
-    if hi == degs.max_semi:
-        return hi
-    value, _ = _oriented_factor_flow(g, hi)
-    if value == hi * g.n:
-        return hi
-    lo, hi = 0, value // g.n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if has_oriented_r_factor(g, mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    lo = hi = degree_summary(g).min_semi
+    step = 1
+    while not has_oriented_r_factor(g, lo):  # reg < lo: step down, doubling
+        hi, lo, step = lo - 1, max(lo - step, 0), 2 * step
+    return lo + bisect.bisect_left(range(lo + 1, hi + 1), True,
+                                   key=lambda r: not has_oriented_r_factor(g, r))
 
 
 def extract_oriented_r_factor(g: OrientedGraph, r: int) -> FactorCertificate:
-    """A spanning sub-digraph with every in/out-degree exactly r."""
+    """A spanning sub-digraph with every in/out-degree exactly r: g less
+    the edges of a b-matching on the excess degrees."""
     if r == 0:
         return FactorCertificate(0, frozenset(), "oriented")
     degs = degree_summary(g)
     if r == degs.min_semi == degs.max_semi:
         return FactorCertificate(r, g.edges, "oriented")
-    value, chosen = _oriented_factor_flow(g, r)
-    if value != r * g.n:
+    picks = _factor_deletions(g.out_neighbors, g.in_neighbors, r)
+    if picks is None:
         raise NoFactorError(f"graph has no {r}-factor")
-    return FactorCertificate(r, frozenset(chosen), "oriented")
+    return FactorCertificate(r, frozenset((u, v) for u, row in enumerate(g.out_neighbors)
+                                          for v in row if v not in picks[u]), "oriented")
 
 
 # -- test-instance generator -------------------------------------------

@@ -1,9 +1,10 @@
 """Dinic max-flow on integer-capacity networks.
 
-Plain adjacency-list implementation, deliberately dependency-free.  The
+No hamdec routine builds a flow network; r-factors come from the
+b-matching in ``factors``.  Dinic stays as the tests' independent max-flow
+oracle and as the function the benchmark's tracer wraps.  The
 augmenting-path search keeps its path on an explicit stack, so path length
-is not bounded by the interpreter's recursion limit; the factor networks
-of a 2000-vertex graph have 4,002 nodes.
+is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ class Dinic:
         self.cap: list[int] = []
         self.head: list[list[int]] = [[] for _ in range(n)]
 
-    def add_edge(self, u: int, v: int, capacity: int, flow: int = 0) -> int:
-        """Add directed edge u -> v already carrying ``flow`` of its
-        ``capacity``; returns its edge id (reverse id is id+1)."""
+    def add_edge(self, u: int, v: int, capacity: int) -> int:
+        """Add directed edge u -> v; returns its edge id (reverse id is id+1)."""
         eid = len(self.to)
         self.head[u].append(eid)
         self.to.append(v)
-        self.cap.append(capacity - flow)
+        self.cap.append(capacity)
         self.head[v].append(eid + 1)
         self.to.append(u)
-        self.cap.append(flow)
+        self.cap.append(0)
         return eid
 
     def flow_on(self, eid: int) -> int:
@@ -81,8 +81,8 @@ class Dinic:
         return pushed
 
     def max_flow(self, s: int, t: int) -> int:
-        """Augment the flow already on the network to a maximum; returns
-        the amount added."""
+        """Augment the flow on the network to a maximum; returns the amount
+        added."""
         total = 0
         while self._bfs(s, t):
             self.it = [0] * self.n

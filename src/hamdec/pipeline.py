@@ -16,14 +16,8 @@ from itertools import chain
 from typing import Any, Sequence
 
 from .assembly import HamiltonCycle, patch_hamilton_cycles
-from .counting import (
-    BoundReport,
-    LogCount,
-    count_hamilton_decompositions_exact,
-    count_hamilton_decompositions_ordered,
-    decomposition_upper_bound,
-    find_hamilton_decomposition,
-)
+from .counting import BoundReport, LogCount, decomposition_upper_bound
+from .counting import _count_exact, _count_ordered, _find, _regular_cycles
 from .errors import FormatError, HamdecError, InvariantViolationError, TooLargeError
 from .factors import oriented_reg
 from .graphs import Edge, OrientedGraph, rotational_tournament, write_edge_list
@@ -116,10 +110,16 @@ def verify_certificate(g: OrientedGraph, cert: DecompositionCertificate
     [0, n)), then over all vertices UnknownEdge (on a cycle), EdgeReuse,
     LeftoverOverlap, UnknownEdge (in the leftover), LeftoverMismatch, and
     then RegMismatch, TooManyCycles."""
+    return _check_certificate(g, cert, graph_digest(g))
+
+
+def _check_certificate(g: OrientedGraph, cert: DecompositionCertificate, digest: str
+                       ) -> tuple[bool, str | None]:
+    """:func:`verify_certificate` with g's digest already computed."""
     n = g.n
     if cert.n != n:
         return False, "SizeMismatch"
-    if cert.graph_sha256 != graph_digest(g):
+    if cert.graph_sha256 != digest:
         return False, "GraphHashMismatch"
     vertices = set(range(n))
     succs = []
@@ -191,7 +191,7 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
     cert = DecompositionCertificate(g.n, digest, tuple(sorted(cycles, key=lambda c: c.order)),
                                     leftover, reg)
     report.k = cert.k
-    ok, violation = verify_certificate(g, cert)
+    ok, violation = _check_certificate(g, cert, digest)
     if not ok:
         raise AssertionError(f"emitted certificate failed self-check: {violation}")
     return cert, report
@@ -207,12 +207,12 @@ def sandwich_experiment(n: int) -> tuple[BoundReport, dict[str, Any]]:
         raise TooLargeError(f"sandwich runs at n in {{3, 5, 7}}, got {n}")
     g = rotational_tournament(n)
     r = (n - 1) // 2
-    exact = count_hamilton_decompositions_exact(g)
-    cross = count_hamilton_decompositions_ordered(g)
+    found = _regular_cycles(g)
+    exact = _count_exact(g, found)
+    cross = _count_ordered(g, found)
     if exact.exact != cross.exact:
-        raise AssertionError(
-            f"enumeration strategies disagree: {exact.exact} vs {cross.exact}")
-    constructed = find_hamilton_decomposition(g)
+        raise AssertionError(f"enumeration strategies disagree: {exact.exact} vs {cross.exact}")
+    constructed = _find(g, found)
     lower = LogCount.from_int(1 if constructed is not None else 0)
     upper = decomposition_upper_bound(n, r)
     bounds = BoundReport(lower=lower, exact=exact, upper=upper,

@@ -5,6 +5,7 @@ import random
 from hypothesis import strategies as st
 
 from hamdec.assembly import connectors_from_edges
+from hamdec.flows import Dinic
 from hamdec.graphs import OrientedGraph, build_oriented
 from hamdec.pathcovers import DirectedPath
 
@@ -119,6 +120,22 @@ def bruteforce_completable(paths, reservoir, connectors, node_cap=500_000):
         if res is None:
             return None
     return False
+
+
+def dinic_flow(left_caps, right_caps, edges):
+    """Plain Dinic max flow from a source through left vertex a (capacity
+    left_caps[a]), a unit edge (a, b) and right vertex b (capacity
+    right_caps[b]) to a sink: its value and the edges carrying flow."""
+    nl, nr = len(left_caps), len(right_caps)
+    net = Dinic(nl + nr + 2)
+    src, snk = nl + nr, nl + nr + 1
+    for a, cap in enumerate(left_caps):
+        net.add_edge(src, a, cap)
+    for b, cap in enumerate(right_caps):
+        net.add_edge(nl + b, snk, cap)
+    eids = [net.add_edge(a, nl + b, 1) for a, b in edges]
+    value = net.max_flow(src, snk)
+    return value, [edge for edge, eid in zip(edges, eids) if net.flow_on(eid)]
 
 
 @st.composite

@@ -53,7 +53,7 @@ def test_criterion_1_gale_ryser_equivalence():
         for r in range(m + 1):
             assert has_bipartite_r_factor(b, r) == gale_ryser_oracle(b, r)
         instances += 1
-    _report(1, "Gale-Ryser flow/inequality equivalence", t0, 10,
+    _report(1, "Gale-Ryser b-matching/inequality equivalence", t0, 10,
             f"({instances} instances, all r)")
 
 

@@ -19,23 +19,22 @@ from hamdec.factors import (
     gale_ryser_oracle,
     has_bipartite_r_factor,
     has_oriented_r_factor,
-    _unit_flow,
     maximum_matching_of,
     oriented_reg,
     pm_decompose_regular,
     random_cycle_factor,
     random_regular_bipartite,
 )
-from hamdec.flows import Dinic
 from hamdec.graphs import (
     BipartiteGraph,
     build_oriented,
+    degree_summary,
     random_oriented,
     random_regular_oriented,
     rotational_tournament,
 )
 
-from conftest import oriented_graphs
+from conftest import dinic_flow, oriented_graphs
 
 
 def complete_bipartite(m):
@@ -95,9 +94,9 @@ def test_flow_matches_oracle_on_random_instances():
 # -- extraction ---------------------------------------------------------
 
 def bipartite_factor(b, r):
-    """The r-factor edges _unit_flow returns for b, or None when its flow
-    falls short of r * m."""
-    value, used = _unit_flow([r] * b.m, [r] * b.m, sorted(b.edges))
+    """The r-factor edges a plain Dinic flow finds in b, or None when the
+    flow falls short of r * m."""
+    value, used = dinic_flow([r] * b.m, [r] * b.m, sorted(b.edges))
     return set(used) if value == r * b.m else None
 
 
@@ -261,8 +260,21 @@ def test_extract_oriented_factor():
         extract_oriented_r_factor(rotational_tournament(3), 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(oriented_graphs(max_n=16))
+def test_extract_oriented_factor_for_every_r_up_to_reg(g):
+    reg = oriented_reg(g)
+    for r in range(reg + 1):
+        factor = extract_oriented_r_factor(g, r)
+        assert factor.r == r and factor.edges <= g.edges
+        assert sorted(u for u, _ in factor.edges) == sorted(list(range(g.n)) * r)
+        assert sorted(v for _, v in factor.edges) == sorted(list(range(g.n)) * r)
+    with pytest.raises(NoFactorError):
+        extract_oriented_r_factor(g, reg + 1)
+
+
 def binary_search_reg(g):
-    """reg by binary search over flow tests from the min semi-degree down."""
+    """reg by binary search over factor tests below the min semi-degree."""
     lo = 0
     hi = min(min(g.out_degree(v) for v in range(g.n)),
              min(g.in_degree(v) for v in range(g.n)))
@@ -298,6 +310,42 @@ def test_reg_matches_binary_search(g):
     assert oriented_reg(g) == binary_search_reg(g)
 
 
+def bottleneck_graph(a, s, d_a, b, d_b):
+    """Circulants A (steps 1..d_a) and B (steps 1..d_b) with A -> X -> B ->
+    A complete between them, X an independent set of s vertices: A's
+    vertices have out-degree d_a + s, but an r-factor takes only r * s
+    edges out of A, so reg is at most d_a * a / (a - s), far below the
+    min semi-degree when s is near a / 2."""
+    xs, bs = range(a, a + s), range(a + s, a + s + b)
+    edges = {(i, (i + j) % a) for i in range(a) for j in range(1, d_a + 1)}
+    edges |= {(bs[i], bs[(i + j) % b]) for i in range(b) for j in range(1, d_b + 1)}
+    edges |= {(u, x) for u in range(a) for x in xs} | {(x, w) for x in xs for w in bs}
+    edges |= {(w, u) for w in bs for u in range(a)}
+    return build_oriented(a + s + b, edges)
+
+
+def dinic_reg(g):
+    """reg from plain Dinic flows on the factor network, r = min
+    semi-degree downwards."""
+    r = degree_summary(g).min_semi
+    while dinic_flow([r] * g.n, [r] * g.n, sorted(g.edges))[0] != r * g.n:
+        r -= 1
+    return r
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reg_far_below_min_semi_degree(data):
+    # oriented_reg steps down from the min semi-degree by doubling steps and
+    # then bisects; these graphs put reg several steps below it
+    a = data.draw(st.integers(4, 16))
+    s = data.draw(st.integers(1, a // 2))
+    b = data.draw(st.integers(3, 12))
+    g = bottleneck_graph(a, s, data.draw(st.integers(1, (a - 1) // 2)), b,
+                         data.draw(st.integers(1, (b - 1) // 2)))
+    assert oriented_reg(g) == dinic_reg(g)
+
+
 def networkx_reg(nx, g):
     """Largest r whose source/sink capacities r admit a flow of r * n."""
     r = min(min(g.out_degree(v) for v in range(g.n)),
@@ -317,8 +365,8 @@ def networkx_reg(nx, g):
 
 def test_reg_matches_networkx_max_flow(monkeypatch):
     nx = pytest.importorskip("networkx")
-    # the greedy pass of the flow leaves a deficit on this tournament, so
-    # Dinic's augmentation decides its reg
+    # the greedy pass of the b-matching leaves a deficit on this
+    # tournament, so the alternating-path search decides its reg
     deficit = random_oriented("tournament", 61, seed=0)
     graphs = [rotational_tournament(n) for n in (7, 21)] + [lopsided_graph(), deficit]
     graphs += [random_oriented("tournament", n, seed=s) for n in (9, 20, 31) for s in range(3)]
@@ -332,20 +380,21 @@ def test_reg_matches_networkx_max_flow(monkeypatch):
         assert oriented_reg(g) == networkx_reg(nx, g)
 
     augmented = []
-    max_flow = Dinic.max_flow
+    b_matching = factors._b_matching
 
-    def recording_max_flow(self, s, t):
-        augmented.append(max_flow(self, s, t))
-        return augmented[-1]
+    def recording_b_matching(left_caps, right_caps, rows):
+        greedy = factors._greedy_b_matching(left_caps, right_caps, rows)[0]
+        size, picks = b_matching(left_caps, right_caps, rows)
+        augmented.append(size - sum(map(len, greedy)))
+        return size, picks
 
-    monkeypatch.setattr(Dinic, "max_flow", recording_max_flow)
+    monkeypatch.setattr(factors, "_b_matching", recording_b_matching)
     oriented_reg(deficit)
     assert augmented and augmented[0] > 0
 
 
-class FailingDinic:
-    def __init__(self, n):
-        raise AssertionError("a regular graph needs no flow network")
+def failing_b_matching(left_caps, right_caps, rows):
+    raise AssertionError("a regular graph needs no b-matching")
 
 
 @pytest.mark.parametrize("make, r", [
@@ -354,8 +403,7 @@ class FailingDinic:
 ], ids=["rotational-401", "regular-51-10"])
 def test_regular_graphs_need_no_flow(monkeypatch, make, r):
     g = make()
-    monkeypatch.setattr("hamdec.flows.Dinic", FailingDinic)
-    monkeypatch.setattr("hamdec.factors.Dinic", FailingDinic)
+    monkeypatch.setattr(factors, "_b_matching", failing_b_matching)
     assert oriented_reg(g) == r
     assert has_oriented_r_factor(g, r) and has_oriented_r_factor(g, 1)
     assert not has_oriented_r_factor(g, r + 1)
@@ -365,25 +413,21 @@ def test_regular_graphs_need_no_flow(monkeypatch, make, r):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_seeded_flow_equals_plain_dinic(data):
+    # the greedy-seeded b-matching is as large as a plain Dinic max flow on
+    # the same caps, and its picks are edges within the caps
     nl, nr = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
     pairs = [(a, b) for a in range(nl) for b in range(nr)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
     left_caps = data.draw(st.lists(st.integers(0, 4), min_size=nl, max_size=nl))
     right_caps = data.draw(st.lists(st.integers(0, 4), min_size=nr, max_size=nr))
-    value, used = _unit_flow(left_caps, right_caps, edges)
-
-    net = Dinic(nl + nr + 2)
-    src, snk = nl + nr, nl + nr + 1
-    for a, cap in enumerate(left_caps):
-        net.add_edge(src, a, cap)
-    for b, cap in enumerate(right_caps):
-        net.add_edge(nl + b, snk, cap)
-    for a, b in edges:
-        net.add_edge(a, nl + b, 1)
-    assert value == net.max_flow(src, snk)
-    assert len(used) == value and set(used) <= set(edges)
-    assert all(sum(a == v for a, _ in used) <= cap for v, cap in enumerate(left_caps))
+    rows = [sorted(b for x, b in edges if x == a) for a in range(nl)]
+    size, picks = factors._b_matching(left_caps, right_caps, rows)
+    used = [(a, b) for a, mine in enumerate(picks) for b in mine]
+    assert size == len(used) == dinic_flow(left_caps, right_caps, edges)[0]
+    assert set(used) <= set(edges)
+    assert all(len(mine) <= cap for mine, cap in zip(picks, left_caps))
     assert all(sum(b == v for _, b in used) <= cap for v, cap in enumerate(right_caps))
+    assert rows == [sorted(b for x, b in edges if x == a) for a in range(nl)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -393,7 +437,7 @@ def test_random_cycle_factor_against_max_flow(g, seed):
     # gives the maximum matching size as the oracle
     out = [sorted(row) for row in g.out_neighbors]
     succ = random_cycle_factor(out, random.Random(seed))
-    size, _ = _unit_flow([1] * g.n, [1] * g.n, sorted(g.edges))
+    size, _ = dinic_flow([1] * g.n, [1] * g.n, sorted(g.edges))
     assert (sorted(succ) == list(range(g.n))) == (size == g.n)
     matched = [b for b in succ if b != -1]
     assert len(matched) == size
@@ -412,7 +456,7 @@ def test_maximum_matching_of_rectangular_graphs(data):
     mt = maximum_matching_of(BipartiteGraph(nl, nr, edges),
                              random.Random(data.draw(st.integers(0, 2 ** 32 - 1))))
     assert mt.pairs <= set(edges)
-    assert mt.size == _unit_flow([1] * nl, [1] * nr, edges)[0]
+    assert mt.size == dinic_flow([1] * nl, [1] * nr, edges)[0]
 
 
 @pytest.mark.parametrize("fallback_only", [False, True])

@@ -146,6 +146,35 @@ def test_sandwich_values():
         sandwich_experiment(9)
 
 
+def test_one_cycle_enumeration_per_sandwich(monkeypatch):
+    enumerate_cycles = hamdec.counting._hamilton_cycles
+    calls = []
+
+    def counting_enumeration(g):
+        calls.append(g.n)
+        return enumerate_cycles(g)
+
+    monkeypatch.setattr(hamdec.counting, "_hamilton_cycles", counting_enumeration)
+    for n in (3, 5, 7):
+        sandwich_experiment(n)
+    assert calls == [3, 5, 7]
+
+
+def test_one_graph_digest_per_run(monkeypatch):
+    digest = hamdec.pipeline.graph_digest
+    calls = []
+
+    def counting_digest(g):
+        calls.append(g.n)
+        return digest(g)
+
+    monkeypatch.setattr(hamdec.pipeline, "graph_digest", counting_digest)
+    cert, _ = approximate_decomposition(rotational_tournament(11))
+    assert calls == [11]
+    assert verify_certificate(rotational_tournament(11), cert) == (True, None)
+    assert calls == [11, 11]
+
+
 @settings(max_examples=40, deadline=None)
 @given(oriented_graphs(), st.integers(0, 1000))
 def test_pipeline_invariants_on_random_graphs(g, seed):
