@@ -197,12 +197,20 @@ def _merge_factor(succ: list[int], out: list[list[int]]) -> tuple[bool, int]:
     made = 0
     while len(members) > 1:
         small = min(members, key=lambda c: (len(members[c]), c))
-        switch = next(((u, w) for u in members[small] for w in out[u]
-                       if label[w] != small and _in_row(out[pred[w]], succ[u])), None)
-        if switch is None:
+        for u in members[small]:
+            s = succ[u]
+            for w in out[u]:
+                if label[w] != small:
+                    row = out[pred[w]]  # a switch needs s in this sorted row
+                    i = bisect_left(row, s)
+                    if i < len(row) and row[i] == s:
+                        break
+            else:
+                continue
+            break
+        else:
             return False, made
-        u, w = switch
-        p, s = pred[w], succ[u]
+        p = pred[w]
         succ[u], pred[w] = w, u
         succ[p], pred[s] = s, p
         big = label[w]
@@ -211,12 +219,6 @@ def _merge_factor(succ: list[int], out: list[list[int]]) -> tuple[bool, int]:
         members[big].extend(members.pop(small))
         made += 1
     return True, made
-
-
-def _in_row(row: list[int], v: int) -> bool:
-    """Whether the sorted row holds v."""
-    i = bisect_left(row, v)
-    return i < len(row) and row[i] == v
 
 
 # -- exact Hamilton-path search -----------------------------------------

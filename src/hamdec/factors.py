@@ -81,19 +81,37 @@ def random_cycle_factor(out: Sequence[list[int]], rng: random.Random) -> list[in
     complete, so by Kuhn's argument the result is a maximum matching.  The
     result depends only on ``out`` and the generator's state, never on set
     iteration order.
+
+    The scan order and the uniform row entries are drawn straight from
+    ``rng.getrandbits``, exactly as ``rng.shuffle`` and ``rng.choice`` take
+    them on CPython 3.10-3.13: an index below m is ``getrandbits(k)`` with
+    k = m.bit_length(), redrawn while it is m or more.  So the generator
+    ends in the state those calls would leave, and the rarer draws (the
+    fallback and the path end) still call ``rng.choice``.
     """
     n = len(out)
     succ = [-1] * n
     pred = [-1] * n
+    bits = rng.getrandbits
     scan = list(range(n))
-    rng.shuffle(scan)
+    for i in range(n - 1, 0, -1):  # Fisher-Yates, drawn as Random.shuffle draws it
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
+        scan[i], scan[j] = scan[j], scan[i]
     unmatched = []
     choice = rng.choice
     for a in scan:
         row = out[a]
         if row:
+            m = len(row)
+            k = m.bit_length()
             for _ in range(DRAW_TRIES):
-                b = choice(row)
+                i = bits(k)  # Random.choice(row)
+                while i >= m:
+                    i = bits(k)
+                b = row[i]
                 if pred[b] < 0:
                     break
             else:

@@ -127,7 +127,7 @@ def _check_certificate(g: OrientedGraph, cert: DecompositionCertificate, digest:
         if not cyc.spans(vertices):
             return False, "NotHamiltonian"
         succ = dict(zip(cyc.order, cyc.order[1:] + cyc.order[:1]))
-        succs.append([succ[u] for u in range(n)])
+        succs.append(list(map(succ.__getitem__, range(n))))
     rest: list[list[int]] = [[] for _ in range(n)]
     for u, v in cert.leftover:
         if not 0 <= u < n:

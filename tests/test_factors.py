@@ -447,6 +447,74 @@ def test_random_cycle_factor_against_max_flow(g, seed):
     assert out == [sorted(row) for row in g.out_neighbors]
 
 
+def reference_cycle_factor(out, rng):
+    # random_cycle_factor as written with rng.shuffle and rng.choice; the
+    # engine draws the same indices from rng.getrandbits inline
+    n = len(out)
+    succ = [-1] * n
+    pred = [-1] * n
+    scan = list(range(n))
+    rng.shuffle(scan)
+    unmatched = []
+    for a in scan:
+        row = out[a]
+        if row:
+            for _ in range(factors.DRAW_TRIES):
+                b = rng.choice(row)
+                if pred[b] < 0:
+                    break
+            else:
+                cands = [b for b in row if pred[b] < 0]
+                b = rng.choice(cands) if cands else -1
+        else:
+            b = -1
+        if b == -1:
+            unmatched.append(a)
+        else:
+            succ[a], pred[b] = b, a
+    free = {b for b in range(n) if pred[b] < 0}
+    for root in unmatched:
+        parent = {root: -1}
+        queue = [root]
+        for a in queue:
+            hits = free.intersection(out[a])
+            if hits:
+                b = rng.choice(sorted(hits))
+                free.discard(b)
+                while a != -1:
+                    succ[a], pred[b], b = b, a, succ[a]
+                    a = parent[a]
+                break
+            for b in out[a]:
+                nxt = pred[b]
+                if nxt not in parent:
+                    parent[nxt] = a
+                    queue.append(nxt)
+    return succ
+
+
+@st.composite
+def sorted_rows(draw):
+    # rows of distinct heads below n; lengths that are powers of two are
+    # where a rejection draw of bit_length(m) bits is most often redrawn
+    n = draw(st.integers(0, 40))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    lengths = [m for m in (0, 1, 2, 4, 8, 16, 32) if m <= n]
+    return [sorted(rnd.sample(range(n), rnd.choice(lengths) if rnd.random() < 0.5
+                              else rnd.randint(0, n)))
+            for _ in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(sorted_rows(), st.integers(0, 2 ** 32 - 1))
+def test_random_cycle_factor_keeps_the_random_stream(out, seed):
+    # the same factor and the same generator state afterwards as the
+    # shuffle/choice reference, so every later draw is the same too
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert random_cycle_factor(out, rng) == reference_cycle_factor(out, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_maximum_matching_of_rectangular_graphs(data):
