@@ -38,6 +38,10 @@ from .pathcovers import DirectedPath, PathCoverFamily
 
 # consecutive cycle factors without a merging switch before patching stops
 PATCH_REDRAWS = 20
+# most cycle factors the degree <= 2 end check walks: a draw and its merge
+# pass over every vertex several times, a walk at most once, so eight walks
+# per redraw the check replaces keep it no dearer than the redraws
+FACTOR_WALKS = 8 * PATCH_REDRAWS
 # budget slices, each with fresh tie-breaking, of a budgeted path search
 PATH_SEARCH_SLICES = 4
 # (start, end) pairs a free-endpoint path search tries
@@ -148,6 +152,14 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
     Hamilton cycle's edges are deleted from the rows by bisection.  A factor
     whose smallest cycle has no switch is redrawn; PATCH_REDRAWS such draws
     in a row end the search, and the rows left are returned as ``residual``.
+
+    A 2-switch trades two factor edges for two residual edges, so every
+    merge yields another cycle factor of the residual.  Once every residual
+    in- and out-degree is d <= 2 those factors are few (see
+    :func:`residual_cycle_factors`), and when none is a Hamilton cycle no
+    draw can succeed, so the search stops without drawing.  The check runs
+    before the first draw and after each cycle found (a failed draw leaves
+    the rows as they were) and takes nothing from the generator.
     """
     n = g.n
     rng = random.Random(f"{seed}:patch")
@@ -156,6 +168,11 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
     failures = switches = consecutive = 0
     reason = f"{PATCH_REDRAWS} consecutive factors without a merging switch"
     while consecutive < PATCH_REDRAWS:
+        if consecutive == 0 and n >= 3:
+            decided = residual_cycle_factors(out)
+            if decided is not None and decided[1] is False:
+                reason = "no cycle factor of the residual is a Hamilton cycle"
+                break
         succ = random_cycle_factor(out, rng)
         if n < 3 or -1 in succ:
             reason = "no cycle factor in residual"
@@ -219,6 +236,60 @@ def _merge_factor(succ: list[int], out: list[list[int]]) -> tuple[bool, int]:
         members[big].extend(members.pop(small))
         made += 1
     return True, made
+
+
+def residual_cycle_factors(out: Sequence[list[int]]) -> tuple[int, bool | None] | None:
+    """Decide from the cycle factors of a digraph of degree 1 or 2 whether
+    one is a Hamilton cycle.
+
+    ``out`` holds the sorted out-rows of a digraph on at least one vertex.
+    Unless every in- and out-degree is the same d in {1, 2} the result is
+    None.  Otherwise it is (number of cycle factors, whether one of them is
+    a single cycle through all vertices), with None for the second when
+    the number exceeds FACTOR_WALKS and the factors are not walked.
+
+    At d = 1 the rows are the one cycle factor.  At d = 2 the double cover
+    (out-copy u joined to in-copy v for each edge u -> v) is 2-regular, a
+    disjoint union of c even cycles, and a cycle factor takes one of the
+    two alternate halves of each: 2^c factors.  ``take[u]`` is the row
+    index u's edge has in the half with bit 0 of its component ``comp[u]``.
+    """
+    n = len(out)
+    d = len(out[0])
+    if not 1 <= d <= 2 or any(len(row) != d for row in out):
+        return None
+    tails: list[list[int]] = [[] for _ in range(n)]
+    for u, row in enumerate(out):
+        for v in row:
+            tails[v].append(u)
+    if any(len(row) != d for row in tails):
+        return None
+    comp = [-1 if d == 2 else 0] * n
+    take = [0] * n
+    c = 0
+    for root in range(n):
+        if comp[root] < 0:
+            u, j = root, 0
+            while comp[u] < 0:
+                comp[u], take[u] = c, j
+                v = out[u][j]
+                a, b = tails[v]
+                u = b if a == u else a  # v's other tail takes its other edge
+                j = 1 - out[u].index(v)
+            c += 1
+    count = 1 << c
+    if count > FACTOR_WALKS:
+        return count, None
+    for mask in range(count):
+        x, length = 0, 0
+        while True:  # walk the factor's cycle through vertex 0
+            x = out[x][take[x] ^ (mask >> comp[x] & 1)]
+            length += 1
+            if x == 0:
+                break
+        if length == n:
+            return count, True
+    return count, False
 
 
 # -- exact Hamilton-path search -----------------------------------------

@@ -3,8 +3,8 @@ cycles by cycle-factor patching, and emit a verifiable certificate.
 
 The pipeline has two stages: ``reg`` computes reg(G), and ``direct`` runs
 the patching engine of ``assembly`` on the whole graph until no cycle factor
-is left or its factors stop merging.  Certificates are re-verified from
-scratch before being returned.
+is left, none can merge into a Hamilton cycle, or its factors stop merging.
+Certificates are re-verified from scratch before being returned.
 """
 
 from __future__ import annotations

@@ -1,18 +1,22 @@
 import itertools
 import random
+from bisect import bisect_left
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hamdec.assembly import (
     PATCH_REDRAWS,
     CompletionOutcome,
     Connectors,
     HamiltonCycle,
+    _merge_factor,
     complete_cover_to_cycle,
     complete_family_to_cycles,
     connectors_from_edges,
     hamilton_path_between,
     patch_hamilton_cycles,
+    residual_cycle_factors,
     verify_completed_cycle,
 )
 from hamdec.errors import (
@@ -21,7 +25,14 @@ from hamdec.errors import (
     InvariantViolationError,
     SameEndpointsError,
 )
-from hamdec.graphs import build_oriented, random_oriented, remove_edges, rotational_tournament
+from hamdec.factors import random_cycle_factor
+from hamdec.graphs import (
+    build_oriented,
+    random_oriented,
+    random_regular_oriented,
+    remove_edges,
+    rotational_tournament,
+)
 from hamdec.pathcovers import DirectedPath, PathCover, PathCoverFamily
 
 
@@ -264,9 +275,7 @@ def test_patching_cycles_are_disjoint_hamiltonian_and_residual():
         assert cyc.edges <= g.edges
         assert not cyc.edges & seen
         seen |= cyc.edges
-    assert out.stop_reason in (
-        "no cycle factor in residual",
-        f"{PATCH_REDRAWS} consecutive factors without a merging switch")
+    assert out.stop_reason == "no cycle factor of the residual is a Hamilton cycle"
 
 
 def test_patching_merges_a_two_cycle_factor():
@@ -303,3 +312,117 @@ def test_patching_without_cycle_factor():
     out = patch_hamilton_cycles(g)
     assert out.cycles == [] and out.failures == 0
     assert out.stop_reason == "no cycle factor in residual"
+
+
+def test_patching_stops_without_drawing_when_no_factor_is_hamiltonian():
+    # two disjoint rotational tournaments of order 5: 2-regular, with no
+    # Hamilton cycle at all
+    g = build_oriented(10, [(5 * b + i, 5 * b + (i + j) % 5)
+                            for b in range(2) for i in range(5) for j in (1, 2)])
+    out = patch_hamilton_cycles(g)
+    assert out.cycles == [] and out.failures == out.switches == 0
+    assert out.stop_reason == "no cycle factor of the residual is a Hamilton cycle"
+    assert out.residual == [list(row) for row in g.out_neighbors]
+
+
+def reference_patch(g, seed):
+    # patch_hamilton_cycles without the degree <= 2 end check: it stops only
+    # when the residual has no cycle factor or after PATCH_REDRAWS failed
+    # draws in a row
+    n = g.n
+    rng = random.Random(f"{seed}:patch")
+    out = [list(row) for row in g.out_neighbors]
+    cycles = []
+    failures = switches = consecutive = 0
+    while consecutive < PATCH_REDRAWS:
+        succ = random_cycle_factor(out, rng)
+        if n < 3 or -1 in succ:
+            break
+        merged, made = _merge_factor(succ, out)
+        switches += made
+        if not merged:
+            failures += 1
+            consecutive += 1
+            continue
+        consecutive = 0
+        order = [0]
+        while len(order) < n:
+            order.append(succ[order[-1]])
+        for row, v in zip(out, succ):
+            del row[bisect_left(row, v)]
+        cycles.append(HamiltonCycle.from_order(order))
+    return cycles, failures, switches, out
+
+
+@pytest.mark.parametrize("kind, n", [("rotational", 11), ("rotational", 25),
+                                     ("rotational", 51), ("rotational", 101),
+                                     ("regular", 41)])
+def test_patching_matches_the_reference_with_no_more_failed_draws(kind, n):
+    g = rotational_tournament(n) if kind == "rotational" else random_regular_oriented(n, 6, 0)
+    for seed in range(5):
+        out = patch_hamilton_cycles(g, seed=seed)
+        cycles, failures, switches, residual = reference_patch(g, seed)
+        assert out.cycles == cycles and out.residual == residual
+        assert out.failures <= failures and out.switches <= switches
+
+
+@st.composite
+def derangements(draw, n):
+    """A permutation of range(n) without fixed points: a random order cut
+    into cycles of two or more vertices."""
+    order = draw(st.permutations(range(n)))
+    sigma = [0] * n
+    start = 0
+    for i in range(n):
+        if i == n - 1 or (i > start and n - i > 2 and draw(st.booleans())):
+            block = order[start:i + 1]
+            for a, b in zip(block, block[1:] + block[:1]):
+                sigma[a] = b
+            start = i + 1
+    return sigma
+
+
+@st.composite
+def degree_one_or_two_rows(draw):
+    """Sorted out-rows of a digraph on n <= 8 vertices whose every in- and
+    out-degree is d in {1, 2}: a union of d edge-disjoint derangements."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2 if d == 1 else 3, 8))
+    sigmas = [draw(derangements(n)) for _ in range(d)]
+    assume(all(len(set(heads)) == d for heads in zip(*sigmas)))
+    return [sorted(heads) for heads in zip(*sigmas)]
+
+
+def cycle_factors_bruteforce(out):
+    """(number of permutations sigma with every v -> sigma(v) an edge,
+    whether one of them is a single cycle through all vertices)."""
+    n = len(out)
+    count, hamiltonian = 0, False
+    for sigma in itertools.product(*out):
+        if len(set(sigma)) == n:
+            count += 1
+            x, length = sigma[0], 1
+            while x != 0:
+                x, length = sigma[x], length + 1
+            hamiltonian |= length == n
+    return count, hamiltonian
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree_one_or_two_rows())
+def test_residual_cycle_factors_match_the_bruteforce_oracle(out):
+    assert residual_cycle_factors(out) == cycle_factors_bruteforce(out)
+
+
+@pytest.mark.parametrize("out, expected", [
+    ([[1, 2], [2], [0]], None),     # out-degrees differ
+    ([[1], [0], [0]], None),        # in-degrees differ
+    ([[], [], []], None),           # degree 0
+    ([list(row) for row in rotational_tournament(7).out_neighbors], None),  # degree 3
+    # eight disjoint complete digraphs on three vertices: 2^8 factors, more
+    # than the check walks
+    ([sorted({3 * (v // 3) + (v + 1) % 3, 3 * (v // 3) + (v + 2) % 3}) for v in range(24)],
+     (256, None)),
+])
+def test_residual_cycle_factors_outside_the_walked_cases(out, expected):
+    assert residual_cycle_factors(out) == expected
