@@ -9,7 +9,8 @@ rows, built once and shrunk by each cycle found.
 
 A cover of a vertex-disjoint paths is completed into one cycle by picking,
 for each path, a reservoir in-neighbour of its start and a reservoir
-out-neighbour of its end (all 2a picks distinct), partitioning the reservoir
+out-neighbour of its end (2a distinct picks: a random maximum matching of
+the 2a path ends to the reservoir), partitioning the reservoir
 into a blocks that pin consecutive picks together, and joining each pinned
 pair by a Hamilton path inside its block.  Block paths are found by exact
 backtracking search with reachability pruning, so blocks are kept small;
@@ -32,8 +33,8 @@ from .errors import (
     SameEndpointsError,
     SpliceFailedError,
 )
-from .factors import random_cycle_factor
-from .graphs import Edge, OrientedGraph
+from .factors import maximum_matching_of, random_cycle_factor
+from .graphs import BipartiteGraph, Edge, OrientedGraph
 from .pathcovers import DirectedPath, PathCoverFamily
 
 # consecutive cycle factors without a merging switch before patching stops
@@ -102,15 +103,6 @@ class Connectors:
     out_of_end: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class ConnectorChoice:
-    """The picked entry vertex t_i (before each start) and exit vertex s_i
-    (after each end); all 2a vertices distinct."""
-
-    entries: tuple[int, ...]
-    exits: tuple[int, ...]
-
-
 def connectors_from_edges(edges: set[Edge] | frozenset[Edge],
                           paths: Sequence[DirectedPath],
                           reservoir_vertices: Sequence[int]) -> Connectors:
@@ -168,13 +160,13 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
     failures = switches = consecutive = 0
     reason = f"{PATCH_REDRAWS} consecutive factors without a merging switch"
     while consecutive < PATCH_REDRAWS:
-        if consecutive == 0 and n >= 3:
+        if consecutive == 0:
             decided = residual_cycle_factors(out)
             if decided is not None and decided[1] is False:
                 reason = "no cycle factor of the residual is a Hamilton cycle"
                 break
         succ = random_cycle_factor(out, rng)
-        if n < 3 or -1 in succ:
+        if -1 in succ:
             reason = "no cycle factor in residual"
             break
         merged, made = _merge_factor(succ, out)
@@ -454,41 +446,20 @@ def hamilton_path_any(f: OrientedGraph, budget: int | None = None,
 # -- completing one cover into one cycle ---------------------------------
 
 
-def _choose_connectors(connectors: Connectors, seed: int | str) -> ConnectorChoice | None:
-    """Distinct picks, scarcest endpoint first, with backtracking."""
-    a = len(connectors.into_start)
-    slots: list[tuple[int, str, list[int]]] = []
-    rng = random.Random(f"{seed}:choice")
-    for i in range(a):
-        slots.append((i, "entry", sorted(connectors.into_start[i])))
-        slots.append((i, "exit", sorted(connectors.out_of_end[i])))
-    for _, _, cands in slots:
-        rng.shuffle(cands)
-    slots.sort(key=lambda slot: len(slot[2]))
-    entries = [-1] * a
-    exits = [-1] * a
-    used: set[int] = set()
-
-    def rec(k: int) -> bool:
-        if k == len(slots):
-            return True
-        i, kind, cands = slots[k]
-        for w in cands:
-            if w in used:
-                continue
-            used.add(w)
-            if kind == "entry":
-                entries[i] = w
-            else:
-                exits[i] = w
-            if rec(k + 1):
-                return True
-            used.remove(w)
-        return False
-
-    if not rec(0):
+def _choose_connectors(connectors: Connectors, w_host: Sequence[int],
+                       seed: int | str) -> list[int] | None:
+    """Distinct reservoir picks for the 2a slots, 2i the entry before path
+    i's start and 2i + 1 the exit after its end: a random maximum matching
+    of the slots to the reservoir vertices ``w_host``, or None when it
+    leaves a slot unmatched, as then no distinct choice exists."""
+    index = {h: j for j, h in enumerate(w_host)}
+    slots = [c for pair in zip(connectors.into_start, connectors.out_of_end) for c in pair]
+    bip = BipartiteGraph(len(slots), len(w_host),
+                         [(k, index[w]) for k, c in enumerate(slots) for w in c])
+    mt = maximum_matching_of(bip, random.Random(f"{seed}:choice"))
+    if mt.size < len(slots):
         return None
-    return ConnectorChoice(tuple(entries), tuple(exits))
+    return [w_host[j] for _, j in sorted(mt.pairs)]
 
 
 def _block_viable(out_adj: dict[int, set[int]], in_adj: dict[int, set[int]],
@@ -559,7 +530,7 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGr
                 f"out-neighbours, needs {floor}",
                 endpoint=paths[i].end, direction="out")
 
-    if _choose_connectors(connectors, seed) is None:
+    if _choose_connectors(connectors, w_host, seed) is None:
         raise SpliceFailedError("no distinct connector choice exists", attempts=0)
 
     local_of = {h: i for i, h in enumerate(w_host)}
@@ -569,17 +540,14 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGr
         out_adj[u].add(v)
         in_adj[v].add(u)
     sizes = [len(wset) // a + (1 if i < len(wset) % a else 0) for i in range(a)]
-    if max(sizes) > BLOCK_CAP:
-        raise ReservoirMismatchError("block sizes exceed the cap")
     last_block = None
     for attempt in range(SPLICE_ATTEMPTS):
         # Re-draw the connector choice alongside the reservoir partition:
         # with few blocks the partition alone carries too little freedom.
-        choice = _choose_connectors(connectors, f"{seed}:{attempt}")
-        pinned_pairs = []  # block i holds exits[i] and entries[(i + 1) % a]
-        for i in range(a):
-            pinned_pairs.append((choice.exits[i], choice.entries[(i + 1) % a]))
-        free = sorted(wset - set(choice.entries) - set(choice.exits))
+        picks = _choose_connectors(connectors, w_host, f"{seed}:{attempt}")
+        # block i holds path i's exit and path i + 1's entry
+        pinned_pairs = [(picks[2 * i + 1], picks[(2 * i + 2) % (2 * a)]) for i in range(a)]
+        free = sorted(wset - set(picks))
         rng = random.Random(f"{seed}:blocks:{attempt}")
         blocks: list[list[int]] = []
         for _ in range(12):

@@ -74,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="rotational")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--r", type=int, default=None, help="degree for --kind regular")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=None,
+                   help="seed for --kind tournament or regular (default 0)")
     g.add_argument("--out", default=None)
 
     r = sub.add_parser("reg", help="print the maximum regular factor degree")
@@ -123,12 +124,16 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "generate":
+        if args.kind == "regular" and args.r is None:
+            raise UsageError("--kind regular needs --r")
+        if args.kind != "regular" and args.r is not None:
+            raise UsageError(f"--r applies only to --kind regular, not {args.kind}")
+        if args.kind == "rotational" and args.seed is not None:
+            raise UsageError("--seed does not apply to --kind rotational, which is not random")
         if args.kind == "rotational":
             g = rotational_tournament(args.n)
-        elif args.kind == "regular" and args.r is None:
-            raise UsageError("--kind regular needs --r")
         else:
-            g = random_oriented(args.kind, args.n, seed=args.seed, r=args.r)
+            g = random_oriented(args.kind, args.n, seed=args.seed or 0, r=args.r)
         _write_text(write_edge_list(g), args.out)
         return 0
 

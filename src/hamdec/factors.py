@@ -5,10 +5,13 @@ the excess degrees, except on regular oriented graphs, where the degrees
 decide it; the literal subset inequality of the Gale-Ryser criterion is
 kept as an independent exponential oracle for cross-validation.  Every
 maximum matching comes from one routine, :func:`random_cycle_factor`,
-which reads sorted adjacency rows and draws each greedy pick by rejection;
-regular bipartite graphs split into perfect matchings with it.  The random
-regular bipartite test instances come from the switch chain that also
-draws random regular oriented graphs.
+which reads sorted adjacency rows and draws each greedy pick by rejection.
+:func:`disjoint_maximum_matchings` runs it on a bipartite graph's rows,
+deleting each matching before the next draw; single maximum matchings,
+the perfect matchings that split a regular bipartite graph, the path-cover
+matching chains and the splice's connector picks all come from there.
+The random regular bipartite test instances come from the switch chain
+that also draws random regular oriented graphs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from itertools import islice
+from typing import Collection, Iterator, Sequence
 
 from .errors import (
     InvariantViolationError,
@@ -145,13 +149,25 @@ def random_cycle_factor(out: Sequence[list[int]], rng: random.Random) -> list[in
     return succ
 
 
+def disjoint_maximum_matchings(b: BipartiteGraph, rng: random.Random) -> Iterator[Matching]:
+    """Endless random maximum matchings of b, each of the edges the ones
+    before it left: :func:`random_cycle_factor` on b's sorted left-to-right
+    rows, padded with empty rows to a square, with each matching's entries
+    deleted from the rows before the next draw.  Once the edges run out
+    every matching is empty, so callers take only what they need."""
+    rows = [list(row) for row in b.adj_left] + [[] for _ in range(b.right_size - b.left_size)]
+    while True:
+        mt = Matching(frozenset((a, mb) for a, mb in enumerate(random_cycle_factor(rows, rng))
+                                if mb != -1))
+        yield mt
+        for a, mb in mt.pairs:
+            rows[a].remove(mb)
+
+
 def maximum_matching_of(b: BipartiteGraph, rng: random.Random) -> Matching:
-    """A random maximum matching of b: :func:`random_cycle_factor` on its
-    sorted left-to-right rows, padded with empty rows to a square."""
-    size = max(b.left_size, b.right_size)
-    out = [sorted(row) for row in b.adj_left] + [[]] * (size - b.left_size)
-    succ = random_cycle_factor(out, rng)
-    return Matching(frozenset((a, mb) for a, mb in enumerate(succ) if mb != -1))
+    """A random maximum matching of b: the first of
+    :func:`disjoint_maximum_matchings`."""
+    return next(disjoint_maximum_matchings(b, rng))
 
 
 # -- b-matchings and r-factors -----------------------------------------
@@ -236,7 +252,7 @@ def has_bipartite_r_factor(b: BipartiteGraph, r: int) -> bool:
     m = b.m
     if not 0 <= r <= m:
         raise ROutOfRangeError(f"r={r} outside [0, {m}]")
-    return _factor_deletions([sorted(row) for row in b.adj_left], b.adj_right, r) is not None
+    return _factor_deletions(b.adj_left, b.adj_right, r) is not None
 
 
 def gale_ryser_oracle(b: BipartiteGraph, r: int) -> bool:
@@ -284,16 +300,9 @@ def pm_decompose_regular(b: BipartiteGraph) -> list[Matching]:
     if len(degs) > 1:
         raise NotRegularError(f"degrees {sorted(degs)} are not uniform")
     d = max(degs, default=0)
-    rows = [sorted(row) for row in b.adj_left]
-    rng = random.Random(0)
-    out: list[Matching] = []
-    for _ in range(d):
-        succ = random_cycle_factor(rows, rng)
-        if -1 in succ:
-            raise AssertionError("regular graph lost its perfect matching; bug")
-        out.append(Matching(frozenset(enumerate(succ))))
-        for row, mb in zip(rows, succ):
-            row.remove(mb)
+    out = list(islice(disjoint_maximum_matchings(b, random.Random(0)), d))
+    if any(mt.size < m for mt in out):
+        raise AssertionError("regular graph lost its perfect matching; bug")
     return out
 
 

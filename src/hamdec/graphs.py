@@ -136,22 +136,17 @@ class OrientedGraph:
 
 
 class BipartiteGraph:
-    """Undirected bipartite graph on sides A and B, stored as index pairs.
+    """Immutable undirected bipartite graph on sides A and B, held as sorted
+    neighbour tuples only: ``adj_left[a]`` lists the b, and ``adj_right[b]``
+    the a, of its edges (a, b) of side-local indices."""
 
-    Edges are (a, b) pairs of side-local indices.  ``left_labels`` and
-    ``right_labels`` optionally record which parent vertices the sides came
-    from; for graphs built by :func:`bipartite_between` an edge (a, b) stands
-    for the directed parent edge left_labels[a] -> right_labels[b].
-    """
+    __slots__ = ("left_size", "right_size", "adj_left", "adj_right")
 
-    __slots__ = ("left_size", "right_size", "edges", "adj_left", "adj_right",
-                 "left_labels", "right_labels")
-
-    def __init__(self, left_size: int, right_size: int, edges: Iterable[Edge],
-                 left_labels: tuple[int, ...] | None = None,
-                 right_labels: tuple[int, ...] | None = None):
+    def __init__(self, left_size: int, right_size: int, edges: Iterable[Edge]):
         self.left_size = left_size
         self.right_size = right_size
+        la: list[list[int]] = [[] for _ in range(left_size)]
+        rb: list[list[int]] = [[] for _ in range(right_size)]
         seen: set[Edge] = set()
         for a, b in edges:
             if not (0 <= a < left_size and 0 <= b < right_size):
@@ -159,16 +154,15 @@ class BipartiteGraph:
             if (a, b) in seen:
                 raise DuplicateEdgeError(f"duplicate bipartite edge ({a}, {b})")
             seen.add((a, b))
-        self.edges = frozenset(seen)
-        la: list[set[int]] = [set() for _ in range(left_size)]
-        rb: list[set[int]] = [set() for _ in range(right_size)]
-        for a, b in self.edges:
-            la[a].add(b)
-            rb[b].add(a)
-        self.adj_left = tuple(frozenset(s) for s in la)
-        self.adj_right = tuple(frozenset(s) for s in rb)
-        self.left_labels = left_labels
-        self.right_labels = right_labels
+            la[a].append(b)
+            rb[b].append(a)
+        self.adj_left = tuple(tuple(sorted(row)) for row in la)
+        self.adj_right = tuple(tuple(sorted(row)) for row in rb)
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edge set, built from the left rows on each read."""
+        return frozenset((a, b) for a, row in enumerate(self.adj_left) for b in row)
 
     @property
     def m(self) -> int:
@@ -186,7 +180,7 @@ class BipartiteGraph:
 
     def __repr__(self) -> str:
         return (f"BipartiteGraph({self.left_size}+{self.right_size}, "
-                f"m_edges={len(self.edges)})")
+                f"m_edges={sum(map(len, self.adj_left))})")
 
 
 # -- construction -----------------------------------------------------
@@ -302,9 +296,9 @@ def bipartite_between(g: OrientedGraph, xs: Iterable[int], ys: Iterable[int],
                       allow_unequal: bool = False) -> BipartiteGraph:
     """Bipartite graph of the g-edges directed from X to Y.
 
-    X and Y are given in g's local indices and become the left/right label
-    maps of the result, preserving the supplied order.  Edge (a, b) of the
-    result stands for the directed edge xs[a] -> ys[b].
+    X and Y are given in g's local indices, and their order numbers the
+    sides: edge (a, b) of the result stands for the directed edge
+    xs[a] -> ys[b].
     """
     xl = list(xs)
     yl = list(ys)
@@ -319,9 +313,7 @@ def bipartite_between(g: OrientedGraph, xs: Iterable[int], ys: Iterable[int],
             j = y_index.get(v)
             if j is not None:
                 edges.add((a, j))
-    return BipartiteGraph(len(xl), len(yl), edges,
-                          left_labels=tuple(g.host(v) for v in xl),
-                          right_labels=tuple(g.host(v) for v in yl))
+    return BipartiteGraph(len(xl), len(yl), edges)
 
 
 def remove_edges(g: OrientedGraph, removed: Iterable[Edge]) -> OrientedGraph:

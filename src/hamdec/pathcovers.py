@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice, takewhile
 from typing import Sequence
 
 from .errors import (
@@ -24,8 +25,8 @@ from .errors import (
     PartsOverlapError,
     PartsTooSmallError,
 )
-from .factors import Matching, maximum_matching_of
-from .graphs import BipartiteGraph, Edge, OrientedGraph, bipartite_between
+from .factors import Matching, disjoint_maximum_matchings
+from .graphs import Edge, OrientedGraph, bipartite_between
 
 # random equipartitions tried; the one whose thinnest part pair is fattest wins
 PARTITION_ATTEMPTS = 3
@@ -231,24 +232,6 @@ def _equipartition(n: int, b: int, rng: random.Random) -> list[list[int]]:
     return parts
 
 
-def _matching_chain(b: BipartiteGraph, quota: int, want: int,
-                    seed: int | str) -> list[Matching]:
-    """Up to ``want`` edge-disjoint matchings of size >= quota in b: repeated
-    maximum matchings on the remaining edges, whose sizes never increase as
-    edges go."""
-    rng = random.Random(f"{seed}:greedy")
-    remaining = set(b.edges)
-    out: list[Matching] = []
-    while len(out) < want:
-        sub = BipartiteGraph(b.left_size, b.right_size, remaining)
-        mt = maximum_matching_of(sub, rng)
-        if mt.size < quota or mt.size == 0:
-            break
-        out.append(mt)
-        remaining -= mt.pairs
-    return out
-
-
 def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
                             seed: int) -> tuple[PathCoverFamily, int]:
     """A family of up to t edge-disjoint path covers of h, each of size <= a.
@@ -301,9 +284,13 @@ def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
         chains: list[list[Matching]] = []
         want = t - len(covers)
         for j in range(b - 1):
-            quota = max(0, min(len(seq[j]), len(seq[j + 1])) - (a - base))
+            # up to ``want`` nonempty matchings of size >= quota; the sizes of
+            # repeated maximum matchings never increase as edges go
+            quota = max(1, min(len(seq[j]), len(seq[j + 1])) - (a - base))
             bip = bipartite_between(h, seq[j], seq[j + 1], allow_unequal=True)
-            ms = _matching_chain(bip, quota, want, seed=f"{seed}:{i}:{j}")
+            rng = random.Random(f"{seed}:{i}:{j}:greedy")
+            ms = takewhile(lambda mt: mt.size >= quota,
+                           islice(disjoint_maximum_matchings(bip, rng), want))
             # lift side indices back to the vertices of the two parts
             lifted = [Matching(frozenset((seq[j][ai], seq[j + 1][bi]) for ai, bi in mt.pairs))
                       for mt in ms]

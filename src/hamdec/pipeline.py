@@ -169,8 +169,8 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
     t0 = time.perf_counter()
     reg = oriented_reg(g)
     report.reg = reg
-    digest = graph_digest(g)
     report.stages.append({"name": "reg", "reg": reg, "seconds": time.perf_counter() - t0})
+    digest = graph_digest(g)
 
     cycles: list[HamiltonCycle] = []
     rest: Sequence[Sequence[int]] = g.out_neighbors

@@ -1,15 +1,19 @@
 import itertools
 import random
+import time
 from bisect import bisect_left
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hamdec.assembly import (
+    BLOCK_CAP,
     PATCH_REDRAWS,
+    SPLICE_ATTEMPTS,
     CompletionOutcome,
     Connectors,
     HamiltonCycle,
+    _choose_connectors,
     _merge_factor,
     complete_cover_to_cycle,
     complete_family_to_cycles,
@@ -23,10 +27,13 @@ from hamdec.errors import (
     BudgetExhaustedError,
     ConnectorDegreeTooLowError,
     InvariantViolationError,
+    ReservoirMismatchError,
     SameEndpointsError,
+    SpliceFailedError,
 )
 from hamdec.factors import random_cycle_factor
 from hamdec.graphs import (
+    OrientedGraph,
     build_oriented,
     random_oriented,
     random_regular_oriented,
@@ -125,7 +132,6 @@ def test_path_search_long_directed_path():
 
 def spliced_instance():
     # one path 0 -> 1, reservoir {2, 3, 4} carrying a directed triangle
-    from hamdec.graphs import OrientedGraph
     paths = (DirectedPath((0, 1)),)
     reservoir = OrientedGraph(3, {(0, 1), (1, 2), (2, 0)}, labels=(2, 3, 4), _validated=True)
     connectors = Connectors(
@@ -155,6 +161,64 @@ def test_complete_rejects_missing_connectors():
     with pytest.raises(ConnectorDegreeTooLowError) as exc:
         complete_cover_to_cycle(paths, reservoir, bad, enforce_margin=False)
     assert exc.value.direction == "in"
+
+
+def one_vertex_paths_instance(into, out, w_size):
+    """Paths 0..a-1 of one vertex each, an edgeless reservoir a..a+w_size-1,
+    and the given connector sets."""
+    a = len(into)
+    paths = tuple(DirectedPath((i,)) for i in range(a))
+    reservoir = OrientedGraph(w_size, [], labels=tuple(range(a, a + w_size)))
+    return paths, reservoir, Connectors(tuple(into), tuple(out))
+
+
+@pytest.mark.parametrize("a, w_size, margin, words", [
+    (2, 3, False, "cannot host"),
+    (2, 7, True, "tight"),
+    (1, BLOCK_CAP + 1, False, "cannot absorb"),
+])
+def test_complete_rejects_mismatched_reservoirs(a, w_size, margin, words):
+    every = [frozenset(range(a, a + w_size))] * a
+    paths, reservoir, connectors = one_vertex_paths_instance(every, every, w_size)
+    with pytest.raises(ReservoirMismatchError, match=words):
+        complete_cover_to_cycle(paths, reservoir, connectors, enforce_margin=margin)
+
+
+def test_complete_fails_at_once_without_distinct_connectors():
+    # 16 paths share 30 reservoir vertices for their 32 connectors, and 14
+    # more take two vertices each of the other 30: 60 slots and 60 vertices
+    # but no distinct choice, a pigeonhole that costs a backtracking search
+    # exponential time
+    low = frozenset(range(30, 60))
+    pairs = [frozenset({60 + 2 * i, 61 + 2 * i}) for i in range(14)]
+    paths, reservoir, connectors = one_vertex_paths_instance(
+        [low] * 16 + pairs, [low] * 16 + pairs, 60)
+    t0 = time.perf_counter()
+    with pytest.raises(SpliceFailedError) as exc:
+        complete_cover_to_cycle(paths, reservoir, connectors, enforce_margin=False)
+    assert time.perf_counter() - t0 < 1
+    assert exc.value.attempts == 0
+
+
+def test_complete_fails_after_every_reservoir_partition():
+    # an edgeless reservoir has no path inside any block
+    every = [frozenset(range(1, 5))]
+    paths, reservoir, connectors = one_vertex_paths_instance(every, every, 4)
+    with pytest.raises(SpliceFailedError) as exc:
+        complete_cover_to_cycle(paths, reservoir, connectors, enforce_margin=False)
+    assert exc.value.attempts == SPLICE_ATTEMPTS and exc.value.block_index == -1
+
+
+def test_connector_choice_for_600_paths_is_distinct():
+    a = 600
+    w = list(range(a, 3 * a))
+    rng = random.Random(6)
+    planted = rng.sample(w, 2 * a)
+    into, out = (tuple(frozenset(rng.sample(w, 3) + [planted[2 * i + side]]) for i in range(a))
+                 for side in (0, 1))
+    picks = _choose_connectors(Connectors(into, out), w, seed=0)
+    assert len(set(picks)) == 2 * a
+    assert all(picks[2 * i] in into[i] and picks[2 * i + 1] in out[i] for i in range(a))
 
 
 from conftest import bruteforce_completable, plant_completable_instance, reservoir_view

@@ -191,6 +191,24 @@ def test_generate_regular_without_r_is_usage_error(capsys):
     assert "--r" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("kind", ["rotational", "tournament"])
+def test_generate_r_outside_kind_regular_is_usage_error(kind, capsys):
+    assert cli_main(["generate", "--kind", kind, "--n", "5", "--r", "2"]) == 2
+    assert "--r" in _one_line_error(capsys)
+
+
+def test_generate_rotational_with_seed_is_usage_error(capsys):
+    assert cli_main(["generate", "--kind", "rotational", "--n", "5", "--seed", "0"]) == 2
+    assert "--seed" in _one_line_error(capsys)
+
+
+def test_generate_tournament_seed_defaults_to_zero(capsys):
+    assert cli_main(["generate", "--kind", "tournament", "--n", "9"]) == 0
+    default = capsys.readouterr().out
+    assert cli_main(["generate", "--kind", "tournament", "--n", "9", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_generate_regular_with_negative_r_is_input_error(capsys):
     assert cli_main(["generate", "--kind", "regular", "--n", "7", "--r", "-1"]) == 2
     assert "r=-1" in _one_line_error(capsys)

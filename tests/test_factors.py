@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -15,6 +16,7 @@ from hamdec.errors import (
 )
 from hamdec.factors import (
     Matching,
+    disjoint_maximum_matchings,
     extract_oriented_r_factor,
     gale_ryser_oracle,
     has_bipartite_r_factor,
@@ -33,6 +35,8 @@ from hamdec.graphs import (
     random_regular_oriented,
     rotational_tournament,
 )
+
+from hamdec.pathcovers import build_path_cover_family
 
 from conftest import dinic_flow, oriented_graphs
 
@@ -525,6 +529,51 @@ def test_maximum_matching_of_rectangular_graphs(data):
                              random.Random(data.draw(st.integers(0, 2 ** 32 - 1))))
     assert mt.pairs <= set(edges)
     assert mt.size == dinic_flow([1] * nl, [1] * nr, edges)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_disjoint_maximum_matchings_peel_the_edges(data):
+    nl, nr = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    pairs = [(a, b) for a in range(nl) for b in range(nr)]
+    edges = set(data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    peel = disjoint_maximum_matchings(BipartiteGraph(nl, nr, edges),
+                                      random.Random(data.draw(st.integers(0, 2 ** 32 - 1))))
+    while edges:
+        mt = next(peel)
+        assert mt.pairs <= edges
+        assert mt.size == dinic_flow([1] * nl, [1] * nr, sorted(edges))[0] > 0
+        edges -= mt.pairs
+    assert next(peel).size == 0
+
+
+# SHA-256 of the repr of each function's outputs at seeds 0-3, computed
+# before these searches shared one matching routine: the rows and draws of
+# every matching, so the path covers built from them, must not change
+FROZEN_MATCHING_DIGESTS = {
+    "build_path_cover_family": "28989e511084e057dfb540864917ec718c7f9051863b1f310d287e0b5a40230f",
+    "pm_decompose_regular": "d8c86a10e22f724151ef261a9c82ef0d24cd1dc689e1db723432c434ba6a2f6e",
+    "maximum_matching_of": "480748849caf0f8b737fed053a721cc9e948c80202da90669852ded3df5cf7b1",
+}
+
+
+def frozen_matching_outputs(name, seed):
+    if name == "build_path_cover_family":
+        h = random_oriented("regular", 40, seed=seed, r=8)
+        fam, mu = build_path_cover_family(h, b=4, a=14, t=4, xi=0, seed=seed)
+        return [[p.vertices for p in c.paths] for c in fam.covers], fam.limiting_pair, mu
+    if name == "pm_decompose_regular":
+        return [sorted(m.pairs) for m in pm_decompose_regular(random_regular_bipartite(12, 5, seed))]
+    rng = random.Random(seed)
+    nl, nr = rng.randint(5, 15), rng.randint(5, 15)
+    b = BipartiteGraph(nl, nr, {(a, c) for a in range(nl) for c in range(nr) if rng.random() < 0.3})
+    return [sorted(maximum_matching_of(b, rng).pairs) for _ in range(3)]
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_MATCHING_DIGESTS))
+def test_matching_outputs_frozen(name):
+    outputs = [frozen_matching_outputs(name, seed) for seed in range(4)]
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == FROZEN_MATCHING_DIGESTS[name]
 
 
 @pytest.mark.parametrize("fallback_only", [False, True])

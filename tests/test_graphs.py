@@ -167,8 +167,9 @@ def test_degree_summary_edgeless():
 
 def test_bipartite_between_rotational5():
     g = rotational_tournament(5)
-    b = bipartite_between(g, [0, 1], [2, 3])
-    lifted = {(b.left_labels[a], b.right_labels[c]) for a, c in b.edges}
+    xs, ys = [0, 1], [2, 3]
+    b = bipartite_between(g, xs, ys)
+    lifted = {(xs[a], ys[c]) for a, c in b.edges}
     assert lifted == {(0, 2), (1, 2), (1, 3)}
 
 
@@ -187,7 +188,7 @@ def test_bipartite_between_recovers_directed_edges():
     xs, ys = [0, 2, 4], [1, 3, 5]
     b = bipartite_between(g, xs, ys)
     expected = {(u, v) for u in xs for v in ys if g.has_edge(u, v)}
-    assert {(b.left_labels[a], b.right_labels[c]) for a, c in b.edges} == expected
+    assert {(xs[a], ys[c]) for a, c in b.edges} == expected
 
 
 def test_remove_edges_cases():

@@ -5,6 +5,7 @@ from hamdec.errors import (
     MatchingOutOfPartsError,
     OddOrderError,
     PartsOverlapError,
+    PartsTooSmallError,
 )
 from hamdec.factors import Matching
 from hamdec.graphs import build_oriented, random_oriented
@@ -102,6 +103,12 @@ def test_build_family_rejects_odd_b_and_zero_t():
         build_path_cover_family(h, b=3, a=10, t=2, xi=0, seed=0)
     family, min_union = build_path_cover_family(h, b=4, a=10, t=0, xi=0, seed=0)
     assert family.t == 0 and min_union == 0
+
+
+def test_build_family_rejects_too_many_parts():
+    h = random_oriented("regular", 20, seed=1, r=4)
+    with pytest.raises(PartsTooSmallError):
+        build_path_cover_family(h, b=12, a=10, t=2, xi=0, seed=0)
 
 
 def test_build_family_checks_slack():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,19 @@ def test_one_graph_digest_per_run(monkeypatch):
     assert calls == [11]
     assert verify_certificate(rotational_tournament(11), cert) == (True, None)
     assert calls == [11, 11]
+
+
+def test_reg_row_does_not_time_the_graph_digest(monkeypatch):
+    digest = hamdec.pipeline.graph_digest
+
+    def slow_digest(g):
+        time.sleep(0.05)
+        return digest(g)
+
+    monkeypatch.setattr(hamdec.pipeline, "graph_digest", slow_digest)
+    _, report = approximate_decomposition(rotational_tournament(11))
+    assert report.stages[0]["name"] == "reg"
+    assert report.stages[0]["seconds"] < 0.05
 
 
 @settings(max_examples=40, deadline=None)
