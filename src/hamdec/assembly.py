@@ -141,9 +141,10 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
     for u in it and a residual edge u -> w into another cycle, with
     p = pred(w), a residual edge p -> succ(u) allows succ(u) = w and
     succ(p) = old succ(u); u and w are tried in cycle and sorted order.  The
-    Hamilton cycle's edges are deleted from the rows by bisection.  A factor
-    whose smallest cycle has no switch is redrawn; PATCH_REDRAWS such draws
-    in a row end the search, and the rows left are returned as ``residual``.
+    Hamilton cycle's edges are deleted from the rows by bisection, in the
+    one walk along it that reads off its order.  A factor whose smallest
+    cycle has no switch is redrawn; PATCH_REDRAWS such draws in a row end
+    the search, and the rows left are returned as ``residual``.
 
     A 2-switch trades two factor edges for two residual edges, so every
     merge yields another cycle factor of the residual.  Once every residual
@@ -176,11 +177,11 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
             consecutive += 1
             continue
         consecutive = 0
-        order = [0]
-        while len(order) < n:
-            order.append(succ[order[-1]])
-        for row, v in zip(out, succ):
-            del row[bisect_left(row, v)]
+        order, x = [], 0
+        for _ in range(n):
+            order.append(x)
+            row, x = out[x], succ[x]
+            del row[bisect_left(row, x)]
         cycles.append(HamiltonCycle.from_order(order))
     return PatchingOutcome(cycles, failures, switches, reason, out)
 

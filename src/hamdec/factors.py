@@ -80,11 +80,15 @@ def random_cycle_factor(out: Sequence[list[int]], rng: random.Random) -> list[in
     free, and after DRAW_TRIES misses a uniform entry of the row's free
     ones.  Each vertex this greedy pass leaves unmatched then roots one
     breadth-first search for a shortest augmenting path, walking the rows
-    in order; the path ends at a free out-neighbour, drawn uniformly from
-    the sorted free ones, of the first vertex that has one.  That search is
-    complete, so by Kuhn's argument the result is a maximum matching.  The
-    result depends only on ``out`` and the generator's state, never on set
-    iteration order.
+    in order.  The root, and then each vertex as it joins the queue, is
+    tested for a free out-neighbour, and the search stops at the first that
+    has one: the path ends at one of its free out-neighbours, drawn
+    uniformly from the sorted free ones.  Testing on entry rather than on
+    leaving the queue finds the same vertex, since nothing the test reads
+    changes during one search, but scans no row of the vertices queued
+    before it.  The search is complete, so by Kuhn's argument the result is
+    a maximum matching.  The result depends only on ``out`` and the
+    generator's state, never on set iteration order.
 
     The scan order and the uniform row entries are drawn straight from
     ``rng.getrandbits``, exactly as ``rng.shuffle`` and ``rng.choice`` take
@@ -129,23 +133,29 @@ def random_cycle_factor(out: Sequence[list[int]], rng: random.Random) -> list[in
             succ[a], pred[b] = b, a
     free = {b for b in range(n) if pred[b] < 0}
     for root in unmatched:
-        # parent[a] is the left vertex whose edge to succ[a] reached a
+        # parent[x] is the left vertex whose edge to succ[x] reached x
         parent = {root: -1}
-        queue = [root]
-        for a in queue:
-            hits = free.intersection(out[a])
-            if hits:
-                b = choice(sorted(hits))
-                free.discard(b)
-                while a != -1:
-                    succ[a], pred[b], b = b, a, succ[a]
-                    a = parent[a]
+        x = root
+        if free.isdisjoint(out[root]):
+            queue = [root]
+            for a in queue:
+                for b in out[a]:  # all taken: a has no free out-neighbour
+                    x = pred[b]
+                    if x not in parent:
+                        parent[x] = a
+                        if not free.isdisjoint(out[x]):
+                            break
+                        queue.append(x)
+                else:
+                    continue
                 break
-            for b in out[a]:
-                nxt = pred[b]
-                if nxt not in parent:
-                    parent[nxt] = a
-                    queue.append(nxt)
+            else:
+                continue  # no augmenting path: root stays unmatched
+        b = choice(sorted(free.intersection(out[x])))
+        free.discard(b)
+        while x != -1:
+            succ[x], pred[b], b = b, x, succ[x]
+            x = parent[x]
     return succ
 
 
@@ -200,38 +210,63 @@ def _b_matching(left_caps: Sequence[int], right_caps: Sequence[int],
     taking its cap of heads with the most cap left (stable sorts).  Then
     each breadth-first search from all unsaturated left vertices at once
     augments along the first alternating path it finds to a head with cap
-    left; once one finds none, the set is maximum by max-flow/min-cut.
+    left, the smallest such head of the path's last vertex; once one finds
+    none, the set is maximum by max-flow/min-cut.  Every root is tested for
+    a free head it does not hold first, then each vertex as it joins the
+    queue.  Nothing the test reads changes during one search, so the search
+    stops at the vertex a test on leaving the queue would find, without
+    scanning the rows of the vertices queued before it.
     """
     picks, owners, rest = _greedy_b_matching(left_caps, right_caps, rows)
     while True:
         free = {b for b, cap in enumerate(rest) if cap}
         # parent[x] = (w, b): the path reaches x when w takes b from it
         parent = {a: None for a, cap in enumerate(left_caps) if len(picks[a]) < cap}
-        queue, seen = list(parent), set()
-        for w in queue:
-            hits = free.intersection(rows[w]) - picks[w]
-            if hits:
-                b = min(hits)
-                rest[b] -= 1
-                while True:
-                    picks[w].add(b)
-                    owners[b].add(w)
-                    if parent[w] is None:
-                        break
-                    x, (w, b) = w, parent[w]
-                    picks[x].discard(b)
-                    owners[b].discard(x)
-                break
-            for b in rows[w]:
-                if b not in seen and b not in picks[w]:
-                    seen.add(b)
-                    for x in owners[b]:
-                        if x not in parent:
-                            parent[x] = (w, b)
-                            queue.append(x)
-        else:
+        end = _augmenting_end(rows, picks, owners, free, parent)
+        if end is None:
             break
+        w, hits = end
+        b = min(hits)
+        rest[b] -= 1
+        while True:
+            picks[w].add(b)
+            owners[b].add(w)
+            if parent[w] is None:
+                break
+            x, (w, b) = w, parent[w]
+            picks[x].discard(b)
+            owners[b].discard(x)
     return sum(map(len, picks)), picks
+
+
+def _augmenting_end(rows: Sequence[Sequence[int]], picks: list[set[int]],
+                    owners: list[set[int]], free: set[int],
+                    parent: dict[int, tuple[int, int] | None]
+                    ) -> tuple[int, set[int]] | None:
+    """The last vertex of the first augmenting path of one search of
+    :func:`_b_matching` from the roots in ``parent``, and its free heads
+    that it does not hold, or None if there is none; ``parent`` gains the
+    vertices reached."""
+    queue = list(parent)
+    for w in queue:
+        hits = free.intersection(rows[w]) - picks[w]
+        if hits:
+            return w, hits
+    seen: set[int] = set()
+    for w in queue:
+        mine = picks[w]
+        for b in rows[w]:
+            if b not in seen and b not in mine:
+                seen.add(b)
+                for x in owners[b]:
+                    if x not in parent:
+                        parent[x] = (w, b)
+                        if not free.isdisjoint(rows[x]):
+                            hits = free.intersection(rows[x]) - picks[x]
+                            if hits:
+                                return x, hits
+                        queue.append(x)
+    return None
 
 
 def _factor_deletions(rows: Sequence[Sequence[int]], in_rows: Sequence[Collection[int]],

@@ -434,6 +434,88 @@ def test_seeded_flow_equals_plain_dinic(data):
     assert rows == [sorted(b for x, b in edges if x == a) for a in range(nl)]
 
 
+def reference_b_matching(left_caps, right_caps, rows):
+    # _b_matching as written when its search tested each vertex for a free
+    # head only as it left the queue, scanning the rows of every vertex
+    # queued before the one that ends the search
+    picks, owners, rest = factors._greedy_b_matching(left_caps, right_caps, rows)
+    while True:
+        free = {b for b, cap in enumerate(rest) if cap}
+        parent = {a: None for a, cap in enumerate(left_caps) if len(picks[a]) < cap}
+        queue, seen = list(parent), set()
+        for w in queue:
+            hits = free.intersection(rows[w]) - picks[w]
+            if hits:
+                b = min(hits)
+                rest[b] -= 1
+                while True:
+                    picks[w].add(b)
+                    owners[b].add(w)
+                    if parent[w] is None:
+                        break
+                    x, (w, b) = w, parent[w]
+                    picks[x].discard(b)
+                    owners[b].discard(x)
+                break
+            for b in rows[w]:
+                if b not in seen and b not in picks[w]:
+                    seen.add(b)
+                    for x in owners[b]:
+                        if x not in parent:
+                            parent[x] = (w, b)
+                            queue.append(x)
+        else:
+            break
+    return sum(map(len, picks)), picks
+
+
+@st.composite
+def b_matching_instances(draw):
+    # caps from 0 up and sorted rows of distinct heads, any of which may be
+    # empty; rows of at most d heads, d drawn per instance, leave the
+    # greedy pass short about once in ten
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    nl, nr = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    d = rnd.randint(0, nr)
+    rows = [sorted(rnd.sample(range(nr), rnd.randint(0, d))) for _ in range(nl)]
+    top = rnd.randint(0, 4)
+    return ([rnd.randint(0, top) for _ in range(nl)], [rnd.randint(0, top) for _ in range(nr)],
+            rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(b_matching_instances())
+def test_b_matching_equals_reference(instance):
+    assert factors._b_matching(*instance) == reference_b_matching(*instance)
+
+
+def assert_b_matching_equals_reference_near_reg(g):
+    reg = oriented_reg(g)
+    for r in range(max(reg - 1, 0), reg + 2):
+        out_caps = [len(row) - r for row in g.out_neighbors]
+        in_caps = [len(row) - r for row in g.in_neighbors]
+        if min(out_caps + in_caps) >= 0:
+            assert (factors._b_matching(out_caps, in_caps, g.out_neighbors)
+                    == reference_b_matching(out_caps, in_caps, g.out_neighbors))
+
+
+@pytest.mark.parametrize("make", [lopsided_graph, lambda: bottleneck_graph(40, 20, 4, 40, 10)],
+                         ids=["lopsided", "bottleneck-40-20-4-40-10"])
+def test_b_matching_equals_reference_on_factor_probes(make):
+    assert_b_matching_equals_reference_near_reg(make())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_b_matching_equals_reference_on_bottleneck_graphs(data):
+    a = data.draw(st.integers(4, 16))
+    s = data.draw(st.integers(1, a // 2))
+    b = data.draw(st.integers(3, 12))
+    assert_b_matching_equals_reference_near_reg(
+        bottleneck_graph(a, s, data.draw(st.integers(1, (a - 1) // 2)), b,
+                         data.draw(st.integers(1, (b - 1) // 2))))
+
+
 @settings(max_examples=300, deadline=None)
 @given(oriented_graphs(min_n=1, max_n=12), st.integers(0, 2 ** 32 - 1))
 def test_random_cycle_factor_against_max_flow(g, seed):
