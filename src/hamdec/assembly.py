@@ -14,7 +14,10 @@ the 2a path ends to the reservoir), partitioning the reservoir
 into a blocks that pin consecutive picks together, and joining each pinned
 pair by a Hamilton path inside its block.  Block paths are found by exact
 backtracking search with reachability pruning, so blocks are kept small;
-failed blocks trigger a fresh random partition of the reservoir.
+failed blocks trigger a fresh random partition of the reservoir.  One
+bitmask reachability routine, over neighbour bitmasks built once from the
+sorted rows, serves both the search's pruning and the splice's cheap
+pre-screen of each block.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     SpliceFailedError,
 )
 from .factors import maximum_matching_of, random_cycle_factor
-from .graphs import BipartiteGraph, Edge, OrientedGraph
+from .graphs import BipartiteGraph, Edge, OrientedGraph, degree_summary
 from .pathcovers import DirectedPath, PathCoverFamily
 
 # consecutive cycle factors without a merging switch before patching stops
@@ -310,10 +313,11 @@ def hamilton_path_between(f: OrientedGraph, s: int, t: int,
         return None
     slices = 1 if budget is None else PATH_SEARCH_SLICES
     per_slice = None if budget is None else max(1, budget // slices)
+    out_mask, in_mask = _masks(f)
     spent = 0
     for attempt in range(slices):
         rng = random.Random(f"{seed}:path:{attempt}")
-        result, used, cutoff = _bounded_path_search(f, s, t, per_slice, rng)
+        result, used, cutoff = _bounded_path_search(out_mask, in_mask, s, t, per_slice, rng)
         spent += used
         if result is not None:
             return DirectedPath(tuple(result))
@@ -323,52 +327,40 @@ def hamilton_path_between(f: OrientedGraph, s: int, t: int,
         f"no verdict for ({s}, {t}) within {budget} expansions", expansions=spent)
 
 
-def _bounded_path_search(f: OrientedGraph, s: int, t: int,
+def _masks(f: OrientedGraph) -> tuple[list[int], list[int]]:
+    """Out- and in-neighbour bitmasks of f's vertices, from its sorted rows."""
+    return ([sum(1 << v for v in row) for row in f.out_neighbors],
+            [sum(1 << u for u in row) for row in f.in_neighbors])
+
+
+def _reach(masks: Sequence[int], start: int, allowed: int) -> int:
+    """Bitmask of start and every vertex it reaches along the neighbour
+    bitmasks ``masks`` through vertices of the bitmask ``allowed``."""
+    reach = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= masks[b.bit_length() - 1]
+        frontier = nxt & allowed & ~reach
+        reach |= frontier
+    return reach
+
+
+def _bounded_path_search(out_mask: list[int], in_mask: list[int], s: int, t: int,
                          budget: int | None, rng: random.Random
                          ) -> tuple[list[int] | None, int, bool]:
-    """One backtracking pass; returns (path or None, expansions, cutoff?).
+    """One backtracking pass over the graph with neighbour bitmasks
+    ``out_mask`` and ``in_mask``; returns (path or None, expansions, cutoff?).
 
     Vertex sets are bitmasks so the per-node reachability pruning stays cheap.
     """
-    n = f.n
-    out_mask = [0] * n
-    in_mask = [0] * n
-    for u, v in f.edges:
-        out_mask[u] |= 1 << v
-        in_mask[v] |= 1 << u
+    n = len(out_mask)
     all_mask = (1 << n) - 1
     visited = 1 << s
     path = [s]
     expansions = 0
-
-    def feasible(head: int, unvisited: int) -> bool:
-        # every unvisited vertex must be reachable from head through
-        # unvisited vertices, and must reach t the same way
-        reach = 1 << head
-        frontier = reach
-        while frontier:
-            nxt = 0
-            bits = frontier
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                nxt |= out_mask[b.bit_length() - 1]
-            frontier = nxt & unvisited & ~reach
-            reach |= frontier
-        if unvisited & ~reach:
-            return False
-        reach = 1 << t
-        frontier = reach
-        while frontier:
-            nxt = 0
-            bits = frontier
-            while bits:
-                b = bits & -bits
-                bits ^= b
-                nxt |= in_mask[b.bit_length() - 1]
-            frontier = nxt & unvisited & ~reach
-            reach |= frontier
-        return not (unvisited & ~reach)
 
     # Depth-first search with an explicit stack: stack[i] yields the
     # untried candidates after path[i], and a head without an entry is a
@@ -384,7 +376,10 @@ def _bounded_path_search(f: OrientedGraph, s: int, t: int,
         else:
             expansions += 1
             unvisited = all_mask & ~visited
-            if feasible(head, unvisited):
+            # every unvisited vertex must be reachable from head through
+            # unvisited vertices, and must reach t the same way
+            if (not unvisited & ~_reach(out_mask, head, unvisited)
+                    and not unvisited & ~_reach(in_mask, t, unvisited)):
                 if len(path) == n - 1:
                     cands = [t] if out_mask[head] & (1 << t) else []
                 else:
@@ -463,25 +458,6 @@ def _choose_connectors(connectors: Connectors, w_host: Sequence[int],
     return [w_host[j] for _, j in sorted(mt.pairs)]
 
 
-def _block_viable(out_adj: dict[int, set[int]], in_adj: dict[int, set[int]],
-                  block: list[int], s: int, t: int) -> bool:
-    """Necessary condition for a Hamilton path s -> t inside the block:
-    everything reachable from s forwards and from t backwards."""
-    bset = set(block)
-    for start, adj in ((s, out_adj), (t, in_adj)):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in bset and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != bset:
-            return False
-    return True
-
-
 def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGraph,
                             connectors: Connectors, seed: int | str = 0,
                             enforce_margin: bool = True) -> HamiltonCycle:
@@ -531,53 +507,45 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGr
                 f"out-neighbours, needs {floor}",
                 endpoint=paths[i].end, direction="out")
 
-    if _choose_connectors(connectors, w_host, seed) is None:
-        raise SpliceFailedError("no distinct connector choice exists", attempts=0)
-
     local_of = {h: i for i, h in enumerate(w_host)}
-    out_adj = {h: set() for h in w_host}
-    in_adj = {h: set() for h in w_host}
-    for u, v in reservoir.host_edges():
-        out_adj[u].add(v)
-        in_adj[v].add(u)
+    out_mask, in_mask = _masks(reservoir)
     sizes = [len(wset) // a + (1 if i < len(wset) % a else 0) for i in range(a)]
     last_block = None
     for attempt in range(SPLICE_ATTEMPTS):
         # Re-draw the connector choice alongside the reservoir partition:
         # with few blocks the partition alone carries too little freedom.
         picks = _choose_connectors(connectors, w_host, f"{seed}:{attempt}")
-        # block i holds path i's exit and path i + 1's entry
-        pinned_pairs = [(picks[2 * i + 1], picks[(2 * i + 2) % (2 * a)]) for i in range(a)]
-        free = sorted(wset - set(picks))
+        if picks is None:  # a maximum matching has the same size at every draw
+            raise SpliceFailedError("no distinct connector choice exists", attempts=0)
+        # block i holds path i's exit and path i + 1's entry (local indices)
+        pinned_pairs = [(local_of[picks[2 * i + 1]], local_of[picks[(2 * i + 2) % (2 * a)]])
+                        for i in range(a)]
+        free = [local_of[h] for h in sorted(wset - set(picks))]
         rng = random.Random(f"{seed}:blocks:{attempt}")
-        blocks: list[list[int]] = []
         for _ in range(12):
             # reachability pre-screen: cheap rejections instead of burning a
             # full search attempt on a hopeless deal
             shuffled = free[:]
             rng.shuffle(shuffled)
-            cand: list[list[int]] = []
+            blocks: list[list[int]] = []
             pos = 0
-            for i in range(a):
-                take = sizes[i] - 2
-                cand.append([pinned_pairs[i][0], pinned_pairs[i][1]]
-                            + shuffled[pos:pos + take])
-                pos += take
-            if all(_block_viable(out_adj, in_adj, cand[i],
-                                 pinned_pairs[i][0], pinned_pairs[i][1])
-                   for i in range(a)):
-                blocks = cand
+            for (s, t), size in zip(pinned_pairs, sizes):
+                blocks.append([s, t] + shuffled[pos:pos + size - 2])
+                pos += size - 2
+            block_masks = [sum(1 << v for v in block) for block in blocks]
+            if all(_reach(out_mask, s, m) == m == _reach(in_mask, t, m)
+                   for (s, t), m in zip(pinned_pairs, block_masks)):
                 break
-        if not blocks:
+        else:
             last_block = -1
             continue
         intervals: list[tuple[int, ...]] = []
         for i, block in enumerate(blocks):
-            sub = reservoir.induced_subgraph([local_of[h] for h in block])
-            sub_of = {sub.host(j): j for j in range(sub.n)}
+            sub = reservoir.induced_subgraph(block)
+            verts = sorted(block)
             try:
                 got = hamilton_path_between(
-                    sub, sub_of[pinned_pairs[i][0]], sub_of[pinned_pairs[i][1]],
+                    sub, verts.index(pinned_pairs[i][0]), verts.index(pinned_pairs[i][1]),
                     budget=BLOCK_PATH_BUDGET, seed=rng.randrange(1 << 30))
             except BudgetExhaustedError:
                 got = None
@@ -667,9 +635,7 @@ def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
                 raise HypothesisViolatedError(
                     f"vertex {u} has degrees ({d_in}, {d_out}) towards the "
                     f"reservoir, needs > {2 * a_bound + slack}")
-        fw = h.induced_subgraph(w_sorted)
-        min_semi = min(min(fw.out_degree(v) for v in range(fw.n)),
-                       min(fw.in_degree(v) for v in range(fw.n))) if fw.n else 0
+        min_semi = degree_summary(h.induced_subgraph(w_sorted)).min_semi
         if min_semi < t:
             raise HypothesisViolatedError(
                 f"reservoir min semi-degree {min_semi} below floor {t}")

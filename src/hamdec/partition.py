@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import InconsistentSpecsError, KTooLargeError, NotSpanningRegularError
 from .factors import FactorCertificate
-from .graphs import Edge, OrientedGraph
+from .graphs import Edge, OrientedGraph, degree_summary
 
 
 @dataclass(frozen=True)
@@ -114,13 +114,8 @@ def _compute_stats(g: OrientedGraph, factor: FactorCertificate,
     member = _memberships(specs, n)
     memberships = [set(m) for m in member]
 
-    lost_out = [0] * n
-    lost_in = [0] * n
-    for u, v in factor.edges:
-        if memberships[u] & memberships[v]:
-            lost_out[u] += 1
-            lost_in[v] += 1
-    same_part_mean = (sum(lost_out) + sum(lost_in)) / (2 * n)
+    lost = sum(1 for u, v in factor.edges if memberships[u] & memberships[v])
+    same_part_mean = lost / n
     denom = k ** 3 - 2 * k
     target_r = (1 - eps) * (d - same_part_mean) / denom
 
@@ -128,8 +123,7 @@ def _compute_stats(g: OrientedGraph, factor: FactorCertificate,
     w_sizes = tuple(len(s.w_vertices) for s in specs)
     sizes_ok = all(lo <= sz <= hi for sz in w_sizes)
 
-    beta = min(min(g.out_degree(v) for v in range(n)),
-               min(g.in_degree(v) for v in range(n))) / n
+    beta = degree_summary(g).min_semi / n
 
     inner_means: list[float] = []
     inner_windows: list[float] = []
@@ -142,15 +136,12 @@ def _compute_stats(g: OrientedGraph, factor: FactorCertificate,
     res_ok: list[bool] = []
     for spec in specs:
         uset = set(spec.u_vertices)
-        outs = {v: 0 for v in uset}
-        ins = {v: 0 for v in uset}
-        for u, v in spec.inner_edges:
-            outs[u] += 1
-            ins[v] += 1
         mean = len(spec.inner_edges) / max(1, len(uset))
         window = 2 * math.sqrt(max(mean, 1.0) * math.log(n))
-        degs = list(outs.values()) + list(ins.values())
-        ok2 = all(mean - window <= x <= mean + window for x in degs)
+        ok2 = True
+        if uset:
+            degs = degree_summary(spec.inner_graph)
+            ok2 = mean - window <= degs.min_semi and degs.max_semi <= mean + window
         inner_means.append(mean)
         inner_windows.append(window)
         inner_ok.append(ok2)
@@ -168,13 +159,7 @@ def _compute_stats(g: OrientedGraph, factor: FactorCertificate,
         cross_floors.append(floor3)
         cross_ok.append(cmin >= floor3)
 
-        wset = set(spec.w_vertices)
-        r_out = {v: 0 for v in wset}
-        r_in = {v: 0 for v in wset}
-        for u, v in spec.reservoir_edges:
-            r_out[u] += 1
-            r_in[v] += 1
-        rmin = min(min(r_out.values()), min(r_in.values())) if wset else 0
+        rmin = degree_summary(spec.reservoir_graph).min_semi if spec.w_vertices else 0
         floor4 = (beta - eps) * len(spec.w_vertices)
         res_mins.append(rmin)
         res_floors.append(floor4)
@@ -263,12 +248,8 @@ def build_partition(g: OrientedGraph, factor: FactorCertificate, k: int, eps: fl
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if factor.kind != "oriented" or not factor.edges <= g.edges:
         raise NotSpanningRegularError("factor must be an oriented subgraph of g")
-    outs = [0] * n
-    ins = [0] * n
-    for u, v in factor.edges:
-        outs[u] += 1
-        ins[v] += 1
-    if any(outs[v] != factor.r or ins[v] != factor.r for v in range(n)):
+    degs = degree_summary(OrientedGraph(n, factor.edges, _validated=True))
+    if not degs.min_semi == degs.max_semi == factor.r:
         raise NotSpanningRegularError(f"factor is not {factor.r}-regular spanning")
 
     best: tuple[int, list[SubproblemSpec], PartitionStats, int] | None = None

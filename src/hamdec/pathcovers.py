@@ -26,7 +26,7 @@ from .errors import (
     PartsTooSmallError,
 )
 from .factors import Matching, disjoint_maximum_matchings
-from .graphs import Edge, OrientedGraph, bipartite_between
+from .graphs import Edge, OrientedGraph, bipartite_between, degree_summary
 
 # random equipartitions tried; the one whose thinnest part pair is fattest wins
 PARTITION_ATTEMPTS = 3
@@ -245,9 +245,8 @@ def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
         raise OddOrderError(f"part count must be even and >= 2, got {b}")
     if b > n // 2:
         raise PartsTooSmallError(f"b={b} parts on {n} vertices")
-    outs = [h.out_degree(v) for v in range(n)]
-    ins = [h.in_degree(v) for v in range(n)]
-    spread = max(max(outs), max(ins)) - min(min(outs), min(ins))
+    degs = degree_summary(h)
+    spread = degs.max_semi - degs.min_semi
     if spread > xi:
         raise HypothesisViolatedError(
             f"semi-degree spread {spread} exceeds declared slack {xi}")
@@ -260,8 +259,9 @@ def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
     for attempt in range(PARTITION_ATTEMPTS):
         rng = random.Random(f"{seed}:partition:{attempt}")
         parts = _equipartition(n, b, rng)
+        part_sets = [set(part) for part in parts]
         score = min(
-            sum(1 for u in parts[p] for v in h.out_neighbors[u] if v in set(parts[q]))
+            sum(1 for u in parts[p] for v in h.out_neighbors[u] if v in part_sets[q])
             for p in range(b) for q in range(b) if p != q)
         if score > best_score:
             best_score, best_parts = score, parts
@@ -312,13 +312,5 @@ def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
     family = PathCoverFamily(tuple(covers), a=a, t=len(covers), limiting_pair=limiting)
     family.validate(universe=set(range(n)), host=h)
     union = family.union_edges()
-    if union:
-        uout = [0] * n
-        uin = [0] * n
-        for u, v in union:
-            uout[u] += 1
-            uin[v] += 1
-        min_union = min(min(uout), min(uin))
-    else:
-        min_union = 0
+    min_union = degree_summary(OrientedGraph(n, union, _validated=True)).min_semi
     return family, min_union

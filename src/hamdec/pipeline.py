@@ -110,12 +110,12 @@ def verify_certificate(g: OrientedGraph, cert: DecompositionCertificate
     [0, n)), then over all vertices UnknownEdge (on a cycle), EdgeReuse,
     LeftoverOverlap, UnknownEdge (in the leftover), LeftoverMismatch, and
     then RegMismatch, TooManyCycles."""
-    return _check_certificate(g, cert, graph_digest(g))
+    return _check_certificate(g, cert, graph_digest(g), oriented_reg(g))
 
 
-def _check_certificate(g: OrientedGraph, cert: DecompositionCertificate, digest: str
-                       ) -> tuple[bool, str | None]:
-    """:func:`verify_certificate` with g's digest already computed."""
+def _check_certificate(g: OrientedGraph, cert: DecompositionCertificate, digest: str,
+                       reg: int) -> tuple[bool, str | None]:
+    """:func:`verify_certificate` with g's digest and reg already computed."""
     n = g.n
     if cert.n != n:
         return False, "SizeMismatch"
@@ -142,7 +142,7 @@ def _check_certificate(g: OrientedGraph, cert: DecompositionCertificate, digest:
     if faults:
         return False, ("UnknownEdge", "EdgeReuse", "LeftoverOverlap", "UnknownEdge",
                        "LeftoverMismatch")[min(faults)]
-    if cert.reg != oriented_reg(g):
+    if cert.reg != reg:
         return False, "RegMismatch"
     if cert.k > cert.reg:
         return False, "TooManyCycles"
@@ -191,7 +191,7 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
     cert = DecompositionCertificate(g.n, digest, tuple(sorted(cycles, key=lambda c: c.order)),
                                     leftover, reg)
     report.k = cert.k
-    ok, violation = _check_certificate(g, cert, digest)
+    ok, violation = _check_certificate(g, cert, digest, reg)
     if not ok:
         raise AssertionError(f"emitted certificate failed self-check: {violation}")
     return cert, report

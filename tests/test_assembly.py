@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -14,7 +15,9 @@ from hamdec.assembly import (
     Connectors,
     HamiltonCycle,
     _choose_connectors,
+    _masks,
     _merge_factor,
+    _reach,
     complete_cover_to_cycle,
     complete_family_to_cycles,
     connectors_from_edges,
@@ -26,6 +29,7 @@ from hamdec.assembly import (
 from hamdec.errors import (
     BudgetExhaustedError,
     ConnectorDegreeTooLowError,
+    HamdecError,
     InvariantViolationError,
     ReservoirMismatchError,
     SameEndpointsError,
@@ -41,6 +45,9 @@ from hamdec.graphs import (
     rotational_tournament,
 )
 from hamdec.pathcovers import DirectedPath, PathCover, PathCoverFamily
+
+from conftest import (bruteforce_completable, oriented_graphs, plant_completable_instance,
+                      reservoir_view)
 
 
 def ham_path_exists_bruteforce(g, s, t):
@@ -126,6 +133,65 @@ def test_path_search_long_directed_path():
     n = 1200
     g = build_oriented(n, [(i, i + 1) for i in range(n - 1)])
     assert hamilton_path_between(g, 0, n - 1) == DirectedPath(tuple(range(n)))
+
+
+def frozen_path_outputs(budget):
+    rng = random.Random(f"frozen-path:{budget}")
+    out = []
+    for q in range(400):
+        n = rng.randint(2, 9)
+        p = rng.choice((0.5, 0.8, 1.0))
+        edges = {(u, v) if rng.random() < 0.5 else (v, u)
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+        s, t = rng.sample(range(n), 2)
+        try:
+            got = hamilton_path_between(build_oriented(n, edges), s, t, budget=budget, seed=q)
+            out.append(None if got is None else got.vertices)
+        except BudgetExhaustedError as exc:
+            out.append(("exhausted", exc.expansions))
+    return out
+
+
+# SHA-256 of the repr of the outputs, computed before the path search and
+# the splice's block pre-screen shared one reachability routine: the paths
+# found, the verdicts and the expansions spent must not change
+FROZEN_PATH_DIGESTS = {
+    None: "b61479a2f6622df31e77ec0b19d7cc7c0bd7b8052353de89f2eeab9b80850aad",
+    50: "1e1a4b3b97201d1d4415e14ffffecbbe422775d88f4251e61012b0e28b591da7",
+    500: "3a25aa3e0d34eaa4b3a5fe10c890bea5034e26082d577461747a0f220c35039f",
+}
+
+
+def transitive_closure(n, edges):
+    """reach[u][v]: a directed path u -> v of length >= 0 exists (Warshall)."""
+    reach = [[u == v or (u, v) in edges for v in range(n)] for u in range(n)]
+    for m in range(n):
+        for u in range(n):
+            if reach[u][m]:
+                for v in range(n):
+                    reach[u][v] = reach[u][v] or reach[m][v]
+    return reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(oriented_graphs(min_n=1, max_n=12), st.data())
+def test_reach_matches_the_transitive_closure(g, data):
+    start = data.draw(st.integers(0, g.n - 1))
+    allowed = data.draw(st.integers(0, (1 << g.n) - 1))
+    # paths from start through allowed vertices are the paths of the graph
+    # induced on the allowed vertices and start; backwards, of its reverse
+    kept = allowed | 1 << start
+    edges = {(u, v) for u, v in g.edges if kept >> u & kept >> v & 1}
+    out_mask, in_mask = _masks(g)
+    for masks, es in ((out_mask, edges), (in_mask, {(v, u) for u, v in edges})):
+        row = transitive_closure(g.n, es)[start]
+        assert _reach(masks, start, allowed) == sum(1 << v for v in range(g.n) if row[v])
+
+
+@pytest.mark.parametrize("budget", sorted(FROZEN_PATH_DIGESTS, key=str))
+def test_path_search_outputs_frozen(budget):
+    outputs = frozen_path_outputs(budget)
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == FROZEN_PATH_DIGESTS[budget]
 
 
 # -- complete_cover_to_cycle ---------------------------------------------------
@@ -221,9 +287,6 @@ def test_connector_choice_for_600_paths_is_distinct():
     assert all(picks[2 * i] in into[i] and picks[2 * i + 1] in out[i] for i in range(a))
 
 
-from conftest import bruteforce_completable, plant_completable_instance, reservoir_view
-
-
 def test_complete_randomized_planted_instances():
     attempts = successes = 0
     for seed in range(30):
@@ -248,6 +311,42 @@ def test_bruteforce_oracle_confirms_planted_instances():
     for seed in range(10):
         _, paths, reservoir, connectors = plant_completable_instance(seed, 10, 2)
         assert bruteforce_completable(paths, reservoir, connectors) is True
+
+
+def frozen_splice_outputs(enforce_margin):
+    rng = random.Random(f"frozen-splice:{enforce_margin}")
+    out = []
+    for _ in range(100):
+        a = rng.randint(1, 4)
+        w_size = rng.randint(max(8, 5 * a), 24)
+        seed = rng.randrange(1 << 30)
+        _, paths, reservoir, connectors = plant_completable_instance(seed, w_size, a)
+        x = rng.random()
+        if x < 0.4:  # thin each connector set, or crowd all into 2a - 1 vertices
+            keep = (set(rng.sample(sorted(reservoir.labels), 2 * a - 1)) if x < 0.15
+                    else {w for w in reservoir.labels if rng.random() < 0.6})
+            connectors = Connectors(*(tuple(c & keep for c in side)
+                                      for side in (connectors.into_start, connectors.out_of_end)))
+        try:
+            out.append(complete_cover_to_cycle(paths, reservoir, connectors, seed=seed,
+                                               enforce_margin=enforce_margin).order)
+        except HamdecError as exc:
+            out.append((type(exc).__name__, str(exc), vars(exc)))
+    return out
+
+
+# SHA-256 of the repr of the cycles and errors, computed before the splice
+# dropped its own reachability search and up-front connector matching
+FROZEN_SPLICE_DIGESTS = {
+    True: "179392ff79888789fc434cd8a1de6660588e80834d1849d43d48f266d6ef036a",
+    False: "c77d123cce3f47b0e5b06f9dbfd9fa06ea0fbc3141bbf5eb49d5c418c603845c",
+}
+
+
+@pytest.mark.parametrize("enforce_margin", [True, False])
+def test_splice_outputs_frozen(enforce_margin):
+    outputs = frozen_splice_outputs(enforce_margin)
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == FROZEN_SPLICE_DIGESTS[enforce_margin]
 
 
 # -- complete_family_to_cycles ---------------------------------------------------

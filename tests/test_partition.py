@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from hamdec.errors import InconsistentSpecsError, KTooLargeError, NotSpanningRegularError
-from hamdec.factors import FactorCertificate, extract_oriented_r_factor
-from hamdec.graphs import rotational_tournament
+from hamdec.factors import FactorCertificate, extract_oriented_r_factor, oriented_reg
+from hamdec.graphs import random_tournament, rotational_tournament
 from hamdec.partition import SubproblemSpec, build_partition, verify_partition
 
 
@@ -94,3 +96,66 @@ def test_precondition_errors():
     big = rotational_tournament(101)
     with pytest.raises(NotSpanningRegularError):
         build_partition(big, bad, k=2, eps=0.3, seed=0)
+
+
+def frozen_partition_outputs(n):
+    g = random_tournament(n, n)
+    factor = extract_oriented_r_factor(g, oriented_reg(g) - 3)
+    specs, report = build_partition(g, factor, k=2, eps=0.3, seed=n, retry_budget=3)
+    return report, verify_partition(g, factor, specs, k=2, eps=0.3)
+
+
+# SHA-256 of the repr of the report and the recomputed stats, computed
+# before the stats took their degrees from degree summaries
+FROZEN_PARTITION_DIGESTS = {
+    101: "5c704f67eb333f436effdcc13f52cc17d30c251486c782f888ebe14f51473700",
+    129: "f4d73d2e1fbf5b460a3b21e4309b7951f3e62c7c325f916e1b96216be7c84b16",
+    201: "81cbc1687274373d166d008e8a5a4a82dbef6eb48874d48b8ea3b8bd04a917e1",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FROZEN_PARTITION_DIGESTS))
+def test_partition_outputs_frozen(n):
+    outputs = frozen_partition_outputs(n)
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == FROZEN_PARTITION_DIGESTS[n]
+
+
+def test_verifier_stats_with_empty_reservoirs():
+    # two reservoirs hold every vertex and six hold none: an empty U has
+    # inner mean 0 inside its window and cross minimum 0, an empty W has
+    # reservoir minimum 0
+    g = rotational_tournament(7)
+    factor = FactorCertificate(3, g.edges, "oriented")
+    everyone, none = tuple(range(7)), frozenset()
+    step = {j: frozenset((v, (v + j) % 7) for v in range(7)) for j in (1, 2, 3)}
+    specs = [SubproblemSpec(0, (), everyone, none, none, step[3]),
+             SubproblemSpec(1, (), everyone, none, none, none),
+             SubproblemSpec(2, everyone, (), step[1], none, none),
+             SubproblemSpec(3, everyone, (), step[2], none, none)]
+    specs += [SubproblemSpec(i, everyone, (), none, none, none) for i in range(4, 8)]
+    stats = verify_partition(g, factor, specs, k=2, eps=0.3)
+    assert stats.inner_degree_means == (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    assert stats.inner_ok == (True,) * 8
+    assert stats.cross_min_degrees == (0,) * 8
+    assert stats.reservoir_min_semis == (1, 0, 0, 0, 0, 0, 0, 0)
+    assert stats.reservoir_ok == (True, False) + (True,) * 6
+    # the whole record, as computed before the degree summaries
+    assert hashlib.sha256(repr(stats).encode()).hexdigest() == (
+        "8bcfe8bc946fa9d2333f522333b3fe25b3ddfcb0e1a0303d18bb9ae30f210b35")
+
+
+def test_verifier_flags_inner_degrees_outside_their_window():
+    # spec 2 leaves vertex 0 without inner edges, below its window; spec 3
+    # gives vertex 0 all fifty of its out-edges, above its window
+    g = rotational_tournament(101)
+    factor = FactorCertificate(50, g.edges, "oriented")
+    everyone, none = tuple(range(101)), frozenset()
+    into0 = frozenset((u, v) for u, v in g.edges if v == 0)
+    out0 = frozenset((u, v) for u, v in g.edges if u == 0)
+    specs = [SubproblemSpec(0, (), everyone, none, none, into0),
+             SubproblemSpec(1, (), everyone, none, none, none),
+             SubproblemSpec(2, everyone, (), g.edges - into0 - out0, none, none),
+             SubproblemSpec(3, everyone, (), out0, none, none)]
+    specs += [SubproblemSpec(i, everyone, (), none, none, none) for i in range(4, 8)]
+    stats = verify_partition(g, factor, specs, k=2, eps=0.3)
+    assert stats.inner_ok == (True, True, False, False, True, True, True, True)

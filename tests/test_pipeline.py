@@ -176,6 +176,22 @@ def test_one_graph_digest_per_run(monkeypatch):
     assert calls == [11, 11]
 
 
+def test_one_oriented_reg_per_run(monkeypatch):
+    reg = hamdec.pipeline.oriented_reg
+    calls = []
+
+    def counting_reg(g):
+        calls.append(g.n)
+        return reg(g)
+
+    monkeypatch.setattr(hamdec.pipeline, "oriented_reg", counting_reg)
+    g = random_tournament(31, 0)
+    cert, report = approximate_decomposition(g)
+    assert calls == [31] and cert.reg == report.reg
+    assert verify_certificate(g, cert) == (True, None)
+    assert calls == [31, 31]
+
+
 def test_reg_row_does_not_time_the_graph_digest(monkeypatch):
     digest = hamdec.pipeline.graph_digest
 
