@@ -80,7 +80,8 @@ class HamiltonCycle:
         return frozenset(zip(self.order, self.order[1:] + self.order[:1]))
 
     def spans(self, vertices: set[int]) -> bool:
-        return set(self.order) == vertices
+        """True when the order visits each of ``vertices`` exactly once."""
+        return len(self.order) == len(vertices) and set(self.order) == vertices
 
     def contains_segment(self, path: DirectedPath) -> bool:
         """True when the path's vertex sequence appears as a contiguous arc."""

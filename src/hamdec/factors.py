@@ -215,19 +215,25 @@ def _b_matching(left_caps: Sequence[int], right_caps: Sequence[int],
     a free head it does not hold first, then each vertex as it joins the
     queue.  Nothing the test reads changes during one search, so the search
     stops at the vertex a test on leaving the queue would find, without
-    scanning the rows of the vertices queued before it.
+    scanning the rows of the vertices queued before it.  An augmentation
+    gives one root one more head and takes one cap from one head, so the
+    unsaturated roots (in increasing order) and the free heads are kept
+    across searches.
     """
     picks, owners, rest = _greedy_b_matching(left_caps, right_caps, rows)
+    roots = [a for a, cap in enumerate(left_caps) if len(picks[a]) < cap]
+    free = {b for b, cap in enumerate(rest) if cap}
     while True:
-        free = {b for b, cap in enumerate(rest) if cap}
         # parent[x] = (w, b): the path reaches x when w takes b from it
-        parent = {a: None for a, cap in enumerate(left_caps) if len(picks[a]) < cap}
+        parent = dict.fromkeys(roots)
         end = _augmenting_end(rows, picks, owners, free, parent)
         if end is None:
             break
         w, hits = end
         b = min(hits)
         rest[b] -= 1
+        if not rest[b]:
+            free.discard(b)
         while True:
             picks[w].add(b)
             owners[b].add(w)
@@ -236,6 +242,8 @@ def _b_matching(left_caps: Sequence[int], right_caps: Sequence[int],
             x, (w, b) = w, parent[w]
             picks[x].discard(b)
             owners[b].discard(x)
+        if len(picks[w]) == left_caps[w]:
+            roots.remove(w)
     return sum(map(len, picks)), picks
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -331,11 +332,16 @@ def remove_edges(g: OrientedGraph, removed: Iterable[Edge]) -> OrientedGraph:
 
 def write_edge_list(g: OrientedGraph) -> str:
     """The edge list in (u, v) order: each sorted out-row joined into its
-    lines in one call, from vertex names converted once."""
+    lines in one call, from vertex names converted once and taken by one
+    ``itemgetter`` per row (which gives a single name, not a tuple, for a
+    row of one)."""
     names = list(map(str, range(g.n)))
     lines = [f"og {g.n} {sum(map(len, g.out_neighbors))}"]
-    lines.extend(f"{u} " + f"\n{u} ".join(map(names.__getitem__, row))
-                 for u, row in enumerate(g.out_neighbors) if row)
+    for u, row in enumerate(g.out_neighbors):
+        if len(row) > 1:
+            lines.append(f"{u} " + f"\n{u} ".join(itemgetter(*row)(names)))
+        elif row:
+            lines.append(f"{u} {names[row[0]]}")
     return "\n".join(lines) + "\n"
 
 

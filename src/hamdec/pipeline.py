@@ -103,13 +103,15 @@ def graph_digest(g: OrientedGraph) -> str:
 def verify_certificate(g: OrientedGraph, cert: DecompositionCertificate
                        ) -> tuple[bool, str | None]:
     """Re-check every certificate invariant from scratch; returns (ok, first
-    violation).  Per vertex, the sorted heads of its cycle and leftover edges
-    must equal its out-row; only vertices where they differ are classified.
-    Of several faults the first in this order is reported: SizeMismatch,
-    GraphHashMismatch, NotHamiltonian, UnknownEdge (a leftover tail outside
-    [0, n)), then over all vertices UnknownEdge (on a cycle), EdgeReuse,
-    LeftoverOverlap, UnknownEdge (in the leftover), LeftoverMismatch, and
-    then RegMismatch, TooManyCycles."""
+    violation).  Each cycle's order fills an array of successors; it is
+    NotHamiltonian when its length is not n, or a vertex is out of [0, n),
+    repeated or not an int.  Per vertex, the sorted heads of its cycle and
+    leftover edges must equal its out-row; only vertices where they differ
+    are classified.  Of several faults the first in this order is reported:
+    SizeMismatch, GraphHashMismatch, NotHamiltonian, UnknownEdge (a leftover
+    tail outside [0, n)), then over all vertices UnknownEdge (on a cycle),
+    EdgeReuse, LeftoverOverlap, UnknownEdge (in the leftover),
+    LeftoverMismatch, and then RegMismatch, TooManyCycles."""
     return _check_certificate(g, cert, graph_digest(g), oriented_reg(g))
 
 
@@ -121,13 +123,23 @@ def _check_certificate(g: OrientedGraph, cert: DecompositionCertificate, digest:
         return False, "SizeMismatch"
     if cert.graph_sha256 != digest:
         return False, "GraphHashMismatch"
-    vertices = set(range(n))
     succs = []
     for cyc in cert.cycles:
-        if not cyc.spans(vertices):
+        order = cyc.order
+        if len(order) != n:
             return False, "NotHamiltonian"
-        succ = dict(zip(cyc.order, cyc.order[1:] + cyc.order[:1]))
-        succs.append(list(map(succ.__getitem__, range(n))))
+        succ = [-1] * n
+        try:
+            for a, b in zip(order, order[1:] + order[:1]):
+                succ[a] = b
+        except (IndexError, TypeError):
+            # a vertex >= n or < -n, or one that is not an int
+            return False, "NotHamiltonian"
+        # a repeated vertex leaves another without a successor (-1 stays),
+        # and a vertex in [-n, 0) is some vertex's successor
+        if min(succ) < 0:
+            return False, "NotHamiltonian"
+        succs.append(succ)
     rest: list[list[int]] = [[] for _ in range(n)]
     for u, v in cert.leftover:
         if not 0 <= u < n:

@@ -516,6 +516,31 @@ def test_b_matching_equals_reference_on_bottleneck_graphs(data):
                          data.draw(st.integers(1, (b - 1) // 2))))
 
 
+# SHA-256 of the repr of every _b_matching call's (size, sorted picks) that
+# oriented_reg makes on these graphs, recorded while each search still
+# rebuilt its roots and free heads over every vertex
+FROZEN_B_MATCHING_DIGEST = "2e778c837c105c60af5bea2c6044df87eb64c745fc438611ba06dcd5b582c3cf"
+
+
+def test_b_matching_outputs_frozen(monkeypatch):
+    calls = []
+    b_matching = factors._b_matching
+
+    def recording_b_matching(left_caps, right_caps, rows):
+        size, picks = b_matching(left_caps, right_caps, rows)
+        calls.append((size, [sorted(mine) for mine in picks]))
+        return size, picks
+
+    monkeypatch.setattr(factors, "_b_matching", recording_b_matching)
+    graphs = [random_oriented("tournament", n, seed=s) for n in (31, 61, 101) for s in range(3)]
+    graphs += [lopsided_graph()] + [bottleneck_graph(*args) for args in (
+        (12, 5, 3, 9, 2), (40, 20, 4, 40, 10), (30, 12, 5, 20, 4), (100, 50, 10, 100, 25))]
+    for g in graphs:
+        oriented_reg(g)
+    assert len(calls) > len(graphs)
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == FROZEN_B_MATCHING_DIGEST
+
+
 @settings(max_examples=300, deadline=None)
 @given(oriented_graphs(min_n=1, max_n=12), st.integers(0, 2 ** 32 - 1))
 def test_random_cycle_factor_against_max_flow(g, seed):

@@ -219,6 +219,36 @@ def test_edge_list_roundtrip():
     assert h.n == g.n and h.edges == g.edges
 
 
+@st.composite
+def sparse_oriented_graphs(draw):
+    """Oriented graphs on up to 40 vertices (names of one or two digits)
+    with at most 2n edges drawn, so that rows of length 0, 1 and 2 and
+    isolated vertices are common."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    edges = set()
+    for u, v in pairs:
+        if u != v and (v, u) not in edges:
+            edges.add((u, v))
+    return build_oriented(n, edges)
+
+
+def naive_edge_list(g):
+    return f"og {g.n} {len(g.edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_oriented_graphs())
+@example(build_oriented(1, []))
+@example(build_oriented(13, [(12, 10), (3, 12), (3, 11), (0, 1), (0, 12), (0, 2)]))
+def test_edge_list_matches_naive_writer_and_round_trips(g):
+    text = write_edge_list(g)
+    assert text == naive_edge_list(g)
+    h = read_edge_list(text)
+    assert h.n == g.n and h.out_neighbors == g.out_neighbors
+
+
 def test_edge_list_reader_errors():
     with pytest.raises(FormatError):
         read_edge_list("")

@@ -30,7 +30,8 @@ def reference_verify(g, cert):
     edges = g.edges
     used = set()
     for cyc in cert.cycles:
-        if not cyc.spans(vertices):
+        # (0, 1.0) spans {0, 1} as a set, so the vertices' type is tested too
+        if not (all(isinstance(v, int) for v in cyc.order) and cyc.spans(vertices)):
             return False, "NotHamiltonian"
         if not cyc.edges <= edges:
             return False, "UnknownEdge"
@@ -58,7 +59,16 @@ FAULTS = {
     "repeat_cycle": "EdgeReuse",
     "reverse_cycle": "UnknownEdge",
     "leftover_vertex_out_of_range": "UnknownEdge",
+    "cycle_drops_vertex": "NotHamiltonian",
+    "cycle_vertex_n": "NotHamiltonian",
+    "cycle_vertex_minus_one": "NotHamiltonian",
+    "cycle_vertex_wraps": "NotHamiltonian",
+    "cycle_float_vertex": "NotHamiltonian",
+    "cycle_wound_twice": "NotHamiltonian",
 }
+# faults of one cycle's vertex order
+ORDER_FAULTS = ("cycle_drops_vertex", "cycle_vertex_n", "cycle_vertex_minus_one",
+                "cycle_vertex_wraps", "cycle_float_vertex", "cycle_wound_twice")
 
 
 def with_fault(g, cert, fault, rng):
@@ -66,7 +76,8 @@ def with_fault(g, cert, fault, rng):
     n, cycles, leftover = g.n, cert.cycles, cert.leftover
     if fault in ("drop_leftover_edge", "leftover_vertex_out_of_range") and not leftover:
         return None
-    if fault in ("cycle_edge_into_leftover", "repeat_cycle", "reverse_cycle") and not cycles:
+    if fault in ("cycle_edge_into_leftover", "repeat_cycle", "reverse_cycle", *ORDER_FAULTS
+                 ) and not cycles:
         return None
     if fault == "drop_leftover_edge":
         leftover = leftover - {rng.choice(sorted(leftover))}
@@ -79,9 +90,23 @@ def with_fault(g, cert, fault, rng):
     elif fault == "repeat_cycle":
         cycles = cycles + (rng.choice(cycles),)
     elif fault == "reverse_cycle":
+        # not from_order, which refuses a cycle an earlier fault wound twice
         i = rng.randrange(len(cycles))
-        reversed_cycle = HamiltonCycle.from_order(cycles[i].order[::-1])
-        cycles = cycles[:i] + (reversed_cycle,) + cycles[i + 1:]
+        cycles = cycles[:i] + (HamiltonCycle(cycles[i].order[::-1]),) + cycles[i + 1:]
+    elif fault in ORDER_FAULTS:
+        i = rng.randrange(len(cycles))
+        order = list(cycles[i].order)
+        j = rng.randrange(len(order))
+        if fault == "cycle_drops_vertex":
+            del order[j]
+        elif fault == "cycle_wound_twice":
+            order += order
+        else:
+            # v - n keeps v's residue, so a verifier indexing by it would wrap
+            order[j] = {"cycle_vertex_n": n, "cycle_vertex_minus_one": -1,
+                        "cycle_vertex_wraps": order[j] - n,
+                        "cycle_float_vertex": float(order[j])}[fault]
+        cycles = cycles[:i] + (HamiltonCycle(tuple(order)),) + cycles[i + 1:]
     else:
         # shifting an endpoint by a multiple of n keeps its residue, so a
         # verifier that let a negative index wrap around would accept it
@@ -134,3 +159,13 @@ def test_negative_leftover_vertex_does_not_wrap_around():
         bad = DecompositionCertificate(9, cert.graph_sha256, cert.cycles,
                                        cert.leftover - {edge} | {moved}, cert.reg)
         assert verify_certificate(g, bad) == (False, "UnknownEdge")
+
+
+def test_cycle_wound_twice_is_not_hamiltonian():
+    # a cycle that winds round twice covers every vertex, as a set
+    g = rotational_tournament(3)
+    twice = HamiltonCycle((0, 1, 2, 0, 1, 2))
+    assert not twice.spans({0, 1, 2})
+    assert HamiltonCycle((0, 1, 2)).spans({0, 1, 2})
+    cert = DecompositionCertificate(3, graph_digest(g), (twice,), frozenset(), 1)
+    assert verify_certificate(g, cert) == reference_verify(g, cert) == (False, "NotHamiltonian")
