@@ -22,7 +22,6 @@ from .graphs import (
 )
 from . import flows  # noqa: F401  loads flows.Dinic, which bench/spans.py wraps
 from .factors import (
-    FactorCertificate,
     Matching,
     extract_oriented_r_factor,
     gale_ryser_oracle,

@@ -144,9 +144,7 @@ def _dispatch(args) -> int:
 
     if args.command == "factor":
         g = _read_graph(args.graph)
-        cert = extract_oriented_r_factor(g, args.r)
-        sub = OrientedGraph(g.n, cert.edges, _validated=True)
-        _write_text(write_edge_list(sub), args.out)
+        _write_text(write_edge_list(extract_oriented_r_factor(g, args.r)), args.out)
         return 0
 
     if args.command == "decompose":

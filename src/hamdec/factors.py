@@ -56,15 +56,6 @@ class Matching:
             raise InvariantViolationError("matching has repeated endpoints")
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
-    """An r-regular spanning subgraph, bipartite or oriented."""
-
-    r: int
-    edges: frozenset[Edge]
-    kind: str  # "bipartite" | "oriented"
-
-
 # -- generic matching machinery ----------------------------------------
 
 
@@ -301,7 +292,8 @@ def has_bipartite_r_factor(b: BipartiteGraph, r: int) -> bool:
 def gale_ryser_oracle(b: BipartiteGraph, r: int) -> bool:
     """Literal subset criterion: e(X, Y) >= r(|X| + |Y| - m) for all X, Y.
 
-    Exponential in m; the independent cross-check for the flow route.
+    Exponential in m; the independent cross-check for the b-matching
+    route of :func:`has_bipartite_r_factor`.
     """
     m = b.m
     if m > GALE_RYSER_CAP:
@@ -384,19 +376,22 @@ def oriented_reg(g: OrientedGraph) -> int:
                                    key=lambda r: not has_oriented_r_factor(g, r))
 
 
-def extract_oriented_r_factor(g: OrientedGraph, r: int) -> FactorCertificate:
-    """A spanning sub-digraph with every in/out-degree exactly r: g less
-    the edges of a b-matching on the excess degrees."""
+def extract_oriented_r_factor(g: OrientedGraph, r: int) -> OrientedGraph:
+    """A spanning sub-digraph of g with every in/out-degree exactly r, on
+    g's vertices and labels: g itself when g is r-regular, the edgeless
+    graph when r = 0, and otherwise g less the edges of a b-matching on
+    the excess degrees."""
     if r == 0:
-        return FactorCertificate(0, frozenset(), "oriented")
+        return OrientedGraph(g.n, (), labels=g.labels, _validated=True)
     degs = degree_summary(g)
     if r == degs.min_semi == degs.max_semi:
-        return FactorCertificate(r, g.edges, "oriented")
+        return g
     picks = _factor_deletions(g.out_neighbors, g.in_neighbors, r)
     if picks is None:
         raise NoFactorError(f"graph has no {r}-factor")
-    return FactorCertificate(r, frozenset((u, v) for u, row in enumerate(g.out_neighbors)
-                                          for v in row if v not in picks[u]), "oriented")
+    return OrientedGraph(g.n, ((u, v) for u, row in enumerate(g.out_neighbors)
+                               for v in row if v not in picks[u]),
+                         labels=g.labels, _validated=True)
 
 
 # -- test-instance generator -------------------------------------------

@@ -265,6 +265,20 @@ def _switch_chain(edges: list[Edge], rng: random.Random) -> list[Edge]:
     return edges
 
 
+def _equipartition(n: int, b: int, rng: random.Random) -> list[list[int]]:
+    """Random partition of [0, n) into b parts with sizes differing by at
+    most 1, larger parts first."""
+    verts = list(range(n))
+    rng.shuffle(verts)
+    sizes = [n // b + (1 if i < n % b else 0) for i in range(b)]
+    parts: list[list[int]] = []
+    pos = 0
+    for sz in sizes:
+        parts.append(sorted(verts[pos:pos + sz]))
+        pos += sz
+    return parts
+
+
 def random_oriented(kind: str, n: int, seed: int, r: int | None = None) -> OrientedGraph:
     """Generate a random oriented graph: kind "tournament" or "regular".
 

@@ -21,8 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import InconsistentSpecsError, KTooLargeError, NotSpanningRegularError
-from .factors import FactorCertificate
-from .graphs import Edge, OrientedGraph, degree_summary
+from .graphs import Edge, OrientedGraph, _equipartition, degree_summary
 
 
 @dataclass(frozen=True)
@@ -107,10 +106,10 @@ def _memberships(specs: Sequence[SubproblemSpec], n: int) -> list[list[int]]:
     return member
 
 
-def _compute_stats(g: OrientedGraph, factor: FactorCertificate,
+def _compute_stats(g: OrientedGraph, factor: OrientedGraph,
                    specs: Sequence[SubproblemSpec], k: int, eps: float) -> PartitionStats:
     n = g.n
-    d = factor.r
+    d = degree_summary(factor).min_semi
     member = _memberships(specs, n)
     memberships = [set(m) for m in member]
 
@@ -175,24 +174,16 @@ def _compute_stats(g: OrientedGraph, factor: FactorCertificate,
         reservoir_ok=tuple(res_ok))
 
 
-def _sample_specs(g: OrientedGraph, factor: FactorCertificate, k: int,
+def _sample_specs(g: OrientedGraph, factor: OrientedGraph, k: int,
                   eps: float, rng: random.Random) -> list[SubproblemSpec]:
     n = g.n
-    cells = k * k
     member: list[list[int]] = [[] for _ in range(n)]
     w_sets: list[list[int]] = []
-    for kk in range(k):
-        verts = list(range(n))
-        rng.shuffle(verts)
-        sizes = [n // cells + (1 if j < n % cells else 0) for j in range(cells)]
-        pos = 0
-        for j, sz in enumerate(sizes):
-            w_index = kk * cells + j
-            cell = sorted(verts[pos:pos + sz])
-            pos += sz
-            w_sets.append(cell)
+    for _ in range(k):
+        for cell in _equipartition(n, k * k, rng):
             for v in cell:
-                member[v].append(w_index)
+                member[v].append(len(w_sets))
+            w_sets.append(cell)
     memberships = [frozenset(m) for m in member]
     total = k ** 3
 
@@ -204,19 +195,20 @@ def _sample_specs(g: OrientedGraph, factor: FactorCertificate, k: int,
 
     inner_edges: list[set[Edge]] = [set() for _ in range(total)]
     cross_edges: list[set[Edge]] = [set() for _ in range(total)]
-    for u, v in sorted(factor.edges):
-        if memberships[u] & memberships[v]:
-            continue  # lost to some reservoir
-        both = sorted(memberships[u] | memberships[v])
-        assert len(both) == 2 * k, "reservoir memberships of u and v must be disjoint"
-        x = rng.random()
-        if x < 1 - eps:
-            slot = min(int(x / ((1 - eps) / (total - 2 * k))), total - 2 * k - 1)
-            others = [i for i in range(total) if i not in set(both)]
-            inner_edges[others[slot]].add((u, v))
-        else:
-            slot = min(int((x - (1 - eps)) / (eps / (2 * k))), 2 * k - 1)
-            cross_edges[both[slot]].add((u, v))
+    for u, row in enumerate(factor.out_neighbors):
+        for v in row:
+            if memberships[u] & memberships[v]:
+                continue  # lost to some reservoir
+            both = sorted(memberships[u] | memberships[v])
+            assert len(both) == 2 * k, "reservoir memberships of u and v must be disjoint"
+            x = rng.random()
+            if x < 1 - eps:
+                slot = min(int(x / ((1 - eps) / (total - 2 * k))), total - 2 * k - 1)
+                others = [i for i in range(total) if i not in set(both)]
+                inner_edges[others[slot]].add((u, v))
+            else:
+                slot = min(int((x - (1 - eps)) / (eps / (2 * k))), 2 * k - 1)
+                cross_edges[both[slot]].add((u, v))
 
     specs = []
     all_v = set(range(n))
@@ -231,7 +223,7 @@ def _sample_specs(g: OrientedGraph, factor: FactorCertificate, k: int,
     return specs
 
 
-def build_partition(g: OrientedGraph, factor: FactorCertificate, k: int, eps: float,
+def build_partition(g: OrientedGraph, factor: OrientedGraph, k: int, eps: float,
                     seed: int, retry_budget: int = 5
                     ) -> tuple[list[SubproblemSpec], PartitionReport]:
     """Sample the K^3 subproblem split, retrying until the target properties
@@ -246,11 +238,12 @@ def build_partition(g: OrientedGraph, factor: FactorCertificate, k: int, eps: fl
         raise KTooLargeError(f"K^3 = {k ** 3} exceeds n/8 = {n / 8}")
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if factor.kind != "oriented" or not factor.edges <= g.edges:
-        raise NotSpanningRegularError("factor must be an oriented subgraph of g")
-    degs = degree_summary(OrientedGraph(n, factor.edges, _validated=True))
-    if not degs.min_semi == degs.max_semi == factor.r:
-        raise NotSpanningRegularError(f"factor is not {factor.r}-regular spanning")
+    if factor.n != n or not factor.edges <= g.edges:
+        raise NotSpanningRegularError("factor must be a spanning subgraph of g")
+    degs = degree_summary(factor)
+    if degs.min_semi != degs.max_semi:
+        raise NotSpanningRegularError(
+            f"factor is not regular: semi-degrees {degs.min_semi} to {degs.max_semi}")
 
     best: tuple[int, list[SubproblemSpec], PartitionStats, int] | None = None
     for attempt in range(max(1, retry_budget)):
@@ -266,7 +259,7 @@ def build_partition(g: OrientedGraph, factor: FactorCertificate, k: int, eps: fl
     return specs, PartitionReport(stats=stats, seed=seed, retries=max(1, retry_budget))
 
 
-def verify_partition(g: OrientedGraph, factor: FactorCertificate,
+def verify_partition(g: OrientedGraph, factor: OrientedGraph,
                      specs: Sequence[SubproblemSpec], k: int, eps: float) -> PartitionStats:
     """Recompute the achieved statistics from the emitted specs alone,
     after checking structural consistency."""
@@ -277,18 +270,19 @@ def verify_partition(g: OrientedGraph, factor: FactorCertificate,
     if any(len(m) != k for m in member):
         raise InconsistentSpecsError("some vertex does not lie in exactly K reservoirs")
     seen: set[Edge] = set()
+    g_edges, factor_edges = g.edges, factor.edges
     for spec in specs:
         uset, wset = set(spec.u_vertices), set(spec.w_vertices)
         if uset & wset or uset | wset != set(range(n)):
             raise InconsistentSpecsError(f"spec {spec.index}: U, W do not partition V")
         groups = (spec.inner_edges, spec.cross_edges, spec.reservoir_edges)
         for es in groups:
-            if not es <= g.edges:
+            if not es <= g_edges:
                 raise InconsistentSpecsError(f"spec {spec.index}: edges outside the graph")
             if seen & es:
                 raise InconsistentSpecsError(f"spec {spec.index}: edge reused across subgraphs")
             seen |= es
-        if not spec.inner_edges <= factor.edges or not spec.cross_edges <= factor.edges:
+        if not spec.inner_edges <= factor_edges or not spec.cross_edges <= factor_edges:
             raise InconsistentSpecsError(f"spec {spec.index}: non-factor edge assigned")
         for u, v in spec.inner_edges:
             if u not in uset or v not in uset:

@@ -26,7 +26,7 @@ from .errors import (
     PartsTooSmallError,
 )
 from .factors import Matching, disjoint_maximum_matchings
-from .graphs import Edge, OrientedGraph, bipartite_between, degree_summary
+from .graphs import Edge, OrientedGraph, _equipartition, bipartite_between, degree_summary
 
 # random equipartitions tried; the one whose thinnest part pair is fattest wins
 PARTITION_ATTEMPTS = 3
@@ -216,20 +216,6 @@ def matchings_to_path_cover(parts: Sequence[Sequence[int]],
     cover = PathCover(tuple(paths))
     cover.validate(all_vertices)
     return cover
-
-
-def _equipartition(n: int, b: int, rng: random.Random) -> list[list[int]]:
-    """Random partition of [0, n) into b parts with sizes differing by at
-    most 1, larger parts first."""
-    verts = list(range(n))
-    rng.shuffle(verts)
-    sizes = [n // b + (1 if i < n % b else 0) for i in range(b)]
-    parts: list[list[int]] = []
-    pos = 0
-    for sz in sizes:
-        parts.append(sorted(verts[pos:pos + sz]))
-        pos += sz
-    return parts
 
 
 def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,

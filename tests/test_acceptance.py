@@ -23,7 +23,6 @@ from hamdec.counting import (
 )
 from hamdec.errors import HamdecError
 from hamdec.factors import (
-    FactorCertificate,
     gale_ryser_oracle,
     has_bipartite_r_factor,
     random_regular_bipartite,
@@ -197,8 +196,7 @@ def test_criterion_8_partition_mechanics():
     total = k ** 3
     assert (total - 2 * k) * ((1 - eps) / (total - 2 * k)) + 2 * k * (eps / (2 * k)) == 1.0
     g = rotational_tournament(101)
-    factor = FactorCertificate(50, g.edges, "oriented")
-    specs, report = build_partition(g, factor, k=k, eps=eps, seed=8, retry_budget=3)
+    specs, report = build_partition(g, g, k=k, eps=eps, seed=8, retry_budget=3)
     assert len(specs) == total
     seen = set()
     for spec in specs:
@@ -210,7 +208,7 @@ def test_criterion_8_partition_mechanics():
         for v in spec.w_vertices:
             counts[v] += 1
     assert all(c == k for c in counts)
-    recomputed = verify_partition(g, factor, specs, k=k, eps=eps)
+    recomputed = verify_partition(g, g, specs, k=k, eps=eps)
     assert recomputed == report.stats
     _report(8, "partition mechanics at n=101, K=2", t0, 10)
 

@@ -33,7 +33,9 @@ from hamdec.graphs import (
     degree_summary,
     random_oriented,
     random_regular_oriented,
+    random_tournament,
     rotational_tournament,
+    write_edge_list,
 )
 
 from hamdec.pathcovers import build_path_cover_family
@@ -270,7 +272,7 @@ def test_extract_oriented_factor_for_every_r_up_to_reg(g):
     reg = oriented_reg(g)
     for r in range(reg + 1):
         factor = extract_oriented_r_factor(g, r)
-        assert factor.r == r and factor.edges <= g.edges
+        assert factor.n == g.n and factor.edges <= g.edges
         assert sorted(u for u, _ in factor.edges) == sorted(list(range(g.n)) * r)
         assert sorted(v for _, v in factor.edges) == sorted(list(range(g.n)) * r)
     with pytest.raises(NoFactorError):
@@ -681,6 +683,41 @@ def frozen_matching_outputs(name, seed):
 def test_matching_outputs_frozen(name):
     outputs = [frozen_matching_outputs(name, seed) for seed in range(4)]
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == FROZEN_MATCHING_DIGESTS[name]
+
+
+# SHA-256 of the edge list of each extracted r-factor, computed when the
+# factor was still handed over as an edge set: the b-matching's picks, so
+# the factors, must not change
+FROZEN_FACTOR_DIGESTS = {
+    ("tournament-17", "reg"): "5c730078b857f62487e0c6b3bfb7b8e3e62a008780c2cfa3ef2d74f356fe3309",
+    ("tournament-17", "reg-3"): "a21cd186a2134a0816fdeccaac1921fd52db57b31b4dcb19b3095a9287454fe7",
+    ("tournament-17", "0"): "e8ab96b1cb72fd7278b084ea5c0d37a526fb5b7cddee60f96c69facb6ea10681",
+    ("tournament-101", "reg"): "9048e6d1e4843fc8d71fbcd03d27623c7516bf9cd4bfcadd0aa388b3c748d3d5",
+    ("tournament-101", "reg-3"): "3891308d86fd94659952d7d89db270f7edcfeee56ce7eff07b8ca8572b8aebc9",
+    ("tournament-101", "0"): "875b61cd6a6010cc538184d38fd4a80674bc71b5fc27cb93f4189d0825be038f",
+    ("tournament-201", "reg"): "f85d4b88abdb8cadbaf4b512e13c07cb7a77166bed4478abf35546c4e419789a",
+    ("tournament-201", "reg-3"): "4a7ca053c77e0a659416df1b3e8d843c2ba214ed11fbd0b6c1505815c02472f0",
+    ("tournament-201", "0"): "17e5ecdedcf40e3aee007a9560f9695959464e8b26b314bb5017f5d25eebb247",
+    ("bottleneck", "reg"): "480fbdceea555db75817cbb2e6a73ddc605dfda4a0180d4ea4d6ba083caf613b",
+    ("lopsided", "reg"): "f5575810d952fb63a68e7664e2f54887f66ed38c561d573363643f38b9a50769",
+}
+
+
+def frozen_factor_graph(name):
+    if name == "bottleneck":
+        return bottleneck_graph(40, 20, 4, 40, 10)
+    if name == "lopsided":
+        return lopsided_graph()
+    return random_tournament(int(name.removeprefix("tournament-")), 0)
+
+
+@pytest.mark.parametrize("graph, degree", sorted(FROZEN_FACTOR_DIGESTS))
+def test_factor_outputs_frozen(graph, degree):
+    g = frozen_factor_graph(graph)
+    reg = oriented_reg(g)
+    factor = extract_oriented_r_factor(g, {"reg": reg, "reg-3": reg - 3, "0": 0}[degree])
+    digest = hashlib.sha256(write_edge_list(factor).encode()).hexdigest()
+    assert digest == FROZEN_FACTOR_DIGESTS[graph, degree]
 
 
 @pytest.mark.parametrize("fallback_only", [False, True])

@@ -3,15 +3,15 @@ import hashlib
 import pytest
 
 from hamdec.errors import InconsistentSpecsError, KTooLargeError, NotSpanningRegularError
-from hamdec.factors import FactorCertificate, extract_oriented_r_factor, oriented_reg
-from hamdec.graphs import random_tournament, rotational_tournament
+from hamdec.factors import extract_oriented_r_factor, oriented_reg
+from hamdec.graphs import OrientedGraph, random_tournament, rotational_tournament
 from hamdec.partition import SubproblemSpec, build_partition, verify_partition
 
 
 @pytest.fixture(scope="module")
 def split101():
     g = rotational_tournament(101)
-    factor = FactorCertificate(50, g.edges, "oriented")  # g is its own 50-factor
+    factor = g  # g is its own 50-factor
     specs, report = build_partition(g, factor, k=2, eps=0.3, seed=11, retry_budget=3)
     return g, factor, specs, report
 
@@ -80,9 +80,8 @@ def test_graph_views_carry_labels(split101):
 
 def test_deterministic_given_seed():
     g = rotational_tournament(101)
-    factor = FactorCertificate(50, g.edges, "oriented")
-    s1, r1 = build_partition(g, factor, k=2, eps=0.3, seed=4, retry_budget=2)
-    s2, r2 = build_partition(g, factor, k=2, eps=0.3, seed=4, retry_budget=2)
+    s1, r1 = build_partition(g, g, k=2, eps=0.3, seed=4, retry_budget=2)
+    s2, r2 = build_partition(g, g, k=2, eps=0.3, seed=4, retry_budget=2)
     assert [s.all_edges() for s in s1] == [s.all_edges() for s in s2]
     assert r1 == r2
 
@@ -92,10 +91,20 @@ def test_precondition_errors():
     factor = extract_oriented_r_factor(g, 15)
     with pytest.raises(KTooLargeError):
         build_partition(g, factor, k=2, eps=0.3, seed=0)  # 8 > 31/8
-    bad = FactorCertificate(3, frozenset(list(g.edges)[:5]), "oriented")
     big = rotational_tournament(101)
+    bad = OrientedGraph(big.n, sorted(g.edges)[:5])
     with pytest.raises(NotSpanningRegularError):
         build_partition(big, bad, k=2, eps=0.3, seed=0)
+
+
+def test_build_partition_refuses_a_factor_on_fewer_vertices():
+    # the cycle 0 -> 1 -> ... -> 99 -> 0 is a 1-regular subgraph of g that
+    # misses vertex 100
+    g = rotational_tournament(101)
+    short = OrientedGraph(100, [(v, (v + 1) % 100) for v in range(100)])
+    assert short.edges <= g.edges
+    with pytest.raises(NotSpanningRegularError):
+        build_partition(g, short, k=2, eps=0.3, seed=0)
 
 
 def frozen_partition_outputs(n):
@@ -125,7 +134,6 @@ def test_verifier_stats_with_empty_reservoirs():
     # inner mean 0 inside its window and cross minimum 0, an empty W has
     # reservoir minimum 0
     g = rotational_tournament(7)
-    factor = FactorCertificate(3, g.edges, "oriented")
     everyone, none = tuple(range(7)), frozenset()
     step = {j: frozenset((v, (v + j) % 7) for v in range(7)) for j in (1, 2, 3)}
     specs = [SubproblemSpec(0, (), everyone, none, none, step[3]),
@@ -133,7 +141,7 @@ def test_verifier_stats_with_empty_reservoirs():
              SubproblemSpec(2, everyone, (), step[1], none, none),
              SubproblemSpec(3, everyone, (), step[2], none, none)]
     specs += [SubproblemSpec(i, everyone, (), none, none, none) for i in range(4, 8)]
-    stats = verify_partition(g, factor, specs, k=2, eps=0.3)
+    stats = verify_partition(g, g, specs, k=2, eps=0.3)
     assert stats.inner_degree_means == (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     assert stats.inner_ok == (True,) * 8
     assert stats.cross_min_degrees == (0,) * 8
@@ -148,7 +156,6 @@ def test_verifier_flags_inner_degrees_outside_their_window():
     # spec 2 leaves vertex 0 without inner edges, below its window; spec 3
     # gives vertex 0 all fifty of its out-edges, above its window
     g = rotational_tournament(101)
-    factor = FactorCertificate(50, g.edges, "oriented")
     everyone, none = tuple(range(101)), frozenset()
     into0 = frozenset((u, v) for u, v in g.edges if v == 0)
     out0 = frozenset((u, v) for u, v in g.edges if u == 0)
@@ -157,5 +164,5 @@ def test_verifier_flags_inner_degrees_outside_their_window():
              SubproblemSpec(2, everyone, (), g.edges - into0 - out0, none, none),
              SubproblemSpec(3, everyone, (), out0, none, none)]
     specs += [SubproblemSpec(i, everyone, (), none, none, none) for i in range(4, 8)]
-    stats = verify_partition(g, factor, specs, k=2, eps=0.3)
+    stats = verify_partition(g, g, specs, k=2, eps=0.3)
     assert stats.inner_ok == (True, True, False, False, True, True, True, True)

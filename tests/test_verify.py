@@ -96,6 +96,8 @@ def with_fault(g, cert, fault, rng):
     elif fault in ORDER_FAULTS:
         i = rng.randrange(len(cycles))
         order = list(cycles[i].order)
+        if not order:  # earlier faults dropped every vertex
+            return None
         j = rng.randrange(len(order))
         if fault == "cycle_drops_vertex":
             del order[j]
