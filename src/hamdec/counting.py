@@ -9,15 +9,17 @@ whenever the instance is small enough to compute it.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from itertools import repeat
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import TooLargeError
 from .graphs import OrientedGraph, degree_summary
 
 PERMANENT_CAP = 24
-# columns whose subset sums permanent() precomputes (2^10 packed ints)
+# columns whose row forms permanent() precomputes for every sign choice
+# (column 0's sign fixed: 2^9 forms, packed into two ints by parity)
 PERMANENT_SPLIT = 10
 HC_COUNT_CAP = 20
 DECOMP_CAP_DENSE = 7
@@ -82,17 +84,22 @@ class BoundReport:
 
 
 def permanent(matrix: Sequence[Sequence[int]]) -> LogCount:
-    """Exact permanent of a 0/1 matrix by Ryser's formula; O(2^n * n).
+    """Exact permanent of a 0/1 matrix by Glynn's formula; O(2^(n-1) * n).
 
-    Each column is packed into one int with row i's entry in byte i, so a
-    packed sum over a set of columns holds every row sum in its own byte
-    (row sums are at most n <= 24 < 256, so no byte carries into the next).
-    The packed sums of all subsets of the first ``PERMANENT_SPLIT`` columns
-    are precomputed, split by subset parity; the remaining columns are
-    walked in Gray-code order, and for each running sum the products of the
-    row sums over all low subsets are taken in C by ``int.to_bytes`` and
-    ``math.prod``.  Entries may be any values equal to 0 or 1 (such as
-    ``True`` or ``1.0``).
+    With delta_1 = +1 fixed, the permanent is the sum over the other
+    2^(n-1) sign vectors delta of (prod_k delta_k) * prod_i (sum_j delta_j
+    a_ij), divided by 2^(n-1); each row form sum_j delta_j a_ij lies in
+    [-n, n].  Each column is packed into one int with row i's entry in byte
+    i.  The row forms of all sign choices of the first ``PERMANENT_SPLIT``
+    columns are precomputed, split by the parity of their minus signs, and
+    each parity's forms are laid side by side in one int, n bytes per form.
+    Every byte starts at 128, so it stays in [128 - n, 128 + n] and never
+    borrows from the next.  The signs of the remaining columns are walked
+    in Gray-code order: per step one addition moves every form at once,
+    ``^ 0x80...80`` turns each byte into the two's complement of its row
+    form, and one precompiled ``struct.Struct`` unpacks the signed forms
+    for ``math.prod`` in C.  Entries may be any values equal to 0 or 1
+    (such as ``True`` or ``1.0``).
     """
     n = len(matrix)
     if n > PERMANENT_CAP:
@@ -106,29 +113,36 @@ def permanent(matrix: Sequence[Sequence[int]]) -> LogCount:
         return LogCount.from_int(1)
     cols = [sum(int(matrix[i][j]) << (8 * i) for i in range(n)) for j in range(n)]
     b = min(PERMANENT_SPLIT, n)
-    even, odd = [0], []
-    for c in cols[:b]:
-        even, odd = even + [s + c for s in odd], odd + [s + c for s in even]
-    high = cols[b:]
-    base = 0
+    even, odd = [cols[0]], []
+    for c in cols[1:b]:
+        even, odd = ([s + c for s in even] + [s - c for s in odd],
+                     [s + c for s in odd] + [s - c for s in even])
+    # at n = 1 there is no odd form: one whose rows are all 0 adds nothing
+    odd = odd or [0]
+    # each parity's forms side by side, n bytes per form
+    width, size = 8 * n, n * len(even)
+    ones = sum(1 << (width * t) for t in range(len(even)))
+    mask = sum(128 << (8 * i) for i in range(n)) * ones
+    even, odd = (sum(s << (width * t) for t, s in enumerate(forms)) + mask for forms in (even, odd))
+    high = [2 * c * ones for c in cols[b:]]
+    base = sum(cols[b:]) * ones
+    signed = struct.Struct(f"<{n}b").iter_unpack
 
-    def row_products(low_sums: list[int]) -> int:
-        # sum over low subsets of the product of the row sums (the bytes)
-        packed = map(base.__add__, low_sums)
-        return sum(map(math.prod, map(int.to_bytes, packed, repeat(n), repeat("little"))))
+    def products(forms: int) -> int:
+        # sum over the packed forms of the product of their signed bytes
+        return sum(map(math.prod, signed(((forms + base) ^ mask).to_bytes(size, "little"))))
 
     total = 0
     for k in range(1 << len(high)):
         if k:
             j = (k & -k).bit_length() - 1
-            base += high[j] if (k ^ (k >> 1)) >> j & 1 else -high[j]
-        diff = row_products(even) - row_products(odd)
+            base += -high[j] if (k ^ (k >> 1)) >> j & 1 else high[j]
+        diff = products(even) - products(odd)
         total += -diff if k & 1 else diff
-    if n & 1:
-        total = -total
-    if total < 0:
-        raise ValueError("negative permanent for a 0/1 matrix; bug")
-    return LogCount.from_int(total)
+    perm, rest = divmod(total, 1 << (n - 1))
+    if rest:
+        raise AssertionError(f"Glynn sum {total} not divisible by 2^{n - 1}; bug")
+    return LogCount.from_int(perm)
 
 
 def bregman_bound(row_degrees: Sequence[int]) -> LogCount:
@@ -179,14 +193,18 @@ def count_hamilton_cycles_exact(g: OrientedGraph) -> LogCount:
     ``row[w]`` counts the paths from 0 through exactly S that end at w.
     The next layer is pulled: for w outside S, the paths through S + {w}
     ending at w number the sum of ``row[v]`` over the in-neighbours v of w,
-    since ``row`` is 0 outside S.  Only two layers are held at a time.
+    since ``row`` is 0 outside S.  Each target w reads those entries with
+    one ``itemgetter(0, 0, *in-neighbours)``: ``row[0]`` is always 0, as
+    no path ends at 0 inside S, so the two padding indices add nothing and
+    make the getter return a tuple even at in-degree 0 or 1.  Only two
+    layers are held at a time.
     """
     n = g.n
     if n > HC_COUNT_CAP:
         raise TooLargeError(f"n={n} exceeds cycle-count cap {HC_COUNT_CAP}")
     if n < 3:
         return LogCount.from_int(0)
-    targets = [(w, 1 << w, g.in_neighbors[w]) for w in range(1, n)]
+    targets = [(w, 1 << w, itemgetter(0, 0, *g.in_neighbors[w])) for w in range(1, n)]
     layer: dict[int, list[int]] = {}
     for w in g.out_neighbors[0]:
         row = [0] * n
@@ -195,11 +213,10 @@ def count_hamilton_cycles_exact(g: OrientedGraph) -> LogCount:
     for _ in range(n - 2):
         nxt: dict[int, list[int]] = {}
         for mask, row in layer.items():
-            pick = row.__getitem__
-            for w, bit, in_nbrs in targets:
+            for w, bit, pick in targets:
                 if mask & bit:
                     continue
-                ways = sum(map(pick, in_nbrs))
+                ways = sum(pick(row))
                 if ways:
                     tgt = nxt.get(mask | bit)
                     if tgt is None:

@@ -241,12 +241,25 @@ def _switch_chain(edges: list[Edge], rng: random.Random) -> list[Edge]:
     reversal lets a regular tournament, which has no 2-switch, move at all.
     Every in- and out-degree is kept, and no loop, duplicate or
     antiparallel pair is ever made.
+
+    Both edge indices are drawn straight from ``rng.getrandbits``, exactly
+    as ``rng.randrange(m)`` draws them on CPython 3.10-3.13:
+    ``getrandbits(k)`` with k = m.bit_length(), redrawn while it is m or
+    more.  So the edges and the generator's end state are those of
+    ``randrange``.
     """
     edges = list(edges)
     where = {e: i for i, e in enumerate(edges)}
     m = len(edges)
+    bits = rng.getrandbits
+    k = m.bit_length()
     for _ in range(MOVES_PER_EDGE * m):
-        i, j = rng.randrange(m), rng.randrange(m)
+        i = bits(k)
+        while i >= m:
+            i = bits(k)
+        j = bits(k)
+        while j >= m:
+            j = bits(k)
         (a, b), (c, d) = edges[i], edges[j]
         if (d, a) in where:
             if (b, d) not in where:
@@ -257,11 +270,11 @@ def _switch_chain(edges: list[Edge], rng: random.Random) -> list[Edge]:
             moves = [(i, (a, d)), (j, (c, b))]
         else:
             continue
-        for k, _ in moves:
-            del where[edges[k]]
-        for k, e in moves:
-            edges[k] = e
-            where[e] = k
+        for at, _ in moves:
+            del where[edges[at]]
+        for at, e in moves:
+            edges[at] = e
+            where[e] = at
     return edges
 
 

@@ -13,7 +13,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .assembly import HamiltonCycle, patch_hamilton_cycles
 from .counting import BoundReport, LogCount, decomposition_upper_bound
@@ -111,17 +111,21 @@ def verify_certificate(g: OrientedGraph, cert: DecompositionCertificate
     SizeMismatch, GraphHashMismatch, NotHamiltonian, UnknownEdge (a leftover
     tail outside [0, n)), then over all vertices UnknownEdge (on a cycle),
     EdgeReuse, LeftoverOverlap, UnknownEdge (in the leftover),
-    LeftoverMismatch, and then RegMismatch, TooManyCycles."""
-    return _check_certificate(g, cert, graph_digest(g), oriented_reg(g))
+    LeftoverMismatch, and then RegMismatch, TooManyCycles.  g is hashed
+    only once the sizes agree, and its reg computed only once every edge
+    check has passed."""
+    return _check_certificate(g, cert, lambda: graph_digest(g), lambda: oriented_reg(g))
 
 
-def _check_certificate(g: OrientedGraph, cert: DecompositionCertificate, digest: str,
-                       reg: int) -> tuple[bool, str | None]:
-    """:func:`verify_certificate` with g's digest and reg already computed."""
+def _check_certificate(g: OrientedGraph, cert: DecompositionCertificate,
+                       digest: Callable[[], str], reg: Callable[[], int]
+                       ) -> tuple[bool, str | None]:
+    """:func:`verify_certificate`, with g's digest and reg asked of the two
+    callables only when their checks are reached."""
     n = g.n
     if cert.n != n:
         return False, "SizeMismatch"
-    if cert.graph_sha256 != digest:
+    if cert.graph_sha256 != digest():
         return False, "GraphHashMismatch"
     succs = []
     for cyc in cert.cycles:
@@ -154,7 +158,7 @@ def _check_certificate(g: OrientedGraph, cert: DecompositionCertificate, digest:
     if faults:
         return False, ("UnknownEdge", "EdgeReuse", "LeftoverOverlap", "UnknownEdge",
                        "LeftoverMismatch")[min(faults)]
-    if cert.reg != reg:
+    if cert.reg != reg():
         return False, "RegMismatch"
     if cert.k > cert.reg:
         return False, "TooManyCycles"
@@ -203,7 +207,7 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
     cert = DecompositionCertificate(g.n, digest, tuple(sorted(cycles, key=lambda c: c.order)),
                                     leftover, reg)
     report.k = cert.k
-    ok, violation = _check_certificate(g, cert, digest, reg)
+    ok, violation = _check_certificate(g, cert, lambda: digest, lambda: reg)
     if not ok:
         raise AssertionError(f"emitted certificate failed self-check: {violation}")
     return cert, report

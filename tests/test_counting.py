@@ -113,13 +113,19 @@ def test_permanent_matches_bruteforce():
         assert permanent(mat).exact == permanent_bruteforce(mat)
 
 
-@pytest.mark.parametrize("n", range(7, 15))
+@pytest.mark.parametrize("n", sorted({1, 2, *range(7, 15), counting.PERMANENT_SPLIT,
+                                      counting.PERMANENT_SPLIT + 1, counting.PERMANENT_SPLIT + 2}))
 def test_permanent_matches_subset_dp_across_the_split(n):
-    # the first 10 columns are precomputed, so n > 10 walks the rest
+    # the first PERMANENT_SPLIT columns are precomputed, so larger n walk the
+    # rest; an all-ones row or column drives Glynn's row forms up to n
     rng = random.Random(f"perm:{n}")
     for density in (0.3, 0.5, 0.8):
         mat = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
         assert permanent(mat).exact == permanent_subset_dp(mat)
+        ones_row = mat[:n // 2] + [[1] * n] + mat[n // 2 + 1:]
+        assert permanent(ones_row).exact == permanent_subset_dp(ones_row)
+        ones_col = [row[:-1] + [1] for row in mat]
+        assert permanent(ones_col).exact == permanent_subset_dp(ones_col)
 
 
 @pytest.mark.parametrize("n", range(7, 15))
@@ -136,15 +142,24 @@ def test_permanent_structured_matrices(n):
 
 
 @pytest.mark.parametrize("n, derangements", [
-    (11, 14684570), (12, 176214841), (13, 2290792932)])
+    (11, 14684570), (12, 176214841), (13, 2290792932), (18, 2355301661033953)])
 def test_permanent_of_j_minus_i_counts_derangements(n, derangements):
+    closed_form = sum((-1) ** k * math.factorial(n) // math.factorial(k) for k in range(n + 1))
     mat = [[int(i != j) for j in range(n)] for i in range(n)]
-    assert permanent(mat).exact == derangements
+    assert permanent(mat).exact == derangements == closed_form
 
 
 def test_permanent_all_ones_beyond_64_bits():
-    # Ryser's terms reach 16^16 = 2^64 here
+    # the largest term, at every sign +1, reaches 16^16 = 2^64 here
     assert permanent([[1] * 16 for _ in range(16)]).exact == math.factorial(16)
+
+
+@pytest.mark.parametrize("n, expected", [(18, 73937006085), (20, 4953176326150)])
+def test_permanent_frozen_bench_sized_values(n, expected):
+    # recorded with Ryser's formula, before Glynn's replaced it
+    rng = random.Random(f"frozen-permanent:{n}")
+    mat = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+    assert permanent(mat).exact == expected
 
 
 def test_permanent_accepts_bool_and_float_entries():
@@ -240,6 +255,21 @@ def test_count_cycles_matches_bruteforce():
     for seed in range(4):
         g = random_oriented("regular", 7, seed=seed, r=2)
         assert count_hamilton_cycles_exact(g).exact == ham_cycles_bruteforce(g)
+
+
+def test_count_cycles_with_low_in_degrees_and_edges_into_zero():
+    # the rotational tournament of order 7 has the edges 4 -> 0, 5 -> 0 and
+    # 6 -> 0 into vertex 0; cut every edge into 4 but 3 -> 4, then every
+    # edge into 5 as well
+    rot = rotational_tournament(7)
+    one = build_oriented(7, [e for e in rot.edges if e[1] != 4 or e[0] == 3])
+    none = build_oriented(7, [e for e in one.edges if e[1] != 5])
+    assert one.in_degree(4) == 1 and none.in_degree(5) == 0
+    assert count_hamilton_cycles_exact(one).exact == ham_cycles_bruteforce(one) > 0
+    assert count_hamilton_cycles_exact(none).exact == ham_cycles_bruteforce(none) == 0
+    # a directed 6-cycle: every in-degree is 1, and one edge enters 0
+    ring = build_oriented(6, [(v, (v + 1) % 6) for v in range(6)])
+    assert count_hamilton_cycles_exact(ring).exact == ham_cycles_bruteforce(ring) == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -742,6 +742,17 @@ def test_maximum_matching_is_uniform_on_complete_graphs(monkeypatch, nl, nr, dra
     assert all(abs(c - draws * p) <= 5 * sigma for c in counts.values()), counts
 
 
+@pytest.mark.parametrize("m, d, seed, sha256", [
+    (12, 5, 0, "1d8fd69fb45439c14e2978cd9496fcda99277eacab4139174089186a3d1afae7"),
+    (40, 10, 1, "f5a321c25bbe125b65d024092e880c2957ed1a46a5037e4f200a59a3e756d564"),
+    # 65 edges, just above 64: about half of the 7-bit index draws are redrawn
+    (13, 5, 2, "d47ec536374eb455b70c429fb8702449f61f6f5cebd22207b5a1646ac2512955"),
+])
+def test_random_regular_bipartite_frozen_rows(m, d, seed, sha256):
+    rows = random_regular_bipartite(m, d, seed).adj_left
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("d", [-1, 4])
 def test_random_regular_bipartite_rejects_degree_out_of_range(d):
     with pytest.raises(ROutOfRangeError):

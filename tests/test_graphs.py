@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from hamdec.errors import (
     VertexOutOfRangeError,
 )
 from hamdec.graphs import (
+    _switch_chain,
     bipartite_between,
     build_oriented,
     degree_summary,
@@ -123,6 +125,18 @@ def test_random_regular_reproducible_and_capped():
 def test_random_regular_frozen_edge_lists(n, r, seed, sha256):
     text = write_edge_list(random_regular_oriented(n, r, seed))
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+def test_switch_chain_frozen_edges_and_end_state():
+    # 129 edges, just above 128: about half of the 8-bit index draws are
+    # redrawn; the generator's next draw pins the state the chain leaves
+    g = random_regular_oriented(43, 3, 4)
+    assert hashlib.sha256(write_edge_list(g).encode()).hexdigest() == (
+        "c0a67003d521cec3373306cad79b135a4468bc9c159f5790637ef02797d96ce0")
+    rng = random.Random("chain-state")
+    out = _switch_chain(sorted(g.edges), rng)
+    assert hashlib.sha256(repr((out, rng.getrandbits(64))).encode()).hexdigest() == (
+        "496531f99bb291396296d192f072e0414ffcfb6ddec2ebd0a1d24f70803248cd")
 
 
 @pytest.mark.parametrize("make, sha256", [

@@ -3,11 +3,13 @@ against a set-algebra verifier kept here as the reference oracle."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import hamdec.pipeline
 from hamdec.assembly import HamiltonCycle
 from hamdec.factors import oriented_reg
-from hamdec.graphs import random_regular_oriented, rotational_tournament
+from hamdec.graphs import random_regular_oriented, random_tournament, rotational_tournament
 from hamdec.pipeline import (
     DecompositionCertificate,
     RunConfig,
@@ -171,3 +173,26 @@ def test_cycle_wound_twice_is_not_hamiltonian():
     assert HamiltonCycle((0, 1, 2)).spans({0, 1, 2})
     cert = DecompositionCertificate(3, graph_digest(g), (twice,), frozenset(), 1)
     assert verify_certificate(g, cert) == reference_verify(g, cert) == (False, "NotHamiltonian")
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_faults_found_before_the_reg_check_compute_no_reg(fault, monkeypatch):
+    # a tournament that is not regular, so its reg takes a b-matching
+    g = random_tournament(15, 1)
+    cert, _ = approximate_decomposition(g)
+    bad = with_fault(g, cert, fault, random.Random(fault))
+    calls = []
+    monkeypatch.setattr(hamdec.pipeline, "oriented_reg", lambda g: calls.append(g) or 0)
+    assert verify_certificate(g, bad) == (False, FAULTS[fault])
+    assert calls == []
+
+
+def test_size_mismatch_neither_hashes_nor_computes_reg(monkeypatch):
+    g = random_tournament(15, 1)
+    cert, _ = approximate_decomposition(g)
+    bigger = DecompositionCertificate(16, cert.graph_sha256, cert.cycles, cert.leftover, cert.reg)
+    calls = []
+    monkeypatch.setattr(hamdec.pipeline, "graph_digest", lambda g: calls.append("digest"))
+    monkeypatch.setattr(hamdec.pipeline, "oriented_reg", lambda g: calls.append("reg"))
+    assert verify_certificate(g, bigger) == (False, "SizeMismatch")
+    assert calls == []
