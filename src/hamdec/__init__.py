@@ -12,9 +12,7 @@ from .graphs import (
     DegreeSummary,
     OrientedGraph,
     bipartite_between,
-    build_oriented,
     degree_summary,
-    random_oriented,
     read_edge_list,
     remove_edges,
     rotational_tournament,

@@ -649,7 +649,7 @@ def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
         f_j = OrientedGraph(len(w_sorted),
                             {(w_index[x], w_index[y])
                              for x, y in remaining if x in wset and y in wset},
-                            labels=tuple(w_sorted), _validated=True)
+                            labels=tuple(w_sorted))
         connectors = connectors_from_edges(remaining, cover.paths, w_sorted)
         try:
             cycle = complete_cover_to_cycle(

@@ -21,7 +21,8 @@ from .errors import FormatError, HamdecError
 from .factors import extract_oriented_r_factor, oriented_reg
 from .graphs import (
     OrientedGraph,
-    random_oriented,
+    random_regular_oriented,
+    random_tournament,
     read_edge_list,
     rotational_tournament,
     write_edge_list,
@@ -132,8 +133,10 @@ def _dispatch(args) -> int:
             raise UsageError("--seed does not apply to --kind rotational, which is not random")
         if args.kind == "rotational":
             g = rotational_tournament(args.n)
+        elif args.kind == "tournament":
+            g = random_tournament(args.n, args.seed or 0)
         else:
-            g = random_oriented(args.kind, args.n, seed=args.seed or 0, r=args.r)
+            g = random_regular_oriented(args.n, args.r, args.seed or 0)
         _write_text(write_edge_list(g), args.out)
         return 0
 

@@ -382,7 +382,7 @@ def extract_oriented_r_factor(g: OrientedGraph, r: int) -> OrientedGraph:
     graph when r = 0, and otherwise g less the edges of a b-matching on
     the excess degrees."""
     if r == 0:
-        return OrientedGraph(g.n, (), labels=g.labels, _validated=True)
+        return OrientedGraph(g.n, (), labels=g.labels)
     degs = degree_summary(g)
     if r == degs.min_semi == degs.max_semi:
         return g
@@ -391,7 +391,7 @@ def extract_oriented_r_factor(g: OrientedGraph, r: int) -> OrientedGraph:
         raise NoFactorError(f"graph has no {r}-factor")
     return OrientedGraph(g.n, ((u, v) for u, row in enumerate(g.out_neighbors)
                                for v in row if v not in picks[u]),
-                         labels=g.labels, _validated=True)
+                         labels=g.labels)
 
 
 # -- test-instance generator -------------------------------------------

@@ -53,40 +53,50 @@ class DegreeSummary:
 
 class OrientedGraph:
     """Immutable simple digraph without antiparallel edge pairs, held as sorted
-    out- and in-neighbour tuples only; ``_validated`` edges must be distinct."""
+    out- and in-neighbour tuples only.
+
+    Every graph is checked on its sorted rows at construction.  A vertex
+    outside [0, n) raises :class:`VertexOutOfRangeError` before any other
+    fault is looked for: a tail or head of n or more as the rows are
+    filled, a negative one as a negative first entry of some row (Python
+    would otherwise file ``outs[-1]`` under vertex n - 1).  Otherwise the
+    lowest vertex u with a fault is reported, and at u a loop
+    (:class:`LoopEdgeError`) before a duplicate edge out of u
+    (:class:`DuplicateEdgeError`) before an antiparallel pair through u
+    (:class:`AntiparallelPairError`).
+    """
 
     __slots__ = ("n", "out_neighbors", "in_neighbors", "labels")
 
-    def __init__(self, n: int, edges: Iterable[Edge], labels: tuple[int, ...] | None = None,
-                 _validated: bool = False):
+    def __init__(self, n: int, edges: Iterable[Edge], labels: tuple[int, ...] | None = None):
         if n < 1:
             raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
         outs, ins = [[] for _ in range(n)], [[] for _ in range(n)]
-        for u, v in (edges if _validated else self._validate(n, edges)):
-            outs[u].append(v)
-            ins[v].append(u)
+        for u, v in edges:
+            try:
+                outs[u].append(v)
+                ins[v].append(u)
+            except IndexError:
+                raise VertexOutOfRangeError(f"edge ({u}, {v}) outside [0, {n})") from None
         self.n = n
         self.out_neighbors = tuple(tuple(sorted(row)) for row in outs)
         self.in_neighbors = tuple(tuple(sorted(row)) for row in ins)
+        low = min((row[0] for row in self.out_neighbors + self.in_neighbors if row), default=0)
+        if low < 0:
+            raise VertexOutOfRangeError(f"vertex {low} outside [0, {n})")
+        for u, (row, back) in enumerate(zip(self.out_neighbors, self.in_neighbors)):
+            heads = set(row)
+            if u in heads:
+                raise LoopEdgeError(f"loop edge ({u}, {u})")
+            if len(heads) < len(row):
+                v = next(a for a, b in zip(row, row[1:]) if a == b)
+                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+            if not heads.isdisjoint(back):
+                v = min(heads.intersection(back))
+                raise AntiparallelPairError(f"both ({u}, {v}) and ({v}, {u}) supplied")
         if labels is not None and len(labels) != n:
             raise VertexOutOfRangeError("label map length must equal n")
         self.labels = labels
-
-    @staticmethod
-    def _validate(n: int, edges: Iterable[Edge]) -> set[Edge]:
-        seen: set[Edge] = set()
-        for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRangeError(f"edge {e} outside [0, {n})")
-            if u == v:
-                raise LoopEdgeError(f"loop edge ({u}, {v})")
-            if (u, v) in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-            if (v, u) in seen:
-                raise AntiparallelPairError(f"both ({v}, {u}) and ({u}, {v}) supplied")
-            seen.add((u, v))
-        return seen
 
     # -- queries -------------------------------------------------------
 
@@ -123,7 +133,7 @@ class OrientedGraph:
         index = {v: i for i, v in enumerate(verts)}
         edges = [(index[u], index[v]) for u in verts for v in self.out_neighbors[u] if v in index]
         labels = tuple(self.host(v) for v in verts)
-        return OrientedGraph(len(verts), edges, labels=labels, _validated=True)
+        return OrientedGraph(len(verts), edges, labels=labels)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OrientedGraph) and self.n == other.n
@@ -187,11 +197,6 @@ class BipartiteGraph:
 # -- construction -----------------------------------------------------
 
 
-def build_oriented(n: int, edges: Iterable[Edge]) -> OrientedGraph:
-    """Validate and build an oriented graph on vertex set [0, n)."""
-    return OrientedGraph(n, edges)
-
-
 def rotational_tournament(n: int) -> OrientedGraph:
     """The (n-1)/2-regular tournament with edges i -> i + j (mod n)."""
     if n % 2 == 0:
@@ -200,7 +205,7 @@ def rotational_tournament(n: int) -> OrientedGraph:
         raise VertexOutOfRangeError("need n >= 3")
     half = (n - 1) // 2
     edges = ((i, (i + j) % n) for i in range(n) for j in range(1, half + 1))
-    return OrientedGraph(n, edges, _validated=True)
+    return OrientedGraph(n, edges)
 
 
 def random_tournament(n: int, seed: int) -> OrientedGraph:
@@ -210,7 +215,7 @@ def random_tournament(n: int, seed: int) -> OrientedGraph:
     for u in range(n):
         for v in range(u + 1, n):
             edges.append((u, v) if rng.random() < 0.5 else (v, u))
-    return OrientedGraph(n, edges, _validated=True)
+    return OrientedGraph(n, edges)
 
 
 def random_regular_oriented(n: int, r: int, seed: int) -> OrientedGraph:
@@ -226,7 +231,7 @@ def random_regular_oriented(n: int, r: int, seed: int) -> OrientedGraph:
     label = list(range(n))
     rng.shuffle(label)
     edges = [(label[i], label[(i + j) % n]) for i in range(n) for j in range(1, r + 1)]
-    return OrientedGraph(n, _switch_chain(edges, rng), _validated=True)
+    return OrientedGraph(n, _switch_chain(edges, rng))
 
 
 def _switch_chain(edges: list[Edge], rng: random.Random) -> list[Edge]:
@@ -292,20 +297,6 @@ def _equipartition(n: int, b: int, rng: random.Random) -> list[list[int]]:
     return parts
 
 
-def random_oriented(kind: str, n: int, seed: int, r: int | None = None) -> OrientedGraph:
-    """Generate a random oriented graph: kind "tournament" or "regular".
-
-    Deterministic for a fixed seed.
-    """
-    if kind == "tournament":
-        return random_tournament(n, seed)
-    if kind == "regular":
-        if r is None:
-            raise ValueError("regular kind requires r")
-        return random_regular_oriented(n, r, seed)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 # -- accounting and subgraphs -----------------------------------------
 
 
@@ -349,7 +340,7 @@ def remove_edges(g: OrientedGraph, removed: Iterable[Edge]) -> OrientedGraph:
     unknown = rem - g.edges
     if unknown:
         raise UnknownEdgeError(f"{len(unknown)} edges not in graph, e.g. {min(unknown)}")
-    return OrientedGraph(g.n, g.edges - rem, labels=g.labels, _validated=True)
+    return OrientedGraph(g.n, g.edges - rem, labels=g.labels)
 
 
 # -- edge-list io ------------------------------------------------------
@@ -385,13 +376,14 @@ def read_edge_list(text: str) -> OrientedGraph:
         raise FormatError(f"bad header numbers in {lines[0]!r}") from exc
     if len(lines) - 1 != m:
         raise FormatError(f"header announces {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise FormatError(f"bad edge line {ln!r}") from exc
-    return build_oriented(n, edges)
+    try:
+        edges = [(int(a), int(b)) for a, b in map(str.split, lines[1:])]
+    except ValueError:
+        for ln in lines[1:]:
+            try:
+                a, b = ln.split()
+                int(a), int(b)
+            except ValueError:
+                raise FormatError(f"bad edge line {ln!r}") from None
+        raise
+    return OrientedGraph(n, edges)

@@ -41,14 +41,14 @@ class SubproblemSpec:
         idx = {v: i for i, v in enumerate(self.u_vertices)}
         return OrientedGraph(len(self.u_vertices),
                              {(idx[u], idx[v]) for u, v in self.inner_edges},
-                             labels=self.u_vertices, _validated=True)
+                             labels=self.u_vertices)
 
     @cached_property
     def reservoir_graph(self) -> OrientedGraph:
         idx = {v: i for i, v in enumerate(self.w_vertices)}
         return OrientedGraph(len(self.w_vertices),
                              {(idx[u], idx[v]) for u, v in self.reservoir_edges},
-                             labels=self.w_vertices, _validated=True)
+                             labels=self.w_vertices)
 
     def all_edges(self) -> frozenset[Edge]:
         return self.inner_edges | self.cross_edges | self.reservoir_edges

@@ -298,5 +298,5 @@ def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
     family = PathCoverFamily(tuple(covers), a=a, t=len(covers), limiting_pair=limiting)
     family.validate(universe=set(range(n)), host=h)
     union = family.union_edges()
-    min_union = degree_summary(OrientedGraph(n, union, _validated=True)).min_semi
+    min_union = degree_summary(OrientedGraph(n, union)).min_semi
     return family, min_union

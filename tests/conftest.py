@@ -5,8 +5,14 @@ import random
 from hypothesis import strategies as st
 
 from hamdec.assembly import connectors_from_edges
+from hamdec.errors import (
+    AntiparallelPairError,
+    DuplicateEdgeError,
+    LoopEdgeError,
+    VertexOutOfRangeError,
+)
 from hamdec.flows import Dinic
-from hamdec.graphs import OrientedGraph, build_oriented
+from hamdec.graphs import OrientedGraph
 from hamdec.pathcovers import DirectedPath
 
 
@@ -15,7 +21,26 @@ def reservoir_view(host, w_vertices):
     w = sorted(w_vertices)
     idx = {v: i for i, v in enumerate(w)}
     edges = {(idx[u], idx[v]) for u, v in host.edges if u in idx and v in idx}
-    return OrientedGraph(len(w), edges, labels=tuple(w), _validated=True)
+    return OrientedGraph(len(w), edges, labels=tuple(w))
+
+
+def reference_edge_fault(n, edges):
+    """Set-based oracle for OrientedGraph's checks: the error class of the
+    first faulty edge in input order, or None when the edges form an
+    oriented graph on [0, n).  Independent of the row checks: one pass
+    over the edges with a set of those seen."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return VertexOutOfRangeError
+        if u == v:
+            return LoopEdgeError
+        if (u, v) in seen:
+            return DuplicateEdgeError
+        if (v, u) in seen:
+            return AntiparallelPairError
+        seen.add((u, v))
+    return None
 
 
 def plant_completable_instance(seed, w_size, a):
@@ -58,7 +83,7 @@ def plant_completable_instance(seed, w_size, a):
                 edges.add((y, x))
             else:
                 edges.add((x, y) if rng.random() < 0.5 else (y, x))
-    host = build_oriented(n, edges)
+    host = OrientedGraph(n, edges)
     reservoir = reservoir_view(host, w)
     connectors = connectors_from_edges(host.edges, tuple(paths), w)
     return host, tuple(paths), reservoir, connectors
@@ -150,4 +175,4 @@ def oriented_graphs(draw, min_n=3, max_n=30):
         for v in range(u + 1, n):
             if rng.random() < density:
                 edges.add((u, v) if rng.random() < 0.5 else (v, u))
-    return build_oriented(n, edges)
+    return OrientedGraph(n, edges)

@@ -27,7 +27,7 @@ from hamdec.factors import (
     has_bipartite_r_factor,
     random_regular_bipartite,
 )
-from hamdec.graphs import BipartiteGraph, build_oriented, rotational_tournament
+from hamdec.graphs import BipartiteGraph, OrientedGraph, rotational_tournament
 from hamdec.partition import build_partition, verify_partition
 from hamdec.pathcovers import complete_digraph_path_decomposition
 from hamdec.pipeline import RunConfig, approximate_decomposition, verify_certificate
@@ -234,7 +234,7 @@ def test_criterion_9_hamilton_connectivity_oracle():
             for v in range(u + 1, n):
                 if rng.random() < p:
                     edges.add((u, v) if rng.random() < 0.5 else (v, u))
-        g = build_oriented(n, edges)
+        g = OrientedGraph(n, edges)
         s, t = rng.sample(range(n), 2)
         found = hamilton_path_between(g, s, t, budget=None, seed=checked)
         assert (found is not None) == exists_by_permutations(g, s, t)

@@ -38,9 +38,8 @@ from hamdec.errors import (
 from hamdec.factors import random_cycle_factor
 from hamdec.graphs import (
     OrientedGraph,
-    build_oriented,
-    random_oriented,
     random_regular_oriented,
+    random_tournament,
     remove_edges,
     rotational_tournament,
 )
@@ -86,7 +85,7 @@ def test_path_search_triangle():
 
 
 def test_path_search_single_edge_not_found():
-    g = build_oriented(2, [(0, 1)])
+    g = OrientedGraph(2, [(0, 1)])
     assert hamilton_path_between(g, 1, 0) is None
     assert hamilton_path_between(g, 0, 1).vertices == (0, 1)
 
@@ -114,8 +113,8 @@ def test_path_search_matches_bruteforce():
     for seed in range(60):
         rng = random.Random(seed)
         n = rng.randint(2, 8)
-        g = random_oriented("tournament", n, seed=seed) if rng.random() < 0.5 else \
-            build_oriented(n, {(u, v) for u in range(n) for v in range(n)
+        g = random_tournament(n, seed=seed) if rng.random() < 0.5 else \
+            OrientedGraph(n, {(u, v) for u in range(n) for v in range(n)
                                if u < v and rng.random() < 0.4})
         s, t = rng.sample(range(n), 2)
         found = hamilton_path_between(g, s, t, seed=seed)
@@ -131,7 +130,7 @@ def test_path_search_budget_exhaustion():
 def test_path_search_long_directed_path():
     # one search level per vertex: deeper than the default recursion limit
     n = 1200
-    g = build_oriented(n, [(i, i + 1) for i in range(n - 1)])
+    g = OrientedGraph(n, [(i, i + 1) for i in range(n - 1)])
     assert hamilton_path_between(g, 0, n - 1) == DirectedPath(tuple(range(n)))
 
 
@@ -145,7 +144,7 @@ def frozen_path_outputs(budget):
                  for u in range(n) for v in range(u + 1, n) if rng.random() < p}
         s, t = rng.sample(range(n), 2)
         try:
-            got = hamilton_path_between(build_oriented(n, edges), s, t, budget=budget, seed=q)
+            got = hamilton_path_between(OrientedGraph(n, edges), s, t, budget=budget, seed=q)
             out.append(None if got is None else got.vertices)
         except BudgetExhaustedError as exc:
             out.append(("exhausted", exc.expansions))
@@ -199,7 +198,7 @@ def test_path_search_outputs_frozen(budget):
 def spliced_instance():
     # one path 0 -> 1, reservoir {2, 3, 4} carrying a directed triangle
     paths = (DirectedPath((0, 1)),)
-    reservoir = OrientedGraph(3, {(0, 1), (1, 2), (2, 0)}, labels=(2, 3, 4), _validated=True)
+    reservoir = OrientedGraph(3, {(0, 1), (1, 2), (2, 0)}, labels=(2, 3, 4))
     connectors = Connectors(
         into_start=(frozenset({4}),),   # 4 -> 0
         out_of_end=(frozenset({2}),),   # 1 -> 2
@@ -353,7 +352,7 @@ def test_splice_outputs_frozen(enforce_margin):
 
 def family_instance():
     """12-vertex host: U = 0..7 with two edge-disjoint covers, W = 8..11."""
-    host = random_oriented("tournament", 12, seed=42)
+    host = random_tournament(12, seed=42)
     u = list(range(8))
     w = list(range(8, 12))
     return host, u, w
@@ -444,7 +443,7 @@ def test_patching_cycles_are_disjoint_hamiltonian_and_residual():
 def test_patching_merges_a_two_cycle_factor():
     # the only cycle factors are the triangles {0 1 2}, {3 4 5} and the
     # 6-cycle, which the switch 0 -> 4, 3 -> 1 makes from the triangles
-    g = build_oriented(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+    g = OrientedGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                            (0, 4), (3, 1)])
     for seed in range(5):
         out = patch_hamilton_cycles(g, seed=seed)
@@ -455,7 +454,7 @@ def test_patching_merges_a_two_cycle_factor():
 def test_patching_stops_after_consecutive_failed_factors():
     # two triangles joined by the edge 0 -> 3 alone: the one 2-switch
     # would need the missing edge 5 -> 1
-    g = build_oriented(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+    g = OrientedGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
     out = patch_hamilton_cycles(g, seed=0)
     assert out.cycles == []
     assert out.failures == PATCH_REDRAWS
@@ -471,7 +470,7 @@ def test_patching_is_deterministic_per_seed():
 
 
 def test_patching_without_cycle_factor():
-    g = build_oriented(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    g = OrientedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     out = patch_hamilton_cycles(g)
     assert out.cycles == [] and out.failures == 0
     assert out.stop_reason == "no cycle factor in residual"
@@ -480,7 +479,7 @@ def test_patching_without_cycle_factor():
 def test_patching_stops_without_drawing_when_no_factor_is_hamiltonian():
     # two disjoint rotational tournaments of order 5: 2-regular, with no
     # Hamilton cycle at all
-    g = build_oriented(10, [(5 * b + i, 5 * b + (i + j) % 5)
+    g = OrientedGraph(10, [(5 * b + i, 5 * b + (i + j) % 5)
                             for b in range(2) for i in range(5) for j in (1, 2)])
     out = patch_hamilton_cycles(g)
     assert out.cycles == [] and out.failures == out.switches == 0

@@ -134,6 +134,14 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert cli_main(["reg", str(not_ascii)]) == 2
 
 
+@pytest.mark.parametrize("edge", ["-1 0", "0 -1", "3 0"])
+def test_out_of_range_vertex_is_input_error(edge, tmp_path, capsys):
+    path = tmp_path / "range.og"
+    path.write_text(f"og 3 1\n{edge}\n")
+    assert cli_main(["reg", str(path)]) == 2
+    assert "outside [0, 3)" in _one_line_error(capsys)
+
+
 def test_bounds_command(capsys):
     assert cli_main(["bounds", "--n", "5", "--r", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

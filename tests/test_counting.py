@@ -22,9 +22,9 @@ from hamdec.counting import (
 from hamdec.errors import TooLargeError
 from hamdec.factors import random_regular_bipartite
 from hamdec.graphs import (
-    build_oriented,
-    random_oriented,
+    OrientedGraph,
     random_regular_oriented,
+    random_tournament,
     rotational_tournament,
 )
 
@@ -177,7 +177,7 @@ def test_permanent_cap():
 
 def test_permanent_dominates_hamilton_count():
     for seed in range(8):
-        g = random_oriented("tournament", 6, seed=seed)
+        g = random_tournament(6, seed=seed)
         per = permanent(adjacency_matrix(g)).exact
         assert per >= count_hamilton_cycles_exact(g).exact
 
@@ -238,7 +238,7 @@ def test_vdw_lower_bounds_regular_instances():
 
 def test_count_cycles_small():
     assert count_hamilton_cycles_exact(rotational_tournament(3)).exact == 1
-    trans = build_oriented(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    trans = OrientedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert count_hamilton_cycles_exact(trans).exact == 0
 
 
@@ -250,10 +250,10 @@ def test_count_cycles_rotational_frozen_values():
 
 def test_count_cycles_matches_bruteforce():
     for seed in range(10):
-        g = random_oriented("tournament", 6, seed=seed)
+        g = random_tournament(6, seed=seed)
         assert count_hamilton_cycles_exact(g).exact == ham_cycles_bruteforce(g)
     for seed in range(4):
-        g = random_oriented("regular", 7, seed=seed, r=2)
+        g = random_regular_oriented(7, 2, seed=seed)
         assert count_hamilton_cycles_exact(g).exact == ham_cycles_bruteforce(g)
 
 
@@ -262,13 +262,13 @@ def test_count_cycles_with_low_in_degrees_and_edges_into_zero():
     # 6 -> 0 into vertex 0; cut every edge into 4 but 3 -> 4, then every
     # edge into 5 as well
     rot = rotational_tournament(7)
-    one = build_oriented(7, [e for e in rot.edges if e[1] != 4 or e[0] == 3])
-    none = build_oriented(7, [e for e in one.edges if e[1] != 5])
+    one = OrientedGraph(7, [e for e in rot.edges if e[1] != 4 or e[0] == 3])
+    none = OrientedGraph(7, [e for e in one.edges if e[1] != 5])
     assert one.in_degree(4) == 1 and none.in_degree(5) == 0
     assert count_hamilton_cycles_exact(one).exact == ham_cycles_bruteforce(one) > 0
     assert count_hamilton_cycles_exact(none).exact == ham_cycles_bruteforce(none) == 0
     # a directed 6-cycle: every in-degree is 1, and one edge enters 0
-    ring = build_oriented(6, [(v, (v + 1) % 6) for v in range(6)])
+    ring = OrientedGraph(6, [(v, (v + 1) % 6) for v in range(6)])
     assert count_hamilton_cycles_exact(ring).exact == ham_cycles_bruteforce(ring) == 1
 
 
@@ -314,9 +314,9 @@ def test_decomposition_counts_match_bruteforce(n, r, monkeypatch):
 
 def test_decomposition_counts_trivial():
     assert count_hamilton_decompositions_exact(rotational_tournament(3)).exact == 1
-    trans = build_oriented(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    trans = OrientedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert count_hamilton_decompositions_exact(trans).exact == 0
-    edgeless = build_oriented(3, [])
+    edgeless = OrientedGraph(3, [])
     assert count_hamilton_decompositions_exact(edgeless).exact == 1
 
 
@@ -332,7 +332,7 @@ def test_decomposition_strategies_agree():
         b = count_hamilton_decompositions_ordered(g).exact
         assert a == b
     for seed in range(6):
-        g = random_oriented("regular", 8, seed=seed, r=2)
+        g = random_regular_oriented(8, 2, seed=seed)
         a = count_hamilton_decompositions_exact(g).exact
         b = count_hamilton_decompositions_ordered(g).exact
         assert a == b
@@ -357,7 +357,7 @@ def test_find_decomposition():
         assert len(order) == 5 and not (union & edges)
         union |= edges
     assert union == set(rotational_tournament(5).edges)
-    trans = build_oriented(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    trans = OrientedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert find_hamilton_decomposition(trans) is None
 
 

@@ -29,9 +29,8 @@ from hamdec.factors import (
 )
 from hamdec.graphs import (
     BipartiteGraph,
-    build_oriented,
+    OrientedGraph,
     degree_summary,
-    random_oriented,
     random_regular_oriented,
     random_tournament,
     rotational_tournament,
@@ -232,26 +231,26 @@ def test_reg_of_rotational_tournaments():
 
 
 def test_reg_of_transitive_tournament():
-    g = build_oriented(3, [(0, 1), (0, 2), (1, 2)])
+    g = OrientedGraph(3, [(0, 1), (0, 2), (1, 2)])
     assert oriented_reg(g) == 0
 
 
 def test_reg_matches_bruteforce_on_random_tournaments():
     for seed in range(6):
-        g = random_oriented("tournament", 6, seed=seed)
+        g = random_tournament(6, seed=seed)
         assert oriented_reg(g) == bruteforce_oriented_reg(g)
     for seed in range(2):
-        g = random_oriented("tournament", 7, seed=seed)
+        g = random_tournament(7, seed=seed)
         assert oriented_reg(g) == bruteforce_oriented_reg(g)
 
 
 def test_reg_monotone_under_edge_addition():
     rng = random.Random(9)
     for seed in range(5):
-        g = random_oriented("tournament", 7, seed=seed)
+        g = random_tournament(7, seed=seed)
         edges = sorted(g.edges)
         rng.shuffle(edges)
-        sub = build_oriented(g.n, edges[: len(edges) // 2])
+        sub = OrientedGraph(g.n, edges[: len(edges) // 2])
         assert oriented_reg(sub) <= oriented_reg(g)
 
 
@@ -301,7 +300,7 @@ def lopsided_graph():
              for i in range(7) for j in (1, 2, 3)}
     edges |= {(u, 7) for u in range(7)} | {(7, w) for w in range(8, 15)}
     edges |= {(w, u) for w in range(8, 15) for u in range(7)}
-    return build_oriented(15, edges)
+    return OrientedGraph(15, edges)
 
 
 def test_reg_below_min_semi_degree():
@@ -327,7 +326,7 @@ def bottleneck_graph(a, s, d_a, b, d_b):
     edges |= {(bs[i], bs[(i + j) % b]) for i in range(b) for j in range(1, d_b + 1)}
     edges |= {(u, x) for u in range(a) for x in xs} | {(x, w) for x in xs for w in bs}
     edges |= {(w, u) for w in bs for u in range(a)}
-    return build_oriented(a + s + b, edges)
+    return OrientedGraph(a + s + b, edges)
 
 
 def dinic_reg(g):
@@ -373,15 +372,15 @@ def test_reg_matches_networkx_max_flow(monkeypatch):
     nx = pytest.importorskip("networkx")
     # the greedy pass of the b-matching leaves a deficit on this
     # tournament, so the alternating-path search decides its reg
-    deficit = random_oriented("tournament", 61, seed=0)
+    deficit = random_tournament(61, seed=0)
     graphs = [rotational_tournament(n) for n in (7, 21)] + [lopsided_graph(), deficit]
-    graphs += [random_oriented("tournament", n, seed=s) for n in (9, 20, 31) for s in range(3)]
+    graphs += [random_tournament(n, seed=s) for n in (9, 20, 31) for s in range(3)]
     rng = random.Random(4)
     for g in graphs[:]:
         edges = sorted(g.edges)
         rng.shuffle(edges)
-        graphs.append(build_oriented(g.n, edges[: 3 * len(edges) // 4]))
-    graphs += [random_oriented("regular", 25, seed=s, r=4) for s in range(2)]
+        graphs.append(OrientedGraph(g.n, edges[: 3 * len(edges) // 4]))
+    graphs += [random_regular_oriented(25, 4, seed=s) for s in range(2)]
     for g in graphs:
         assert oriented_reg(g) == networkx_reg(nx, g)
 
@@ -534,7 +533,7 @@ def test_b_matching_outputs_frozen(monkeypatch):
         return size, picks
 
     monkeypatch.setattr(factors, "_b_matching", recording_b_matching)
-    graphs = [random_oriented("tournament", n, seed=s) for n in (31, 61, 101) for s in range(3)]
+    graphs = [random_tournament(n, seed=s) for n in (31, 61, 101) for s in range(3)]
     graphs += [lopsided_graph()] + [bottleneck_graph(*args) for args in (
         (12, 5, 3, 9, 2), (40, 20, 4, 40, 10), (30, 12, 5, 20, 4), (100, 50, 10, 100, 25))]
     for g in graphs:
@@ -668,7 +667,7 @@ FROZEN_MATCHING_DIGESTS = {
 
 def frozen_matching_outputs(name, seed):
     if name == "build_path_cover_family":
-        h = random_oriented("regular", 40, seed=seed, r=8)
+        h = random_regular_oriented(40, 8, seed=seed)
         fam, mu = build_path_cover_family(h, b=4, a=14, t=4, xi=0, seed=seed)
         return [[p.vertices for p in c.paths] for c in fam.covers], fam.limiting_pair, mu
     if name == "pm_decompose_regular":

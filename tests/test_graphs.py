@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,17 +19,19 @@ from hamdec.errors import (
     VertexOutOfRangeError,
 )
 from hamdec.graphs import (
+    OrientedGraph,
     _switch_chain,
     bipartite_between,
-    build_oriented,
     degree_summary,
-    random_oriented,
     random_regular_oriented,
+    random_tournament,
     read_edge_list,
     remove_edges,
     rotational_tournament,
     write_edge_list,
 )
+
+from conftest import reference_edge_fault
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
 
@@ -45,7 +48,7 @@ def check_adjacency_consistency(g):
 
 
 def test_build_triangle():
-    g = build_oriented(3, TRIANGLE)
+    g = OrientedGraph(3, TRIANGLE)
     s = degree_summary(g)
     assert (s.min_out, s.min_in, s.max_out, s.max_in) == (1, 1, 1, 1)
     assert s.min_semi == s.max_semi == 1
@@ -54,19 +57,112 @@ def test_build_triangle():
 
 def test_build_rejects_antiparallel():
     with pytest.raises(AntiparallelPairError):
-        build_oriented(2, [(0, 1), (1, 0)])
+        OrientedGraph(2, [(0, 1), (1, 0)])
 
 
 def test_build_rejects_loop():
     with pytest.raises(LoopEdgeError):
-        build_oriented(3, [(1, 1)])
+        OrientedGraph(3, [(1, 1)])
 
 
 def test_build_rejects_duplicate_and_range():
     with pytest.raises(DuplicateEdgeError):
-        build_oriented(3, [(0, 1), (0, 1)])
+        OrientedGraph(3, [(0, 1), (0, 1)])
     with pytest.raises(VertexOutOfRangeError):
-        build_oriented(3, [(0, 3)])
+        OrientedGraph(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (3, 0)])
+def test_out_of_range_vertex_is_rejected_not_wrapped(edge):
+    # a negative index would otherwise land in row n - 1
+    with pytest.raises(VertexOutOfRangeError):
+        OrientedGraph(3, [edge])
+    with pytest.raises(VertexOutOfRangeError):
+        OrientedGraph(3, [(1, 2), edge])
+    with pytest.raises(VertexOutOfRangeError):
+        read_edge_list(f"og 3 1\n{edge[0]} {edge[1]}\n")
+
+
+@pytest.mark.parametrize("edges, error", [
+    ([(2, 2), (0, -1)], VertexOutOfRangeError),   # range before all else
+    ([(2, 2), (1, 3)], VertexOutOfRangeError),
+    ([(2, 2), (0, 1), (0, 1)], DuplicateEdgeError),  # lowest vertex first
+    ([(1, 2), (2, 1), (1, 1)], LoopEdgeError),     # loop first at a vertex
+    ([(1, 2), (2, 1), (1, 2)], DuplicateEdgeError),
+    ([(0, 2), (2, 0), (1, 1)], AntiparallelPairError),
+], ids=["negative", "too-large", "lowest-vertex", "loop-first", "duplicate-next",
+        "antiparallel-at-0"])
+def test_fault_report_order(edges, error):
+    with pytest.raises(error):
+        OrientedGraph(3, edges)
+
+
+def fault_kinds(n, edges):
+    """The error classes of every fault kind present in an edge list."""
+    inside = [(u, v) for u, v in edges if 0 <= u < n and 0 <= v < n]
+    kinds = set()
+    if len(inside) < len(edges):
+        kinds.add(VertexOutOfRangeError)
+    if any(u == v for u, v in inside):
+        kinds.add(LoopEdgeError)
+    if any(c > 1 for c in Counter(inside).values()):
+        kinds.add(DuplicateEdgeError)
+    present = set(inside)
+    if any(u != v and (v, u) in present for u, v in inside):
+        kinds.add(AntiparallelPairError)
+    return kinds
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """An oriented graph's edges on up to 8 vertices, in drawn order, with up to
+    three loops, duplicates, reversed edges or out-of-range vertices
+    inserted at drawn positions."""
+    n = draw(st.integers(1, 8))
+    edges = []
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n)):
+        if u != v and (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+    faults = ("loop", "duplicate", "antiparallel", "range")
+    for kind in draw(st.lists(st.sampled_from(faults), max_size=3)):
+        if kind == "loop":
+            u = draw(st.integers(0, n - 1))
+            edge = (u, u)
+        elif kind == "range":
+            bad = draw(st.integers(-n - 1, -1) | st.integers(n, 2 * n + 1))
+            edge = (bad, draw(st.integers(0, n - 1)))
+            edge = draw(st.sampled_from((edge, edge[::-1])))
+        elif edges:
+            edge = draw(st.sampled_from(edges))
+            edge = edge if kind == "duplicate" else edge[::-1]
+        else:
+            continue
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    return n, edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(faulty_edge_lists())
+def test_construction_rejects_what_the_reference_rejects(case):
+    n, edges = case
+    expected = reference_edge_fault(n, edges)
+    kinds = fault_kinds(n, edges)
+    assert (expected is None) == (not kinds)
+    if expected is None:
+        g = OrientedGraph(n, edges)
+        assert g.out_neighbors == tuple(tuple(sorted(v for a, v in edges if a == u))
+                                        for u in range(n))
+        assert g.in_neighbors == tuple(tuple(sorted(a for a, v in edges if v == u))
+                                       for u in range(n))
+        return
+    with pytest.raises((VertexOutOfRangeError, LoopEdgeError, DuplicateEdgeError,
+                        AntiparallelPairError)) as caught:
+        OrientedGraph(n, edges)
+    if len(kinds) == 1:
+        assert caught.type is expected
+    if VertexOutOfRangeError in kinds:
+        assert caught.type is VertexOutOfRangeError
 
 
 def test_rotational_small():
@@ -89,33 +185,33 @@ def test_rotational_is_tournament():
 
 
 def test_random_tournament_covers_all_pairs():
-    g = random_oriented("tournament", 5, seed=7)
+    g = random_tournament(5, seed=7)
     assert len(g.edges) == 10
     check_adjacency_consistency(g)
 
 
 def test_random_regular_one_regular_is_cycle_cover():
-    g = random_oriented("regular", 4, seed=3, r=1)
+    g = random_regular_oriented(4, 1, seed=3)
     s = degree_summary(g)
     assert s.min_semi == s.max_semi == 1
     check_adjacency_consistency(g)
 
 
 def test_random_regular_two_regular():
-    g = random_oriented("regular", 5, seed=11, r=2)
+    g = random_regular_oriented(5, 2, seed=11)
     s = degree_summary(g)
     assert s.min_semi == s.max_semi == 2
     check_adjacency_consistency(g)
 
 
 def test_random_regular_reproducible_and_capped():
-    a = random_oriented("regular", 9, seed=5, r=3)
-    b = random_oriented("regular", 9, seed=5, r=3)
+    a = random_regular_oriented(9, 3, seed=5)
+    b = random_regular_oriented(9, 3, seed=5)
     assert a.edges == b.edges
-    c = random_oriented("regular", 9, seed=6, r=3)
+    c = random_regular_oriented(9, 3, seed=6)
     assert a.edges != c.edges  # overwhelmingly likely; fixed seeds keep it stable
     with pytest.raises(DegreeTooLargeError):
-        random_oriented("regular", 9, seed=5, r=5)
+        random_regular_oriented(9, 5, seed=5)
 
 
 @pytest.mark.parametrize("n, r, seed, sha256", [
@@ -142,7 +238,7 @@ def test_switch_chain_frozen_edges_and_end_state():
 @pytest.mark.parametrize("make, sha256", [
     (lambda: rotational_tournament(51),
      "17b8bc36b7c01594117e15fcfda0f6ae0fe266afd2271601fc015302fb5842c8"),
-    (lambda: random_oriented("tournament", 201, seed=0),
+    (lambda: random_tournament(201, seed=0),
      "32d4fa2b765195679489028d28c96a8993d905256e45f29391267f79d90196d7"),
 ], ids=["rotational-51", "tournament-201-0"])
 def test_frozen_edge_list_digests(make, sha256):
@@ -163,7 +259,7 @@ def regular_params(draw):
 def test_random_regular_oriented_properties(params):
     n, r, seed = params
     g = random_regular_oriented(n, r, seed)
-    assert build_oriented(n, g.edges) == g
+    assert OrientedGraph(n, g.edges) == g
     s = degree_summary(g)
     assert s.min_semi == s.max_semi == r
     assert random_regular_oriented(n, r, seed).edges == g.edges
@@ -174,7 +270,7 @@ def test_random_regular_oriented_properties(params):
 
 
 def test_degree_summary_edgeless():
-    g = build_oriented(4, [])
+    g = OrientedGraph(4, [])
     s = degree_summary(g)
     assert (s.min_out, s.min_in, s.max_out, s.max_in, s.min_semi, s.max_semi) == (0,) * 6
 
@@ -188,7 +284,7 @@ def test_bipartite_between_rotational5():
 
 
 def test_bipartite_between_empty_and_errors():
-    g = build_oriented(4, [(0, 1)])
+    g = OrientedGraph(4, [(0, 1)])
     b = bipartite_between(g, [2], [3])
     assert not b.edges
     with pytest.raises(OverlappingSidesError):
@@ -198,7 +294,7 @@ def test_bipartite_between_empty_and_errors():
 
 
 def test_bipartite_between_recovers_directed_edges():
-    g = random_oriented("tournament", 8, seed=2)
+    g = random_tournament(8, seed=2)
     xs, ys = [0, 2, 4], [1, 3, 5]
     b = bipartite_between(g, xs, ys)
     expected = {(u, v) for u in xs for v in ys if g.has_edge(u, v)}
@@ -245,7 +341,7 @@ def sparse_oriented_graphs(draw):
     for u, v in pairs:
         if u != v and (v, u) not in edges:
             edges.add((u, v))
-    return build_oriented(n, edges)
+    return OrientedGraph(n, edges)
 
 
 def naive_edge_list(g):
@@ -254,8 +350,8 @@ def naive_edge_list(g):
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_oriented_graphs())
-@example(build_oriented(1, []))
-@example(build_oriented(13, [(12, 10), (3, 12), (3, 11), (0, 1), (0, 12), (0, 2)]))
+@example(OrientedGraph(1, []))
+@example(OrientedGraph(13, [(12, 10), (3, 12), (3, 11), (0, 1), (0, 12), (0, 2)]))
 def test_edge_list_matches_naive_writer_and_round_trips(g):
     text = write_edge_list(g)
     assert text == naive_edge_list(g)
@@ -274,3 +370,6 @@ def test_edge_list_reader_errors():
         read_edge_list("og 3 1\n1 1\n")
     with pytest.raises(AntiparallelPairError):
         read_edge_list("og 3 2\n0 1\n1 0\n")
+    for bad in ("1 x", "1 2 0", "1", "1.0 2"):
+        with pytest.raises(FormatError, match=f"bad edge line '{bad}'"):
+            read_edge_list(f"og 3 3\n0 1\n{bad}\n0 2\n")

@@ -8,7 +8,7 @@ from hamdec.errors import (
     PartsTooSmallError,
 )
 from hamdec.factors import Matching
-from hamdec.graphs import build_oriented, random_oriented
+from hamdec.graphs import OrientedGraph, random_regular_oriented
 from hamdec.pathcovers import (
     build_path_cover_family,
     complete_digraph_path_decomposition,
@@ -77,7 +77,7 @@ def test_matchings_to_path_cover_errors():
         matchings_to_path_cover([[0, 1], [1, 2]], [m])
     with pytest.raises(MatchingOutOfPartsError):
         matchings_to_path_cover([[0, 1], [2, 3]], [Matching(frozenset({(0, 5)}))])
-    host = build_oriented(4, [(2, 0)])
+    host = OrientedGraph(4, [(2, 0)])
     with pytest.raises(MatchingOutOfPartsError):
         matchings_to_path_cover([[0, 1], [2, 3]], [m], host=host)
 
@@ -85,7 +85,7 @@ def test_matchings_to_path_cover_errors():
 @pytest.mark.parametrize("xi", [0, 40])
 def test_build_family_on_random_regular(xi):
     # a slack that admits every part pair must not change how covers are built
-    h = random_oriented("regular", 40, seed=8, r=8)
+    h = random_regular_oriented(40, 8, seed=8)
     family, min_union = build_path_cover_family(h, b=4, a=14, t=4, xi=xi, seed=5)
     family.validate(universe=set(range(40)), host=h)
     assert family.t >= 1
@@ -98,7 +98,7 @@ def test_build_family_on_random_regular(xi):
 
 
 def test_build_family_rejects_odd_b_and_zero_t():
-    h = random_oriented("regular", 20, seed=1, r=4)
+    h = random_regular_oriented(20, 4, seed=1)
     with pytest.raises(OddOrderError):
         build_path_cover_family(h, b=3, a=10, t=2, xi=0, seed=0)
     family, min_union = build_path_cover_family(h, b=4, a=10, t=0, xi=0, seed=0)
@@ -106,19 +106,19 @@ def test_build_family_rejects_odd_b_and_zero_t():
 
 
 def test_build_family_rejects_too_many_parts():
-    h = random_oriented("regular", 20, seed=1, r=4)
+    h = random_regular_oriented(20, 4, seed=1)
     with pytest.raises(PartsTooSmallError):
         build_path_cover_family(h, b=12, a=10, t=2, xi=0, seed=0)
 
 
 def test_build_family_checks_slack():
-    h = build_oriented(8, [(0, i) for i in range(1, 8)])
+    h = OrientedGraph(8, [(0, i) for i in range(1, 8)])
     with pytest.raises(HypothesisViolatedError):
         build_path_cover_family(h, b=2, a=8, t=1, xi=0, seed=0)
 
 
 def test_build_family_deterministic():
-    h = random_oriented("regular", 30, seed=3, r=6)
+    h = random_regular_oriented(30, 6, seed=3)
     fam1, mu1 = build_path_cover_family(h, b=4, a=12, t=3, xi=0, seed=9)
     fam2, mu2 = build_path_cover_family(h, b=4, a=12, t=3, xi=0, seed=9)
     assert mu1 == mu2

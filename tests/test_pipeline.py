@@ -13,8 +13,7 @@ import hamdec
 from hamdec.errors import TooLargeError
 from hamdec.graphs import (
     OrientedGraph,
-    build_oriented,
-    random_oriented,
+    random_regular_oriented,
     random_tournament,
     rotational_tournament,
     write_edge_list,
@@ -42,7 +41,7 @@ def test_triangle_full_decomposition():
 
 
 def test_transitive_tournament_reg_zero():
-    g = build_oriented(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    g = OrientedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     cert, report = approximate_decomposition(g, RunConfig(seed=1))
     assert cert.reg == 0 and cert.k == 0
     assert cert.leftover == g.edges
@@ -58,7 +57,7 @@ def test_rotational5_finds_a_cycle():
 
 
 def test_random_regular_instance():
-    g = random_oriented("regular", 21, seed=5, r=6)
+    g = random_regular_oriented(21, 6, seed=5)
     cert, report = approximate_decomposition(g, RunConfig(seed=3))
     assert verify_certificate(g, cert) == (True, None)
     assert 0 <= cert.k <= cert.reg
@@ -117,7 +116,7 @@ def test_partial_failure_certificates_still_verify():
     # fuzz across seeds and sizes: every emitted certificate verifies
     for seed in range(4):
         for n in (9, 13, 17):
-            g = random_oriented("tournament", n, seed=seed)
+            g = random_tournament(n, seed=seed)
             cert, report = approximate_decomposition(g, RunConfig(seed=seed))
             assert verify_certificate(g, cert) == (True, None)
             assert cert.k <= cert.reg
@@ -280,7 +279,7 @@ def test_certificates_identical_across_hash_seeds(tmp_path):
 def test_pipeline_on_1201_vertices():
     # above the default recursion limit, below MAX_N
     n = 1201
-    g = build_oriented(n, {(v, (v + j) % n) for v in range(n) for j in (1, 2, 5, 11)})
+    g = OrientedGraph(n, {(v, (v + j) % n) for v in range(n) for j in (1, 2, 5, 11)})
     cert, report = approximate_decomposition(g, RunConfig(seed=0))
     assert cert.reg == 4 and 1 <= cert.k <= 4
     assert not report.hard_failures
@@ -289,7 +288,7 @@ def test_pipeline_on_1201_vertices():
 def test_pipeline_at_max_n():
     # the largest accepted order, on a 4-regular circulant
     n = MAX_N
-    g = build_oriented(n, {(v, (v + j) % n) for v in range(n) for j in (1, 3, 7, 19)})
+    g = OrientedGraph(n, {(v, (v + j) % n) for v in range(n) for j in (1, 3, 7, 19)})
     cert, report = approximate_decomposition(g, RunConfig(seed=0))
     assert cert.reg == 4 and cert.k <= 4
     assert verify_certificate(g, cert) == (True, None)
