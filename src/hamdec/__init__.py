@@ -35,6 +35,7 @@ from .counting import (
     count_hamilton_decompositions_exact,
     decomposition_upper_bound,
     permanent,
+    sandwich_experiment,
     vdw_bound,
 )
 from .pathcovers import (
@@ -60,7 +61,6 @@ from .pipeline import (
     RunConfig,
     RunReport,
     approximate_decomposition,
-    sandwich_experiment,
     verify_certificate,
 )
 

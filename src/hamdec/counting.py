@@ -12,10 +12,10 @@ import math
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
+from typing import Any, Sequence
 
 from .errors import TooLargeError
-from .graphs import OrientedGraph, degree_summary
+from .graphs import OrientedGraph, degree_summary, rotational_tournament
 
 PERMANENT_CAP = 24
 # columns whose row forms permanent() precomputes for every sign choice
@@ -72,7 +72,6 @@ class BoundReport:
     lower: LogCount
     exact: LogCount | None
     upper: LogCount
-    methods: tuple[str, ...] = ()
 
     def holds(self, tol: float = 1e-9) -> bool:
         if self.exact is None:
@@ -266,6 +265,12 @@ def _hamilton_cycles(g: OrientedGraph) -> list[_Cycle]:
     return cycles
 
 
+def _check_decomposition_caps(n: int, r: int) -> None:
+    """Raise TooLargeError beyond the exact-decomposition caps for r-regular order n."""
+    if n > DECOMP_CAP_DENSE and (r > 2 or n > DECOMP_CAP_SPARSE):
+        raise TooLargeError(f"n={n}, degree {r} beyond exact-decomposition caps")
+
+
 def _regular_cycles(g: OrientedGraph) -> tuple[int, list[_Cycle]] | None:
     """(r, the Hamilton cycles of g) when g is r-regular, else None.  The
     edgeless graph is 0-regular; any other beyond the caps raises."""
@@ -275,8 +280,7 @@ def _regular_cycles(g: OrientedGraph) -> tuple[int, list[_Cycle]] | None:
     r = degrees.max_semi
     if degrees.min_semi != r:
         return None
-    if g.n > DECOMP_CAP_DENSE and (r > 2 or g.n > DECOMP_CAP_SPARSE):
-        raise TooLargeError(f"n={g.n}, degree {r} beyond exact-decomposition caps")
+    _check_decomposition_caps(g.n, r)
     return r, _hamilton_cycles(g)
 
 
@@ -359,3 +363,34 @@ def _find(g: OrientedGraph, found: tuple[int, list[_Cycle]] | None
         return None
 
     return first((1 << len(g.edges)) - 1)
+
+
+# -- decomposition-count sandwich at tiny sizes ---------------------------
+
+
+def sandwich_experiment(n: int) -> tuple[BoundReport, dict[str, Any]]:
+    """Exact decomposition count of the rotational tournament of order n,
+    sandwiched between a constructive lower bound and the iterated matching
+    bound, for any n the caps allow (checked before the tournament is built).
+    The cycles are enumerated once, for both counts and the search."""
+    r = (n - 1) // 2
+    _check_decomposition_caps(n, r)
+    g = rotational_tournament(n)
+    found = r, _hamilton_cycles(g)
+    exact = _count_exact(g, found)
+    cross = _count_ordered(g, found)
+    if exact.exact != cross.exact:
+        raise AssertionError(f"enumeration strategies disagree: {exact.exact} vs {cross.exact}")
+    lower = LogCount.from_int(1 if _find(g, found) is not None else 0)
+    upper = decomposition_upper_bound(n, r)
+    bounds = BoundReport(lower=lower, exact=exact, upper=upper)
+    if not bounds.holds(tol=1e-9):
+        raise AssertionError(f"sandwich failed at n={n}")
+    return bounds, {
+        "n": n, "r": r,
+        "lower_log": None if lower.is_zero else lower.log,
+        "exact_log": None if exact.is_zero else exact.log,
+        "upper_log": upper.log,
+        "exact_count": exact.exact,
+        "holds": True,
+    }

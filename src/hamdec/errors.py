@@ -59,7 +59,7 @@ class ROutOfRangeError(HamdecError):
 
 
 class TooLargeError(HamdecError):
-    """Instance exceeds the cap of an exact (exponential) routine."""
+    """Instance exceeds ``graphs.MAX_N`` or the cap of an exact (exponential) routine."""
 
 
 class NoFactorError(HamdecError):

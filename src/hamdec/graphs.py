@@ -24,6 +24,7 @@ from .errors import (
     LoopEdgeError,
     OverlappingSidesError,
     ROutOfRangeError,
+    TooLargeError,
     UnequalSidesError,
     UnknownEdgeError,
     VertexOutOfRangeError,
@@ -31,6 +32,8 @@ from .errors import (
 
 Edge = tuple[int, int]
 
+# largest order of any graph; a larger header would allocate its rows unread
+MAX_N = 2000
 # attempted switch-chain moves per edge when a random regular graph is drawn
 MOVES_PER_EDGE = 10
 
@@ -55,15 +58,16 @@ class OrientedGraph:
     """Immutable simple digraph without antiparallel edge pairs, held as sorted
     out- and in-neighbour tuples only.
 
-    Every graph is checked on its sorted rows at construction.  A vertex
-    outside [0, n) raises :class:`VertexOutOfRangeError` before any other
-    fault is looked for: a tail or head of n or more as the rows are
-    filled, a negative one as a negative first entry of some row (Python
-    would otherwise file ``outs[-1]`` under vertex n - 1).  Otherwise the
-    lowest vertex u with a fault is reported, and at u a loop
-    (:class:`LoopEdgeError`) before a duplicate edge out of u
-    (:class:`DuplicateEdgeError`) before an antiparallel pair through u
-    (:class:`AntiparallelPairError`).
+    An order above :data:`MAX_N` raises :class:`TooLargeError` before any
+    row is allocated.  Every graph is checked on its sorted rows at
+    construction.  A vertex outside [0, n) raises
+    :class:`VertexOutOfRangeError` before any other fault is looked for: a
+    tail or head of n or more as the rows are filled, a negative one as a
+    negative first entry of some row (Python would otherwise file
+    ``outs[-1]`` under vertex n - 1).  Otherwise the lowest vertex u with a
+    fault is reported, and at u a loop (:class:`LoopEdgeError`) before a
+    duplicate edge out of u (:class:`DuplicateEdgeError`) before an
+    antiparallel pair through u (:class:`AntiparallelPairError`).
     """
 
     __slots__ = ("n", "out_neighbors", "in_neighbors", "labels")
@@ -71,6 +75,8 @@ class OrientedGraph:
     def __init__(self, n: int, edges: Iterable[Edge], labels: tuple[int, ...] | None = None):
         if n < 1:
             raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
+        if n > MAX_N:
+            raise TooLargeError(f"n={n} exceeds the limit MAX_N = {MAX_N}")
         outs, ins = [[] for _ in range(n)], [[] for _ in range(n)]
         for u, v in edges:
             try:
@@ -209,12 +215,9 @@ def rotational_tournament(n: int) -> OrientedGraph:
 
 
 def random_tournament(n: int, seed: int) -> OrientedGraph:
-    """Each unordered pair oriented uniformly at random."""
+    """Each unordered pair oriented uniformly at random, drawn after the size check."""
     rng = random.Random(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    edges = ((u, v) if rng.random() < 0.5 else (v, u) for u in range(n) for v in range(u + 1, n))
     return OrientedGraph(n, edges)
 
 
@@ -311,8 +314,7 @@ def degree_summary(g: OrientedGraph) -> DegreeSummary:
     )
 
 
-def bipartite_between(g: OrientedGraph, xs: Iterable[int], ys: Iterable[int],
-                      allow_unequal: bool = False) -> BipartiteGraph:
+def bipartite_between(g: OrientedGraph, xs: Iterable[int], ys: Iterable[int]) -> BipartiteGraph:
     """Bipartite graph of the g-edges directed from X to Y.
 
     X and Y are given in g's local indices, and their order numbers the
@@ -323,8 +325,6 @@ def bipartite_between(g: OrientedGraph, xs: Iterable[int], ys: Iterable[int],
     yl = list(ys)
     if set(xl) & set(yl):
         raise OverlappingSidesError("X and Y intersect")
-    if len(xl) != len(yl) and not allow_unequal:
-        raise UnequalSidesError(f"|X|={len(xl)} != |Y|={len(yl)}")
     y_index = {v: j for j, v in enumerate(yl)}
     edges = set()
     for a, u in enumerate(xl):

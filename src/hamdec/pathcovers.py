@@ -273,7 +273,7 @@ def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
             # up to ``want`` nonempty matchings of size >= quota; the sizes of
             # repeated maximum matchings never increase as edges go
             quota = max(1, min(len(seq[j]), len(seq[j + 1])) - (a - base))
-            bip = bipartite_between(h, seq[j], seq[j + 1], allow_unequal=True)
+            bip = bipartite_between(h, seq[j], seq[j + 1])
             rng = random.Random(f"{seed}:{i}:{j}:greedy")
             ms = takewhile(lambda mt: mt.size >= quota,
                            islice(disjoint_maximum_matchings(bip, rng), want))

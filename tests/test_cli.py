@@ -1,8 +1,10 @@
 import json
+import time
 import warnings
 
 import pytest
 
+from hamdec import counting
 from hamdec.cli import cli_main
 from hamdec.graphs import read_edge_list, rotational_tournament, write_edge_list
 
@@ -142,6 +144,30 @@ def test_out_of_range_vertex_is_input_error(edge, tmp_path, capsys):
     assert "outside [0, 3)" in _one_line_error(capsys)
 
 
+def test_order_above_max_n_is_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.og"
+    path.write_text("og 100000000 0\n")
+    assert cli_main(["reg", str(path)]) == 2
+    assert "MAX_N" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda order: order[:-1] + order[:1],
+    lambda order: order + order,
+    lambda order: order[:2],
+], ids=["last_vertex_replaced_by_first", "wound_twice", "two_vertices"])
+def test_verify_repeated_or_short_cycle_is_not_hamiltonian(mutate, tmp_path, capsys):
+    gpath, cpath = _certificate_files(tmp_path, 25)
+    doc = json.loads(cpath.read_text())
+    cycles = doc["certificate"]["cycles"]
+    assert cycles
+    cycles[0] = mutate(cycles[0])
+    cpath.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["verify", str(gpath), str(cpath)]) == 1
+    assert capsys.readouterr().err == "certificate invalid: NotHamiltonian\n"
+
+
 def test_bounds_command(capsys):
     assert cli_main(["bounds", "--n", "5", "--r", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -160,6 +186,22 @@ def test_sandwich_command(capsys):
     assert cli_main(["sandwich", "--n", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["exact_count"] == 1 and doc["holds"]
+
+
+@pytest.mark.parametrize("n", ["0", "1", "4", "9"])
+def test_sandwich_outside_the_caps_is_input_error(n, capsys):
+    assert cli_main(["sandwich", "--n", n]) == 2
+    _one_line_error(capsys)
+
+
+def test_sandwich_refuses_large_order_before_building(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(counting, "rotational_tournament", built.append)
+    t0 = time.perf_counter()
+    assert cli_main(["sandwich", "--n", "1999"]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert not built
+    assert "exact-decomposition caps" in _one_line_error(capsys)
 
 
 def test_decompose_seed_flag_and_default(tmp_path, capsys):

@@ -17,9 +17,10 @@ from hamdec.counting import (
     decomposition_upper_bound,
     find_hamilton_decomposition,
     permanent,
+    sandwich_experiment,
     vdw_bound,
 )
-from hamdec.errors import TooLargeError
+from hamdec.errors import EvenOrderError, TooLargeError, VertexOutOfRangeError
 from hamdec.factors import random_regular_bipartite
 from hamdec.graphs import (
     OrientedGraph,
@@ -341,6 +342,20 @@ def test_decomposition_strategies_agree():
 def test_decomposition_cap():
     with pytest.raises(TooLargeError):
         count_hamilton_decompositions_exact(rotational_tournament(9))
+
+
+@pytest.mark.parametrize("n, error", [(0, EvenOrderError), (4, EvenOrderError),
+                                      (1, VertexOutOfRangeError), (9, TooLargeError)])
+def test_sandwich_orders_outside_the_caps(n, error):
+    with pytest.raises(error):
+        sandwich_experiment(n)
+
+
+def test_sandwich_range_follows_the_decomposition_cap(monkeypatch):
+    monkeypatch.setattr(counting, "DECOMP_CAP_DENSE", 9)
+    bounds, payload = sandwich_experiment(9)
+    assert payload["exact_count"] == bounds.exact.exact == 144
+    assert payload["holds"] and bounds.holds()
 
 
 def test_cycle_count_cap():

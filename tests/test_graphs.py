@@ -14,11 +14,13 @@ from hamdec.errors import (
     FormatError,
     LoopEdgeError,
     OverlappingSidesError,
+    TooLargeError,
     UnequalSidesError,
     UnknownEdgeError,
     VertexOutOfRangeError,
 )
 from hamdec.graphs import (
+    MAX_N,
     OrientedGraph,
     _switch_chain,
     bipartite_between,
@@ -289,8 +291,11 @@ def test_bipartite_between_empty_and_errors():
     assert not b.edges
     with pytest.raises(OverlappingSidesError):
         bipartite_between(g, [0, 1], [1, 2])
+    # unequal sides build; only the common side size needs them equal
+    unequal = bipartite_between(g, [0], [1, 3])
+    assert unequal.edges == {(0, 0)}
     with pytest.raises(UnequalSidesError):
-        bipartite_between(g, [0], [2, 3])
+        unequal.m
 
 
 def test_bipartite_between_recovers_directed_edges():
@@ -357,6 +362,22 @@ def test_edge_list_matches_naive_writer_and_round_trips(g):
     assert text == naive_edge_list(g)
     h = read_edge_list(text)
     assert h.n == g.n and h.out_neighbors == g.out_neighbors
+
+
+def test_order_above_max_n_is_refused_before_any_edge_is_read():
+    def edges():
+        raise AssertionError("edges read")
+        yield
+
+    with pytest.raises(TooLargeError, match="MAX_N"):
+        OrientedGraph(MAX_N + 1, edges())
+    # the header alone would ask for about 17 GB of rows
+    with pytest.raises(TooLargeError, match="MAX_N"):
+        read_edge_list("og 100000000 0\n")
+    # no orientation is drawn for a graph that cannot be built
+    with pytest.raises(TooLargeError, match="MAX_N"):
+        random_tournament(10 ** 6, seed=0)
+    assert OrientedGraph(MAX_N, []).n == MAX_N
 
 
 def test_edge_list_reader_errors():

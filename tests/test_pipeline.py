@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hamdec
+from hamdec.counting import sandwich_experiment
 from hamdec.errors import TooLargeError
 from hamdec.graphs import (
+    MAX_N,
     OrientedGraph,
     random_regular_oriented,
     random_tournament,
@@ -19,12 +21,10 @@ from hamdec.graphs import (
     write_edge_list,
 )
 from hamdec.pipeline import (
-    MAX_N,
     DecompositionCertificate,
     RunConfig,
     approximate_decomposition,
     graph_digest,
-    sandwich_experiment,
     verify_certificate,
 )
 from hamdec.assembly import HamiltonCycle
@@ -123,6 +123,7 @@ def test_partial_failure_certificates_still_verify():
 
 
 def test_pipeline_preconditions():
+    # the order is capped where the graph is built, before the pipeline runs
     with pytest.raises(TooLargeError):
         approximate_decomposition(OrientedGraph(MAX_N + 1, []))
 
