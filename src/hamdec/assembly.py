@@ -33,7 +33,6 @@ from .errors import (
     HypothesisViolatedError,
     InvariantViolationError,
     ReservoirMismatchError,
-    SameEndpointsError,
     SpliceFailedError,
 )
 from .factors import maximum_matching_of, random_cycle_factor
@@ -307,7 +306,7 @@ def hamilton_path_between(f: OrientedGraph, s: int, t: int,
     """
     n = f.n
     if s == t:
-        raise SameEndpointsError(f"endpoints coincide: {s}")
+        raise InvariantViolationError(f"endpoints coincide: {s}")
     if not (0 <= s < n and 0 <= t < n):
         raise InvariantViolationError("endpoints outside the graph")
     if n == 1:

@@ -41,14 +41,6 @@ class LogCount:
             return cls(float("-inf"), 0)
         return cls(math.log(value), value)
 
-    @classmethod
-    def from_log(cls, log: float) -> "LogCount":
-        return cls(log, None)
-
-    @classmethod
-    def zero(cls) -> "LogCount":
-        return cls(float("-inf"), 0)
-
     @property
     def is_zero(self) -> bool:
         return self.log == float("-inf")
@@ -67,15 +59,13 @@ class LogCount:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Sandwich of a count: lower <= exact (when known) <= upper."""
+    """Sandwich of a count: lower <= exact <= upper."""
 
     lower: LogCount
-    exact: LogCount | None
+    exact: LogCount
     upper: LogCount
 
     def holds(self, tol: float = 1e-9) -> bool:
-        if self.exact is None:
-            return self.lower.leq(self.upper, tol)
         return self.lower.leq(self.exact, tol) and self.exact.leq(self.upper, tol)
 
 
@@ -151,9 +141,9 @@ def bregman_bound(row_degrees: Sequence[int]) -> LogCount:
         if d < 0:
             raise ValueError("degrees are nonnegative")
         if d == 0:
-            return LogCount.zero()
+            return LogCount.from_int(0)
         log += math.lgamma(d + 1) / d
-    return LogCount.from_log(log)
+    return LogCount(log)
 
 
 def vdw_bound(m: int, d: int) -> LogCount:
@@ -162,7 +152,7 @@ def vdw_bound(m: int, d: int) -> LogCount:
     if not 1 <= d <= m:
         raise ValueError(f"need 1 <= d <= m, got d={d}, m={m}")
     log = m * math.log(d) + math.lgamma(m + 1) - m * math.log(m)
-    return LogCount.from_log(log)
+    return LogCount(log)
 
 
 def decomposition_upper_bound(n: int, r: int) -> LogCount:
@@ -171,7 +161,7 @@ def decomposition_upper_bound(n: int, r: int) -> LogCount:
     if r < 1 or n < 1:
         raise ValueError("need n >= 1 and r >= 1")
     log = sum((n / i) * math.lgamma(i + 1) for i in range(1, r + 1))
-    return LogCount.from_log(log)
+    return LogCount(log)
 
 
 def adjacency_matrix(g: OrientedGraph) -> list[list[int]]:

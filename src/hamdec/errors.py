@@ -3,6 +3,10 @@
 Input-contract violations raise subclasses of :class:`HamdecError` so the CLI
 can map them to a uniform exit code.  Exceptions that abort a multi-step
 randomized procedure carry enough payload to diagnose the failing step.
+
+A class exists for each contract that a caller, the CLI, the bench or a
+documented fault order tells apart; checks of one contract share its class
+and differ only in their messages.
 """
 
 
@@ -32,16 +36,8 @@ class EvenOrderError(HamdecError):
     """Rotational tournaments require odd order."""
 
 
-class DegreeTooLargeError(HamdecError):
-    """Requested regular degree exceeds (n - 1) / 2."""
-
-
 class FormatError(HamdecError):
     """Malformed edge-list or certificate file."""
-
-
-class OverlappingSidesError(HamdecError):
-    """Bipartite side sets intersect."""
 
 
 class UnequalSidesError(HamdecError):
@@ -55,7 +51,8 @@ class UnknownEdgeError(HamdecError):
 # --- factors and matchings ---
 
 class ROutOfRangeError(HamdecError):
-    """Requested factor degree outside [0, m]."""
+    """Requested degree outside its range: [0, m] for a factor of a bipartite
+    graph, [0, (n - 1) / 2] for a random regular oriented graph."""
 
 
 class TooLargeError(HamdecError):
@@ -71,7 +68,7 @@ class HypothesisViolatedError(HamdecError):
 
 
 class NotRegularError(HamdecError):
-    """A regular graph was required."""
+    """A regular (spanning) graph was required."""
 
 
 # --- path covers ---
@@ -80,23 +77,11 @@ class OddOrderError(HamdecError):
     """The complete-digraph path decomposition needs an even order."""
 
 
-class PartsOverlapError(HamdecError):
-    """Vertex parts supplied to a chain of matchings overlap."""
-
-
-class MatchingOutOfPartsError(HamdecError):
-    """A matching edge does not run between its two assigned parts."""
-
-
 class PartsTooSmallError(HamdecError):
     """Too many parts requested for the vertex count."""
 
 
 # --- assembly ---
-
-class SameEndpointsError(HamdecError):
-    """Hamilton-path search requires distinct endpoints."""
-
 
 class BudgetExhaustedError(HamdecError):
     """Search hit its node-expansion budget before settling the instance."""
@@ -132,18 +117,14 @@ class ReservoirMismatchError(HamdecError):
 
 
 class InvariantViolationError(HamdecError):
-    """A domain-type invariant failed on re-check of supplied data."""
+    """A domain-type invariant failed on re-check of supplied data: path
+    endpoints that coincide or leave the graph, bipartite sides or vertex
+    parts that overlap, matchings that leave their parts, or subproblem specs
+    that are not edge-disjoint or not contained in their parts."""
 
 
 # --- partition ---
 
-class NotSpanningRegularError(HamdecError):
-    """The supplied factor is not a spanning regular sub-digraph."""
-
-
 class KTooLargeError(HamdecError):
-    """K**3 exceeds n / 8; subproblem reservoirs would be trivial."""
-
-
-class InconsistentSpecsError(HamdecError):
-    """Subproblem specs violate edge-disjointness or containment."""
+    """K is below 2, or K**3 exceeds n / 8 and subproblem reservoirs would be
+    trivial."""

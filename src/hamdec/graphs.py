@@ -17,12 +17,11 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AntiparallelPairError,
-    DegreeTooLargeError,
     DuplicateEdgeError,
     EvenOrderError,
     FormatError,
+    InvariantViolationError,
     LoopEdgeError,
-    OverlappingSidesError,
     ROutOfRangeError,
     TooLargeError,
     UnequalSidesError,
@@ -40,18 +39,23 @@ MOVES_PER_EDGE = 10
 
 @dataclass(frozen=True)
 class DegreeSummary:
-    """Vertex-degree statistics of an oriented graph.
+    """Semi-degree range of an oriented graph.
 
     ``min_semi`` is the smaller of the minimum in- and out-degrees (the
     semi-degree); ``max_semi`` the larger of the two maxima.
     """
 
-    min_out: int
-    min_in: int
-    max_out: int
-    max_in: int
     min_semi: int
     max_semi: int
+
+
+def _check_order(n: int) -> None:
+    """Refuse an order below 1 or above :data:`MAX_N`, before anything of
+    that size is built."""
+    if n < 1:
+        raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
+    if n > MAX_N:
+        raise TooLargeError(f"n={n} exceeds the limit MAX_N = {MAX_N}")
 
 
 class OrientedGraph:
@@ -73,10 +77,7 @@ class OrientedGraph:
     __slots__ = ("n", "out_neighbors", "in_neighbors", "labels")
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: tuple[int, ...] | None = None):
-        if n < 1:
-            raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
-        if n > MAX_N:
-            raise TooLargeError(f"n={n} exceeds the limit MAX_N = {MAX_N}")
+        _check_order(n)
         outs, ins = [[] for _ in range(n)], [[] for _ in range(n)]
         for u, v in edges:
             try:
@@ -129,9 +130,8 @@ class OrientedGraph:
     def host_path(self, seq: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.host(v) for v in seq)
 
-    def host_edges(self, edges: Iterable[Edge] | None = None) -> set[Edge]:
-        src = self.edges if edges is None else edges
-        return {(self.host(u), self.host(v)) for u, v in src}
+    def host_edges(self) -> set[Edge]:
+        return {(self.host(u), self.host(v)) for u, v in self.edges}
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "OrientedGraph":
         """Subgraph on ``vertices`` (local indices), labels composed with self's."""
@@ -224,12 +224,11 @@ def random_tournament(n: int, seed: int) -> OrientedGraph:
 def random_regular_oriented(n: int, r: int, seed: int) -> OrientedGraph:
     """Random r-regular oriented graph: the circulant i -> i + j (mod n),
     j = 1..r, under a random relabelling, then :func:`_switch_chain`."""
-    if n < 1:
-        raise VertexOutOfRangeError(f"vertex count must be >= 1, got {n}")
+    _check_order(n)
     if r < 0:
         raise ROutOfRangeError(f"r={r} is negative")
     if r > (n - 1) // 2:
-        raise DegreeTooLargeError(f"r={r} exceeds (n-1)/2 for n={n}")
+        raise ROutOfRangeError(f"r={r} exceeds (n-1)/2 for n={n}")
     rng = random.Random(f"{seed}:regular")
     label = list(range(n))
     rng.shuffle(label)
@@ -304,14 +303,8 @@ def _equipartition(n: int, b: int, rng: random.Random) -> list[list[int]]:
 
 
 def degree_summary(g: OrientedGraph) -> DegreeSummary:
-    outs = [g.out_degree(v) for v in range(g.n)]
-    ins = [g.in_degree(v) for v in range(g.n)]
-    return DegreeSummary(
-        min_out=min(outs), min_in=min(ins),
-        max_out=max(outs), max_in=max(ins),
-        min_semi=min(min(outs), min(ins)),
-        max_semi=max(max(outs), max(ins)),
-    )
+    degrees = [*map(len, g.out_neighbors), *map(len, g.in_neighbors)]
+    return DegreeSummary(min(degrees), max(degrees))
 
 
 def bipartite_between(g: OrientedGraph, xs: Iterable[int], ys: Iterable[int]) -> BipartiteGraph:
@@ -324,7 +317,7 @@ def bipartite_between(g: OrientedGraph, xs: Iterable[int], ys: Iterable[int]) ->
     xl = list(xs)
     yl = list(ys)
     if set(xl) & set(yl):
-        raise OverlappingSidesError("X and Y intersect")
+        raise InvariantViolationError("X and Y intersect")
     y_index = {v: j for j, v in enumerate(yl)}
     edges = set()
     for a, u in enumerate(xl):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InconsistentSpecsError, KTooLargeError, NotSpanningRegularError
+from .errors import InvariantViolationError, KTooLargeError, NotRegularError
 from .graphs import Edge, OrientedGraph, _equipartition, degree_summary
 
 
@@ -92,10 +92,6 @@ class PartitionReport:
     stats: PartitionStats
     seed: int
     retries: int
-
-    @property
-    def properties_met(self) -> bool:
-        return self.stats.properties_met
 
 
 def _memberships(specs: Sequence[SubproblemSpec], n: int) -> list[list[int]]:
@@ -239,10 +235,10 @@ def build_partition(g: OrientedGraph, factor: OrientedGraph, k: int, eps: float,
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if factor.n != n or not factor.edges <= g.edges:
-        raise NotSpanningRegularError("factor must be a spanning subgraph of g")
+        raise NotRegularError("factor must be a spanning subgraph of g")
     degs = degree_summary(factor)
     if degs.min_semi != degs.max_semi:
-        raise NotSpanningRegularError(
+        raise NotRegularError(
             f"factor is not regular: semi-degrees {degs.min_semi} to {degs.max_semi}")
 
     best: tuple[int, list[SubproblemSpec], PartitionStats, int] | None = None
@@ -265,32 +261,32 @@ def verify_partition(g: OrientedGraph, factor: OrientedGraph,
     after checking structural consistency."""
     n = g.n
     if len(specs) != k ** 3:
-        raise InconsistentSpecsError(f"expected {k ** 3} specs, got {len(specs)}")
+        raise InvariantViolationError(f"expected {k ** 3} specs, got {len(specs)}")
     member = _memberships(specs, n)
     if any(len(m) != k for m in member):
-        raise InconsistentSpecsError("some vertex does not lie in exactly K reservoirs")
+        raise InvariantViolationError("some vertex does not lie in exactly K reservoirs")
     seen: set[Edge] = set()
     g_edges, factor_edges = g.edges, factor.edges
     for spec in specs:
         uset, wset = set(spec.u_vertices), set(spec.w_vertices)
         if uset & wset or uset | wset != set(range(n)):
-            raise InconsistentSpecsError(f"spec {spec.index}: U, W do not partition V")
+            raise InvariantViolationError(f"spec {spec.index}: U, W do not partition V")
         groups = (spec.inner_edges, spec.cross_edges, spec.reservoir_edges)
         for es in groups:
             if not es <= g_edges:
-                raise InconsistentSpecsError(f"spec {spec.index}: edges outside the graph")
+                raise InvariantViolationError(f"spec {spec.index}: edges outside the graph")
             if seen & es:
-                raise InconsistentSpecsError(f"spec {spec.index}: edge reused across subgraphs")
+                raise InvariantViolationError(f"spec {spec.index}: edge reused across subgraphs")
             seen |= es
         if not spec.inner_edges <= factor_edges or not spec.cross_edges <= factor_edges:
-            raise InconsistentSpecsError(f"spec {spec.index}: non-factor edge assigned")
+            raise InvariantViolationError(f"spec {spec.index}: non-factor edge assigned")
         for u, v in spec.inner_edges:
             if u not in uset or v not in uset:
-                raise InconsistentSpecsError(f"spec {spec.index}: inner edge leaves U")
+                raise InvariantViolationError(f"spec {spec.index}: inner edge leaves U")
         for u, v in spec.cross_edges:
             if (u in uset) == (v in uset):
-                raise InconsistentSpecsError(f"spec {spec.index}: cross edge not U<->W")
+                raise InvariantViolationError(f"spec {spec.index}: cross edge not U<->W")
         for u, v in spec.reservoir_edges:
             if u not in wset or v not in wset:
-                raise InconsistentSpecsError(f"spec {spec.index}: reservoir edge leaves W")
+                raise InvariantViolationError(f"spec {spec.index}: reservoir edge leaves W")
     return _compute_stats(g, factor, specs, k, eps)

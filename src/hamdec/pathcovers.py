@@ -20,9 +20,7 @@ from typing import Sequence
 from .errors import (
     HypothesisViolatedError,
     InvariantViolationError,
-    MatchingOutOfPartsError,
     OddOrderError,
-    PartsOverlapError,
     PartsTooSmallError,
 )
 from .factors import Matching, disjoint_maximum_matchings
@@ -66,12 +64,6 @@ class PathCover:
     @property
     def size(self) -> int:
         return len(self.paths)
-
-    def vertices(self) -> set[int]:
-        out: set[int] = set()
-        for p in self.paths:
-            out.update(p.vertices)
-        return out
 
     def edges(self) -> set[Edge]:
         out: set[Edge] = set()
@@ -185,13 +177,13 @@ def matchings_to_path_cover(parts: Sequence[Sequence[int]],
     length-0 paths.
     """
     if len(matchings) != len(parts) - 1:
-        raise MatchingOutOfPartsError(
+        raise InvariantViolationError(
             f"{len(parts)} parts need {len(parts) - 1} matchings, got {len(matchings)}")
     all_vertices: set[int] = set()
     for part in parts:
         pset = set(part)
         if all_vertices & pset:
-            raise PartsOverlapError("parts overlap")
+            raise InvariantViolationError("parts overlap")
         all_vertices |= pset
     nxt: dict[int, int] = {}
     indeg: set[int] = set()
@@ -199,10 +191,10 @@ def matchings_to_path_cover(parts: Sequence[Sequence[int]],
         left, right = set(parts[j]), set(parts[j + 1])
         for u, v in mt.pairs:
             if u not in left or v not in right:
-                raise MatchingOutOfPartsError(
+                raise InvariantViolationError(
                     f"pair ({u}, {v}) does not run from part {j} to part {j + 1}")
             if host is not None and not host.has_edge(u, v):
-                raise MatchingOutOfPartsError(f"pair ({u}, {v}) is not a host edge")
+                raise InvariantViolationError(f"pair ({u}, {v}) is not a host edge")
             nxt[u] = v
             indeg.add(v)
     paths: list[DirectedPath] = []

@@ -32,7 +32,6 @@ from hamdec.errors import (
     HamdecError,
     InvariantViolationError,
     ReservoirMismatchError,
-    SameEndpointsError,
     SpliceFailedError,
 )
 from hamdec.factors import random_cycle_factor
@@ -92,7 +91,7 @@ def test_path_search_single_edge_not_found():
 
 def test_path_search_same_endpoints():
     g = rotational_tournament(3)
-    with pytest.raises(SameEndpointsError):
+    with pytest.raises(InvariantViolationError, match="endpoints coincide: 1"):
         hamilton_path_between(g, 1, 1)
 
 

@@ -87,13 +87,13 @@ def test_logcount_roundtrip():
     for k in (1, 2, 6, 10**9, 2**40):
         lc = LogCount.from_int(k)
         assert abs(lc.value() - k) / k < 1e-9
-    z = LogCount.zero()
+    z = LogCount.from_int(0)
     assert z.is_zero and z.value() == 0.0
 
 
 def test_logcount_ordering():
     assert LogCount.from_int(5).leq(LogCount.from_int(6))
-    assert LogCount.zero().leq(LogCount.from_int(1))
+    assert LogCount.from_int(0).leq(LogCount.from_int(1))
 
 
 # -- permanent -------------------------------------------------------------

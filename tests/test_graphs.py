@@ -6,14 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hamdec import graphs
 from hamdec.errors import (
     AntiparallelPairError,
     DuplicateEdgeError,
     EvenOrderError,
-    DegreeTooLargeError,
     FormatError,
+    InvariantViolationError,
     LoopEdgeError,
-    OverlappingSidesError,
+    ROutOfRangeError,
     TooLargeError,
     UnequalSidesError,
     UnknownEdgeError,
@@ -33,7 +34,7 @@ from hamdec.graphs import (
     write_edge_list,
 )
 
-from conftest import reference_edge_fault
+from conftest import oriented_graphs, reference_edge_fault
 
 TRIANGLE = [(0, 1), (1, 2), (2, 0)]
 
@@ -52,7 +53,6 @@ def check_adjacency_consistency(g):
 def test_build_triangle():
     g = OrientedGraph(3, TRIANGLE)
     s = degree_summary(g)
-    assert (s.min_out, s.min_in, s.max_out, s.max_in) == (1, 1, 1, 1)
     assert s.min_semi == s.max_semi == 1
     check_adjacency_consistency(g)
 
@@ -212,7 +212,7 @@ def test_random_regular_reproducible_and_capped():
     assert a.edges == b.edges
     c = random_regular_oriented(9, 3, seed=6)
     assert a.edges != c.edges  # overwhelmingly likely; fixed seeds keep it stable
-    with pytest.raises(DegreeTooLargeError):
+    with pytest.raises(ROutOfRangeError, match=r"r=5 exceeds \(n-1\)/2 for n=9"):
         random_regular_oriented(9, 5, seed=5)
 
 
@@ -274,7 +274,16 @@ def test_random_regular_oriented_properties(params):
 def test_degree_summary_edgeless():
     g = OrientedGraph(4, [])
     s = degree_summary(g)
-    assert (s.min_out, s.min_in, s.max_out, s.max_in, s.min_semi, s.max_semi) == (0,) * 6
+    assert (s.min_semi, s.max_semi) == (0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oriented_graphs(min_n=1))
+def test_degree_summary_matches_counted_degrees(g):
+    outs, ins = Counter(u for u, _ in g.edges), Counter(v for _, v in g.edges)
+    degrees = [outs[v] for v in range(g.n)] + [ins[v] for v in range(g.n)]
+    s = degree_summary(g)
+    assert (s.min_semi, s.max_semi) == (min(degrees), max(degrees))
 
 
 def test_bipartite_between_rotational5():
@@ -289,7 +298,7 @@ def test_bipartite_between_empty_and_errors():
     g = OrientedGraph(4, [(0, 1)])
     b = bipartite_between(g, [2], [3])
     assert not b.edges
-    with pytest.raises(OverlappingSidesError):
+    with pytest.raises(InvariantViolationError, match="X and Y intersect"):
         bipartite_between(g, [0, 1], [1, 2])
     # unequal sides build; only the common side size needs them equal
     unequal = bipartite_between(g, [0], [1, 3])
@@ -364,7 +373,7 @@ def test_edge_list_matches_naive_writer_and_round_trips(g):
     assert h.n == g.n and h.out_neighbors == g.out_neighbors
 
 
-def test_order_above_max_n_is_refused_before_any_edge_is_read():
+def test_order_above_max_n_is_refused_before_any_edge_is_read(monkeypatch):
     def edges():
         raise AssertionError("edges read")
         yield
@@ -377,6 +386,13 @@ def test_order_above_max_n_is_refused_before_any_edge_is_read():
     # no orientation is drawn for a graph that cannot be built
     with pytest.raises(TooLargeError, match="MAX_N"):
         random_tournament(10 ** 6, seed=0)
+    # nor is a random regular graph's switch chain run
+    def chain(edges, rng):
+        raise AssertionError("switch chain run")
+
+    monkeypatch.setattr(graphs, "_switch_chain", chain)
+    with pytest.raises(TooLargeError, match="MAX_N"):
+        random_regular_oriented(MAX_N + 1, 10, 0)
     assert OrientedGraph(MAX_N, []).n == MAX_N
 
 

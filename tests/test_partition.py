@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from hamdec.errors import InconsistentSpecsError, KTooLargeError, NotSpanningRegularError
+from hamdec.errors import InvariantViolationError, KTooLargeError, NotRegularError
 from hamdec.factors import extract_oriented_r_factor, oriented_reg
 from hamdec.graphs import OrientedGraph, random_tournament, rotational_tournament
 from hamdec.partition import SubproblemSpec, build_partition, verify_partition
@@ -63,7 +63,7 @@ def test_verifier_rejects_duplicated_edge(split101):
         index=other.index, u_vertices=other.u_vertices, w_vertices=other.w_vertices,
         inner_edges=other.inner_edges | {stolen},
         cross_edges=other.cross_edges, reservoir_edges=other.reservoir_edges)
-    with pytest.raises(InconsistentSpecsError):
+    with pytest.raises(InvariantViolationError, match="edge reused across subgraphs"):
         verify_partition(g, factor, tampered, k=2, eps=0.3)
 
 
@@ -93,7 +93,7 @@ def test_precondition_errors():
         build_partition(g, factor, k=2, eps=0.3, seed=0)  # 8 > 31/8
     big = rotational_tournament(101)
     bad = OrientedGraph(big.n, sorted(g.edges)[:5])
-    with pytest.raises(NotSpanningRegularError):
+    with pytest.raises(NotRegularError, match="factor is not regular"):
         build_partition(big, bad, k=2, eps=0.3, seed=0)
 
 
@@ -103,7 +103,7 @@ def test_build_partition_refuses_a_factor_on_fewer_vertices():
     g = rotational_tournament(101)
     short = OrientedGraph(100, [(v, (v + 1) % 100) for v in range(100)])
     assert short.edges <= g.edges
-    with pytest.raises(NotSpanningRegularError):
+    with pytest.raises(NotRegularError, match="factor must be a spanning subgraph of g"):
         build_partition(g, short, k=2, eps=0.3, seed=0)
 
 

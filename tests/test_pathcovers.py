@@ -2,9 +2,8 @@ import pytest
 
 from hamdec.errors import (
     HypothesisViolatedError,
-    MatchingOutOfPartsError,
+    InvariantViolationError,
     OddOrderError,
-    PartsOverlapError,
     PartsTooSmallError,
 )
 from hamdec.factors import Matching
@@ -73,12 +72,12 @@ def test_matchings_to_path_cover_size_arithmetic():
 
 def test_matchings_to_path_cover_errors():
     m = Matching(frozenset({(0, 2)}))
-    with pytest.raises(PartsOverlapError):
+    with pytest.raises(InvariantViolationError, match="parts overlap"):
         matchings_to_path_cover([[0, 1], [1, 2]], [m])
-    with pytest.raises(MatchingOutOfPartsError):
+    with pytest.raises(InvariantViolationError, match="does not run from part 0 to part 1"):
         matchings_to_path_cover([[0, 1], [2, 3]], [Matching(frozenset({(0, 5)}))])
     host = OrientedGraph(4, [(2, 0)])
-    with pytest.raises(MatchingOutOfPartsError):
+    with pytest.raises(InvariantViolationError, match="is not a host edge"):
         matchings_to_path_cover([[0, 1], [2, 3]], [m], host=host)
 
 
