@@ -14,7 +14,6 @@ from .graphs import (
     bipartite_between,
     degree_summary,
     read_edge_list,
-    remove_edges,
     rotational_tournament,
     write_edge_list,
 )
@@ -25,7 +24,6 @@ from .factors import (
     gale_ryser_oracle,
     has_bipartite_r_factor,
     oriented_reg,
-    pm_decompose_regular,
 )
 from .counting import (
     BoundReport,

@@ -35,8 +35,8 @@ from .errors import (
     ReservoirMismatchError,
     SpliceFailedError,
 )
-from .factors import maximum_matching_of, random_cycle_factor
-from .graphs import BipartiteGraph, Edge, OrientedGraph, degree_summary
+from .factors import random_cycle_factor
+from .graphs import Edge, OrientedGraph, degree_summary
 from .pathcovers import DirectedPath, PathCoverFamily
 
 # consecutive cycle factors without a merging switch before patching stops
@@ -81,20 +81,6 @@ class HamiltonCycle:
     def spans(self, vertices: set[int]) -> bool:
         """True when the order visits each of ``vertices`` exactly once."""
         return len(self.order) == len(vertices) and set(self.order) == vertices
-
-    def contains_segment(self, path: DirectedPath) -> bool:
-        """True when the path's vertex sequence appears as a contiguous arc."""
-        if len(path.vertices) == 1:
-            return path.vertices[0] in self.order
-        n = len(self.order)
-        pos = {v: i for i, v in enumerate(self.order)}
-        i = pos.get(path.vertices[0])
-        if i is None:
-            return False
-        for step, v in enumerate(path.vertices):
-            if self.order[(i + step) % n] != v:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -446,16 +432,18 @@ def _choose_connectors(connectors: Connectors, w_host: Sequence[int],
                        seed: int | str) -> list[int] | None:
     """Distinct reservoir picks for the 2a slots, 2i the entry before path
     i's start and 2i + 1 the exit after its end: a random maximum matching
-    of the slots to the reservoir vertices ``w_host``, or None when it
-    leaves a slot unmatched, as then no distinct choice exists."""
+    of the slots to the reservoir vertices ``w_host``, drawn by
+    :func:`random_cycle_factor` on the slots' sorted rows padded with empty
+    rows to a square, or None when it leaves a slot unmatched, as then no
+    distinct choice exists."""
     index = {h: j for j, h in enumerate(w_host)}
     slots = [c for pair in zip(connectors.into_start, connectors.out_of_end) for c in pair]
-    bip = BipartiteGraph(len(slots), len(w_host),
-                         [(k, index[w]) for k, c in enumerate(slots) for w in c])
-    mt = maximum_matching_of(bip, random.Random(f"{seed}:choice"))
-    if mt.size < len(slots):
+    rows = [sorted(index[w] for w in c) for c in slots]
+    rows += [[] for _ in range(len(w_host) - len(slots))]
+    picks = random_cycle_factor(rows, random.Random(f"{seed}:choice"))[:len(slots)]
+    if -1 in picks:
         return None
-    return [w_host[j] for _, j in sorted(mt.pairs)]
+    return [w_host[j] for j in picks]
 
 
 def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGraph,
@@ -574,7 +562,10 @@ def verify_completed_cycle(cycle: HamiltonCycle, paths: Sequence[DirectedPath],
     expected |= set(w_host)
     if not cycle.spans(expected):
         return False
-    if not all(cycle.contains_segment(p) for p in paths):
+    # the cycle visits each vertex once, so a path is one contiguous arc of
+    # it exactly when every edge of the path is a cycle edge
+    edges = cycle.edges
+    if not all(edges.issuperset(p.edges()) for p in paths):
         return False
     allowed: set[Edge] = set(reservoir.host_edges())
     for p in paths:
@@ -582,7 +573,7 @@ def verify_completed_cycle(cycle: HamiltonCycle, paths: Sequence[DirectedPath],
     for i, p in enumerate(paths):
         allowed.update((w, p.start) for w in connectors.into_start[i])
         allowed.update((p.end, w) for w in connectors.out_of_end[i])
-    return cycle.edges <= allowed
+    return edges <= allowed
 
 
 # -- completing a family into many edge-disjoint cycles -------------------

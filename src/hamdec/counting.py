@@ -164,13 +164,6 @@ def decomposition_upper_bound(n: int, r: int) -> LogCount:
     return LogCount(log)
 
 
-def adjacency_matrix(g: OrientedGraph) -> list[list[int]]:
-    mat = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        mat[u][v] = 1
-    return mat
-
-
 # -- exact Hamilton-cycle counting -------------------------------------
 
 
@@ -286,10 +279,7 @@ def count_hamilton_decompositions_exact(g: OrientedGraph) -> LogCount:
     each next cycle must contain the lowest remaining edge, so every
     partition is counted once.  Counts are memoised on the remaining mask.
     """
-    return _count_exact(g, _regular_cycles(g))
-
-
-def _count_exact(g: OrientedGraph, found: tuple[int, list[_Cycle]] | None) -> LogCount:
+    found = _regular_cycles(g)
     if found is None:
         return LogCount.from_int(0)
     through = _through_each_edge(g, found[1])
@@ -308,10 +298,7 @@ def count_hamilton_decompositions_ordered(g: OrientedGraph) -> LogCount:
     """Same count via the second route: count ordered sequences of
     edge-disjoint Hamilton cycles exhausting E(g), then divide by r!
     (cycles within one decomposition are distinct as edge sets)."""
-    return _count_ordered(g, _regular_cycles(g))
-
-
-def _count_ordered(g: OrientedGraph, found: tuple[int, list[_Cycle]] | None) -> LogCount:
+    found = _regular_cycles(g)
     if found is None:
         return LogCount.from_int(0)
     r, cycles = found
@@ -332,11 +319,7 @@ def _count_ordered(g: OrientedGraph, found: tuple[int, list[_Cycle]] | None) -> 
 def find_hamilton_decomposition(g: OrientedGraph) -> list[tuple[int, ...]] | None:
     """One full Hamilton decomposition as vertex orders, or None: the first
     cover met by the exact count's canonical search."""
-    return _find(g, _regular_cycles(g))
-
-
-def _find(g: OrientedGraph, found: tuple[int, list[_Cycle]] | None
-          ) -> list[tuple[int, ...]] | None:
+    found = _regular_cycles(g)
     if found is None:
         return None
     through = _through_each_edge(g, found[1])
@@ -361,17 +344,15 @@ def _find(g: OrientedGraph, found: tuple[int, list[_Cycle]] | None
 def sandwich_experiment(n: int) -> tuple[BoundReport, dict[str, Any]]:
     """Exact decomposition count of the rotational tournament of order n,
     sandwiched between a constructive lower bound and the iterated matching
-    bound, for any n the caps allow (checked before the tournament is built).
-    The cycles are enumerated once, for both counts and the search."""
+    bound, for any n the caps allow (checked before the tournament is built)."""
     r = (n - 1) // 2
     _check_decomposition_caps(n, r)
     g = rotational_tournament(n)
-    found = r, _hamilton_cycles(g)
-    exact = _count_exact(g, found)
-    cross = _count_ordered(g, found)
+    exact = count_hamilton_decompositions_exact(g)
+    cross = count_hamilton_decompositions_ordered(g)
     if exact.exact != cross.exact:
         raise AssertionError(f"enumeration strategies disagree: {exact.exact} vs {cross.exact}")
-    lower = LogCount.from_int(1 if _find(g, found) is not None else 0)
+    lower = LogCount.from_int(1 if find_hamilton_decomposition(g) is not None else 0)
     upper = decomposition_upper_bound(n, r)
     bounds = BoundReport(lower=lower, exact=exact, upper=upper)
     if not bounds.holds(tol=1e-9):

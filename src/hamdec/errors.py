@@ -44,10 +44,6 @@ class UnequalSidesError(HamdecError):
     """Bipartite side sets have different sizes."""
 
 
-class UnknownEdgeError(HamdecError):
-    """An edge outside the host edge set was referenced."""
-
-
 # --- factors and matchings ---
 
 class ROutOfRangeError(HamdecError):

@@ -5,11 +5,11 @@ the excess degrees, except on regular oriented graphs, where the degrees
 decide it; the literal subset inequality of the Gale-Ryser criterion is
 kept as an independent exponential oracle for cross-validation.  Every
 maximum matching comes from one routine, :func:`random_cycle_factor`,
-which reads sorted adjacency rows and draws each greedy pick by rejection.
-:func:`disjoint_maximum_matchings` runs it on a bipartite graph's rows,
-deleting each matching before the next draw; single maximum matchings,
-the perfect matchings that split a regular bipartite graph, the path-cover
-matching chains and the splice's connector picks all come from there.
+which reads sorted adjacency rows and draws each greedy pick by rejection:
+patching's cycle factors and the splice's connector picks call it on their
+own rows, and :func:`disjoint_maximum_matchings` runs it on a bipartite
+graph's rows, deleting each matching before the next draw, for the
+path-cover matching chains.
 The random regular bipartite test instances come from the switch chain
 that also draws random regular oriented graphs.
 """
@@ -19,13 +19,11 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from itertools import islice
 from typing import Collection, Iterator, Sequence
 
 from .errors import (
     InvariantViolationError,
     NoFactorError,
-    NotRegularError,
     ROutOfRangeError,
     TooLargeError,
 )
@@ -163,12 +161,6 @@ def disjoint_maximum_matchings(b: BipartiteGraph, rng: random.Random) -> Iterato
         yield mt
         for a, mb in mt.pairs:
             rows[a].remove(mb)
-
-
-def maximum_matching_of(b: BipartiteGraph, rng: random.Random) -> Matching:
-    """A random maximum matching of b: the first of
-    :func:`disjoint_maximum_matchings`."""
-    return next(disjoint_maximum_matchings(b, rng))
 
 
 # -- b-matchings and r-factors -----------------------------------------
@@ -325,20 +317,6 @@ def gale_ryser_oracle(b: BipartiteGraph, r: int) -> bool:
             if e < r * (x_size + y_size - m):
                 return False
     return True
-
-
-def pm_decompose_regular(b: BipartiteGraph) -> list[Matching]:
-    """Split a d-regular bipartite graph into d disjoint perfect matchings;
-    the empty graph is 0-regular and splits into none."""
-    m = b.m
-    degs = {b.degree_left(a) for a in range(m)} | {b.degree_right(bb) for bb in range(m)}
-    if len(degs) > 1:
-        raise NotRegularError(f"degrees {sorted(degs)} are not uniform")
-    d = max(degs, default=0)
-    out = list(islice(disjoint_maximum_matchings(b, random.Random(0)), d))
-    if any(mt.size < m for mt in out):
-        raise AssertionError("regular graph lost its perfect matching; bug")
-    return out
 
 
 # -- factors of oriented graphs ----------------------------------------

@@ -25,7 +25,6 @@ from .errors import (
     ROutOfRangeError,
     TooLargeError,
     UnequalSidesError,
-    UnknownEdgeError,
     VertexOutOfRangeError,
 )
 
@@ -189,12 +188,6 @@ class BipartiteGraph:
                 f"sides have sizes {self.left_size} and {self.right_size}")
         return self.left_size
 
-    def degree_left(self, a: int) -> int:
-        return len(self.adj_left[a])
-
-    def degree_right(self, b: int) -> int:
-        return len(self.adj_right[b])
-
     def __repr__(self) -> str:
         return (f"BipartiteGraph({self.left_size}+{self.right_size}, "
                 f"m_edges={sum(map(len, self.adj_left))})")
@@ -326,14 +319,6 @@ def bipartite_between(g: OrientedGraph, xs: Iterable[int], ys: Iterable[int]) ->
             if j is not None:
                 edges.add((a, j))
     return BipartiteGraph(len(xl), len(yl), edges)
-
-
-def remove_edges(g: OrientedGraph, removed: Iterable[Edge]) -> OrientedGraph:
-    rem = set(removed)
-    unknown = rem - g.edges
-    if unknown:
-        raise UnknownEdgeError(f"{len(unknown)} edges not in graph, e.g. {min(unknown)}")
-    return OrientedGraph(g.n, g.edges - rem, labels=g.labels)
 
 
 # -- edge-list io ------------------------------------------------------

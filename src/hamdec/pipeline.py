@@ -109,8 +109,8 @@ def verify_certificate(g: OrientedGraph, cert: DecompositionCertificate
     leftover edges must equal its out-row; only vertices where they differ
     are classified.  Of several faults the first in this order is reported:
     SizeMismatch, GraphHashMismatch, NotHamiltonian, UnknownEdge (a leftover
-    tail outside [0, n)), then over all vertices UnknownEdge (on a cycle),
-    EdgeReuse, LeftoverOverlap, UnknownEdge (in the leftover),
+    tail outside [0, n) or not an int), then over all vertices UnknownEdge
+    (on a cycle), EdgeReuse, LeftoverOverlap, UnknownEdge (in the leftover),
     LeftoverMismatch, and then RegMismatch, TooManyCycles.  g is hashed
     only once the sizes agree, and its reg computed only once every edge
     check has passed."""
@@ -145,16 +145,23 @@ def _check_certificate(g: OrientedGraph, cert: DecompositionCertificate,
             return False, "NotHamiltonian"
         succs.append(succ)
     rest: list[list[int]] = [[] for _ in range(n)]
-    for u, v in cert.leftover:
-        if not 0 <= u < n:
-            return False, "UnknownEdge"
-        rest[u].append(v)
+    try:
+        for u, v in cert.leftover:
+            if not 0 <= u < n:
+                return False, "UnknownEdge"
+            rest[u].append(v)
+    except TypeError:  # a tail that does not compare with ints or is no index
+        return False, "UnknownEdge"
     faults = []
     for row, heads, tails in zip(g.out_neighbors, zip(*succs) if succs else [()] * n, rest):
-        if tuple(sorted(heads + tuple(tails))) != row:
-            have, seen = set(row), set(heads)
-            faults.append((not have >= seen, len(seen) < len(heads), not seen.isdisjoint(tails),
-                           not have.issuperset(tails), True).index(True))
+        try:
+            if tuple(sorted(heads + tuple(tails))) == row:
+                continue
+        except TypeError:
+            pass  # a leftover head that does not compare with ints differs
+        have, seen = set(row), set(heads)
+        faults.append((not have >= seen, len(seen) < len(heads), not seen.isdisjoint(tails),
+                       not have.issuperset(tails), True).index(True))
     if faults:
         return False, ("UnknownEdge", "EdgeReuse", "LeftoverOverlap", "UnknownEdge",
                        "LeftoverMismatch")[min(faults)]

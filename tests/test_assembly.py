@@ -39,13 +39,12 @@ from hamdec.graphs import (
     OrientedGraph,
     random_regular_oriented,
     random_tournament,
-    remove_edges,
     rotational_tournament,
 )
 from hamdec.pathcovers import DirectedPath, PathCover, PathCoverFamily
 
-from conftest import (bruteforce_completable, oriented_graphs, plant_completable_instance,
-                      reservoir_view)
+from conftest import (bruteforce_completable, dinic_flow, oriented_graphs,
+                      plant_completable_instance, reservoir_view)
 
 
 def ham_path_exists_bruteforce(g, s, t):
@@ -70,9 +69,9 @@ def test_cycle_canonical_rotation_and_equality():
 
 def test_cycle_segment_containment():
     c = HamiltonCycle.from_order([0, 1, 2, 3, 4])
-    assert c.contains_segment(DirectedPath((3, 4, 0)))
-    assert c.contains_segment(DirectedPath((2,)))
-    assert not c.contains_segment(DirectedPath((1, 0)))
+    assert c.edges.issuperset(DirectedPath((3, 4, 0)).edges())
+    assert c.edges.issuperset(DirectedPath((2,)).edges())
+    assert not c.edges.issuperset(DirectedPath((1, 0)).edges())
 
 
 # -- hamilton_path_between ---------------------------------------------------
@@ -285,6 +284,81 @@ def test_connector_choice_for_600_paths_is_distinct():
     assert all(picks[2 * i] in into[i] and picks[2 * i + 1] in out[i] for i in range(a))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_connector_choice_matches_a_flow_oracle(data):
+    # None exactly when no distinct choice exists, i.e. when a unit-capacity
+    # max flow from the slots to the reservoir vertices is below the slot count
+    a = data.draw(st.integers(1, 4))
+    w = data.draw(st.permutations(range(100, 100 + data.draw(st.integers(0, 10)))))
+    sets = [frozenset(data.draw(st.lists(st.sampled_from(w), unique=True)) if w else [])
+            for _ in range(2 * a)]
+    picks = _choose_connectors(Connectors(tuple(sets[0::2]), tuple(sets[1::2])), w,
+                               seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+    index = {h: j for j, h in enumerate(w)}
+    edges = [(k, index[h]) for k, c in enumerate(sets) for h in sorted(c)]
+    flow, _ = dinic_flow([1] * (2 * a), [1] * len(w), edges)
+    assert (picks is None) == (flow < 2 * a)
+    if picks is not None:
+        assert len(picks) == 2 * a == len(set(picks))
+        assert all(h in c for h, c in zip(picks, sets))
+
+
+def reference_completed_cycle(cycle, paths, reservoir, connectors):
+    """verify_completed_cycle as a position walk: the order visits exactly
+    the path and reservoir vertices, once each, every path appears as a
+    contiguous arc, and every cycle edge is a path, reservoir or connector
+    edge."""
+    order = cycle.order
+    n = len(order)
+    expected = {v for p in paths for v in p.vertices}
+    expected |= {reservoir.host(v) for v in range(reservoir.n)}
+    if n != len(expected) or set(order) != expected:
+        return False
+    pos = {v: i for i, v in enumerate(order)}
+    for p in paths:
+        i = pos[p.start]
+        if any(order[(i + step) % n] != v for step, v in enumerate(p.vertices)):
+            return False
+    allowed = set(reservoir.host_edges()) | {e for p in paths for e in p.edges()}
+    for i, p in enumerate(paths):
+        allowed |= {(w, p.start) for w in connectors.into_start[i]}
+        allowed |= {(p.end, w) for w in connectors.out_of_end[i]}
+    return set(zip(order, order[1:] + order[:1])) <= allowed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(0, 8), st.data())
+def test_verify_completed_cycle_matches_a_position_walk(seed, a, extra, data):
+    _, paths, reservoir, connectors = plant_completable_instance(seed, 2 * a + 4 + extra, a)
+    try:
+        cycle = complete_cover_to_cycle(paths, reservoir, connectors, seed=seed,
+                                        enforce_margin=False)
+    except HamdecError:
+        assume(False)
+    order = list(cycle.order)
+    n = len(order)
+    positions = st.integers(0, n - 1)
+    i, j = data.draw(positions), data.draw(positions)
+    swapped = order[:]
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    p = data.draw(st.sampled_from(paths))
+    start = order.index(p.start)
+    arc = [(start + step) % n for step in range(len(p.vertices))]
+    reversed_path = order[:]
+    for k, v in zip(arc, reversed(p.vertices)):
+        reversed_path[k] = v
+    variants = [order, swapped, order[:i] + order[i + 1:],
+                order[:i] + [order[j]] + order[i:], reversed_path]
+    verdicts = set()
+    for seq in variants:
+        cyc = HamiltonCycle(tuple(seq))
+        verdict = verify_completed_cycle(cyc, paths, reservoir, connectors)
+        assert verdict == reference_completed_cycle(cyc, paths, reservoir, connectors)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_complete_randomized_planted_instances():
     attempts = successes = 0
     for seed in range(30):
@@ -395,7 +469,7 @@ def test_complete_family_two_covers():
         assert not (seen & cyc.edges)
         seen |= cyc.edges
         for p in family.covers[i].paths:
-            assert cyc.contains_segment(p)
+            assert cyc.edges.issuperset(p.edges())
 
 
 def test_complete_family_rejects_overlapping_covers():
@@ -428,7 +502,7 @@ def test_complete_family_t1_matches_single_completion():
 def test_patching_cycles_are_disjoint_hamiltonian_and_residual():
     g = rotational_tournament(31)
     used = set(HamiltonCycle.from_order([i * 3 % 31 for i in range(31)]).edges)
-    out = patch_hamilton_cycles(remove_edges(g, used), seed=4)
+    out = patch_hamilton_cycles(OrientedGraph(31, g.edges - used), seed=4)
     assert len(out.cycles) >= 1
     seen = set(used)
     for cyc in out.cycles:

@@ -10,7 +10,6 @@ from hamdec import factors
 from hamdec.errors import (
     InvariantViolationError,
     NoFactorError,
-    NotRegularError,
     ROutOfRangeError,
     TooLargeError,
 )
@@ -21,9 +20,7 @@ from hamdec.factors import (
     gale_ryser_oracle,
     has_bipartite_r_factor,
     has_oriented_r_factor,
-    maximum_matching_of,
     oriented_reg,
-    pm_decompose_regular,
     random_cycle_factor,
     random_regular_bipartite,
 )
@@ -50,6 +47,11 @@ def eight_cycle():
     # C8 as a bipartite graph with sides of 4: a_i ~ b_i and a_i ~ b_{i-1}
     edges = {(i, i) for i in range(4)} | {(i, (i - 1) % 4) for i in range(4)}
     return BipartiteGraph(4, 4, edges)
+
+
+def first_matchings(b, d):
+    """The first d matchings of :func:`disjoint_maximum_matchings` on b."""
+    return list(itertools.islice(disjoint_maximum_matchings(b, random.Random(0)), d))
 
 
 def random_bipartite(m, p, rng):
@@ -131,10 +133,13 @@ def test_extract_raises_without_factor():
 
 
 # -- perfect-matching decompositions -------------------------------------
+#
+# On a d-regular bipartite graph every maximum matching is perfect, and what
+# is left after deleting one is (d - 1)-regular, so the first d disjoint
+# maximum matchings split the edges into d perfect matchings.
 
 def test_pm_decompose_complete():
-    ms = pm_decompose_regular(complete_bipartite(3))
-    assert len(ms) == 3
+    ms = first_matchings(complete_bipartite(3), 3)
     union = set()
     for mt in ms:
         assert mt.size == 3
@@ -144,8 +149,7 @@ def test_pm_decompose_complete():
 
 
 def test_pm_decompose_eight_cycle():
-    ms = pm_decompose_regular(eight_cycle())
-    assert len(ms) == 2
+    ms = first_matchings(eight_cycle(), 2)
     assert {frozenset(mt.pairs) for mt in ms} == {
         frozenset({(i, i) for i in range(4)}),
         frozenset({(i, (i - 1) % 4) for i in range(4)}),
@@ -154,14 +158,14 @@ def test_pm_decompose_eight_cycle():
 
 def test_pm_decompose_one_regular_returns_itself():
     pm = BipartiteGraph(3, 3, {(0, 1), (1, 2), (2, 0)})
-    ms = pm_decompose_regular(pm)
-    assert len(ms) == 1 and ms[0].pairs == pm.edges
+    ms = first_matchings(pm, 2)
+    assert ms[0].pairs == pm.edges and ms[1].size == 0
 
 
 def test_pm_decompose_empty_graph_is_zero_regular():
     empty = BipartiteGraph(0, 0, [])
     assert has_bipartite_r_factor(empty, 0)
-    assert pm_decompose_regular(empty) == []
+    assert first_matchings(empty, 1)[0].size == 0
 
 
 def test_matching_rejects_repeated_endpoints():
@@ -171,17 +175,11 @@ def test_matching_rejects_repeated_endpoints():
         Matching(frozenset({(0, 2), (1, 2)}))
 
 
-def test_pm_decompose_rejects_irregular():
-    with pytest.raises(NotRegularError):
-        pm_decompose_regular(BipartiteGraph(2, 2, {(0, 0), (0, 1), (1, 0)}))
-
-
 def test_pm_decompose_random_regular_instances():
     for seed in range(5):
         m, d = 7, 4
         b = random_regular_bipartite(m, d, seed=seed)
-        ms = pm_decompose_regular(b)
-        assert len(ms) == d
+        ms = first_matchings(b, d)
         union = set()
         for mt in ms:
             assert mt.size == m
@@ -629,12 +627,12 @@ def test_random_cycle_factor_keeps_the_random_stream(out, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_maximum_matching_of_rectangular_graphs(data):
+def test_first_matching_is_maximum_on_rectangular_graphs(data):
     nl, nr = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
     pairs = [(a, b) for a in range(nl) for b in range(nr)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    mt = maximum_matching_of(BipartiteGraph(nl, nr, edges),
-                             random.Random(data.draw(st.integers(0, 2 ** 32 - 1))))
+    mt = next(disjoint_maximum_matchings(BipartiteGraph(nl, nr, edges),
+                                         random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))))
     assert mt.pairs <= set(edges)
     assert mt.size == dinic_flow([1] * nl, [1] * nr, edges)[0]
 
@@ -655,13 +653,16 @@ def test_disjoint_maximum_matchings_peel_the_edges(data):
     assert next(peel).size == 0
 
 
-# SHA-256 of the repr of each function's outputs at seeds 0-3, computed
+# SHA-256 of the repr of each search's outputs at seeds 0-3, computed
 # before these searches shared one matching routine: the rows and draws of
-# every matching, so the path covers built from them, must not change
+# every matching, so the path covers built from them, must not change.
+# "perfect_matchings" is the first 5 disjoint matchings of a 5-regular
+# bipartite graph, "first_matching" three single maximum matchings drawn
+# from one generator
 FROZEN_MATCHING_DIGESTS = {
     "build_path_cover_family": "28989e511084e057dfb540864917ec718c7f9051863b1f310d287e0b5a40230f",
-    "pm_decompose_regular": "d8c86a10e22f724151ef261a9c82ef0d24cd1dc689e1db723432c434ba6a2f6e",
-    "maximum_matching_of": "480748849caf0f8b737fed053a721cc9e948c80202da90669852ded3df5cf7b1",
+    "perfect_matchings": "d8c86a10e22f724151ef261a9c82ef0d24cd1dc689e1db723432c434ba6a2f6e",
+    "first_matching": "480748849caf0f8b737fed053a721cc9e948c80202da90669852ded3df5cf7b1",
 }
 
 
@@ -670,12 +671,12 @@ def frozen_matching_outputs(name, seed):
         h = random_regular_oriented(40, 8, seed=seed)
         fam, mu = build_path_cover_family(h, b=4, a=14, t=4, xi=0, seed=seed)
         return [[p.vertices for p in c.paths] for c in fam.covers], fam.limiting_pair, mu
-    if name == "pm_decompose_regular":
-        return [sorted(m.pairs) for m in pm_decompose_regular(random_regular_bipartite(12, 5, seed))]
+    if name == "perfect_matchings":
+        return [sorted(m.pairs) for m in first_matchings(random_regular_bipartite(12, 5, seed), 5)]
     rng = random.Random(seed)
     nl, nr = rng.randint(5, 15), rng.randint(5, 15)
     b = BipartiteGraph(nl, nr, {(a, c) for a in range(nl) for c in range(nr) if rng.random() < 0.3})
-    return [sorted(maximum_matching_of(b, rng).pairs) for _ in range(3)]
+    return [sorted(next(disjoint_maximum_matchings(b, rng)).pairs) for _ in range(3)]
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_MATCHING_DIGESTS))
@@ -734,7 +735,7 @@ def test_maximum_matching_is_uniform_on_complete_graphs(monkeypatch, nl, nr, dra
     graph = BipartiteGraph(nl, nr, {(a, b) for a in range(nl) for b in range(nr)})
     counts = dict.fromkeys(itertools.permutations(range(nr), nl), 0)
     for _ in range(draws):
-        pairs = maximum_matching_of(graph, rng).pairs
+        pairs = next(disjoint_maximum_matchings(graph, rng)).pairs
         counts[tuple(b for _, b in sorted(pairs))] += 1
     p = 1 / len(counts)
     sigma = (draws * p * (1 - p)) ** 0.5
@@ -766,5 +767,5 @@ def test_random_regular_bipartite_properties(data):
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     b = random_regular_bipartite(m, d, seed)
     assert len(b.edges) == m * d  # the constructor rejects duplicates
-    assert all(b.degree_left(a) == d and b.degree_right(a) == d for a in range(m))
+    assert all(len(row) == d for row in b.adj_left + b.adj_right)
     assert random_regular_bipartite(m, d, seed).edges == b.edges

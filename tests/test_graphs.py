@@ -17,7 +17,6 @@ from hamdec.errors import (
     ROutOfRangeError,
     TooLargeError,
     UnequalSidesError,
-    UnknownEdgeError,
     VertexOutOfRangeError,
 )
 from hamdec.graphs import (
@@ -29,7 +28,6 @@ from hamdec.graphs import (
     random_regular_oriented,
     random_tournament,
     read_edge_list,
-    remove_edges,
     rotational_tournament,
     write_edge_list,
 )
@@ -313,18 +311,6 @@ def test_bipartite_between_recovers_directed_edges():
     b = bipartite_between(g, xs, ys)
     expected = {(u, v) for u in xs for v in ys if g.has_edge(u, v)}
     assert {(xs[a], ys[c]) for a, c in b.edges} == expected
-
-
-def test_remove_edges_cases():
-    g = rotational_tournament(5)
-    cycle = {(i, (i + 1) % 5) for i in range(5)}
-    h = remove_edges(g, cycle)
-    s = degree_summary(h)
-    assert s.min_semi == s.max_semi == 1
-    assert remove_edges(g, set()).edges == g.edges
-    assert not remove_edges(g, g.edges).edges
-    with pytest.raises(UnknownEdgeError):
-        remove_edges(g, {(0, 3)})  # 3 -> 0 is the actual orientation
 
 
 def test_induced_subgraph_labels_compose():

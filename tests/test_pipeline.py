@@ -147,20 +147,6 @@ def test_sandwich_values():
         sandwich_experiment(9)
 
 
-def test_one_cycle_enumeration_per_sandwich(monkeypatch):
-    enumerate_cycles = hamdec.counting._hamilton_cycles
-    calls = []
-
-    def counting_enumeration(g):
-        calls.append(g.n)
-        return enumerate_cycles(g)
-
-    monkeypatch.setattr(hamdec.counting, "_hamilton_cycles", counting_enumeration)
-    for n in (3, 5, 7):
-        sandwich_experiment(n)
-    assert calls == [3, 5, 7]
-
-
 def test_one_graph_digest_per_run(monkeypatch):
     digest = hamdec.pipeline.graph_digest
     calls = []

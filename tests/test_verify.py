@@ -165,6 +165,20 @@ def test_negative_leftover_vertex_does_not_wrap_around():
         assert verify_certificate(g, bad) == (False, "UnknownEdge")
 
 
+@pytest.mark.parametrize("move", ["float_tail", "str_tail", "none_tail", "str_head", "none_head"])
+def test_leftover_vertex_that_is_not_an_int_is_an_unknown_edge(move):
+    # certificates built in Python skip from_json's integer check; the
+    # verdict must still come back, not a TypeError
+    g = rotational_tournament(11)
+    cert, _ = approximate_decomposition(g, RunConfig(seed=0))
+    u, v = edge = min(cert.leftover)
+    moved = {"float_tail": (float(u), v), "str_tail": (str(u), v), "none_tail": (None, v),
+             "str_head": (u, str(v)), "none_head": (u, None)}[move]
+    bad = DecompositionCertificate(11, cert.graph_sha256, cert.cycles,
+                                   cert.leftover - {edge} | {moved}, cert.reg)
+    assert verify_certificate(g, bad) == (False, "UnknownEdge")
+
+
 def test_cycle_wound_twice_is_not_hamiltonian():
     # a cycle that winds round twice covers every vertex, as a set
     g = rotational_tournament(3)
