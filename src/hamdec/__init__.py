@@ -46,7 +46,6 @@ from .pathcovers import (
     matchings_to_path_cover,
 )
 from .assembly import (
-    Connectors,
     HamiltonCycle,
     complete_cover_to_cycle,
     complete_family_to_cycles,

@@ -83,26 +83,6 @@ class HamiltonCycle:
         return len(self.order) == len(vertices) and set(self.order) == vertices
 
 
-@dataclass(frozen=True)
-class Connectors:
-    """Per path index: reservoir in-neighbours of the start vertex and
-    reservoir out-neighbours of the end vertex."""
-
-    into_start: tuple[frozenset[int], ...]
-    out_of_end: tuple[frozenset[int], ...]
-
-
-def connectors_from_edges(edges: set[Edge] | frozenset[Edge],
-                          paths: Sequence[DirectedPath],
-                          reservoir_vertices: Sequence[int]) -> Connectors:
-    wset = set(reservoir_vertices)
-    into = tuple(frozenset(u for u, v in edges if v == p.start and u in wset)
-                 for p in paths)
-    out = tuple(frozenset(v for u, v in edges if u == p.end and v in wset)
-                for p in paths)
-    return Connectors(into, out)
-
-
 # -- cycle-factor patching ------------------------------------------------
 
 
@@ -295,8 +275,6 @@ def hamilton_path_between(f: OrientedGraph, s: int, t: int,
         raise InvariantViolationError(f"endpoints coincide: {s}")
     if not (0 <= s < n and 0 <= t < n):
         raise InvariantViolationError("endpoints outside the graph")
-    if n == 1:
-        return None
     slices = 1 if budget is None else PATH_SEARCH_SLICES
     per_slice = None if budget is None else max(1, budget // slices)
     out_mask, in_mask = _masks(f)
@@ -428,51 +406,46 @@ def hamilton_path_any(f: OrientedGraph, budget: int | None = None,
 # -- completing one cover into one cycle ---------------------------------
 
 
-def _choose_connectors(connectors: Connectors, w_host: Sequence[int],
+def _choose_connectors(slots: Sequence[set[int]], reservoir: Sequence[int],
                        seed: int | str) -> list[int] | None:
-    """Distinct reservoir picks for the 2a slots, 2i the entry before path
-    i's start and 2i + 1 the exit after its end: a random maximum matching
-    of the slots to the reservoir vertices ``w_host``, drawn by
+    """Distinct reservoir picks for the 2a ``slots``, 2i the entry before
+    path i's start and 2i + 1 the exit after its end: a random maximum
+    matching of the slots to the vertices ``reservoir``, drawn by
     :func:`random_cycle_factor` on the slots' sorted rows padded with empty
     rows to a square, or None when it leaves a slot unmatched, as then no
     distinct choice exists."""
-    index = {h: j for j, h in enumerate(w_host)}
-    slots = [c for pair in zip(connectors.into_start, connectors.out_of_end) for c in pair]
+    index = {h: j for j, h in enumerate(reservoir)}
     rows = [sorted(index[w] for w in c) for c in slots]
-    rows += [[] for _ in range(len(w_host) - len(slots))]
+    rows += [[] for _ in range(len(reservoir) - len(slots))]
     picks = random_cycle_factor(rows, random.Random(f"{seed}:choice"))[:len(slots)]
     if -1 in picks:
         return None
-    return [w_host[j] for j in picks]
+    return [reservoir[j] for j in picks]
 
 
-def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGraph,
-                            connectors: Connectors, seed: int | str = 0,
-                            enforce_margin: bool = True) -> HamiltonCycle:
-    """Complete vertex-disjoint paths into one cycle through the reservoir.
+def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
+                            seed: int | str = 0, enforce_margin: bool = True) -> HamiltonCycle:
+    """Complete vertex-disjoint paths of g into a Hamilton cycle of g.
 
-    ``reservoir`` is the graph induced on the reservoir vertex set (its label
-    map gives the outside names); ``connectors`` lists, per path, which
-    reservoir vertices can precede its start / follow its end.  The cycle
-    visits every path as a contiguous segment and every reservoir vertex
-    exactly once.
+    The reservoir is every vertex of g on no path; path i is entered from a
+    reservoir in-neighbour of its start and left to a reservoir
+    out-neighbour of its end.  The cycle visits every path as a contiguous
+    segment and every reservoir vertex exactly once.
     """
     a = len(paths)
     if a == 0:
         raise InvariantViolationError("cover must contain at least one path")
-    if len(connectors.into_start) != a or len(connectors.out_of_end) != a:
-        raise InvariantViolationError("connector table size differs from cover size")
-    w_host = [reservoir.host(v) for v in range(reservoir.n)]
-    wset = set(w_host)
     covered: set[int] = set()
     for p in paths:
-        if covered & set(p.vertices) or wset & set(p.vertices):
-            raise InvariantViolationError("paths overlap each other or the reservoir")
+        if covered & set(p.vertices):
+            raise InvariantViolationError("paths overlap each other")
         covered.update(p.vertices)
-    for i in range(a):
-        extra = (connectors.into_start[i] | connectors.out_of_end[i]) - wset
-        if extra:
-            raise InvariantViolationError(f"connectors outside reservoir: {sorted(extra)[:3]}")
+    if covered.difference(range(g.n)):
+        raise InvariantViolationError("paths leave the graph")
+    reservoir = [v for v in range(g.n) if v not in covered]
+    wset = set(reservoir)
+    slots = [wset.intersection(row) for p in paths
+             for row in (g.in_neighbors[p.start], g.out_neighbors[p.end])]
     if len(wset) < 2 * a:
         raise ReservoirMismatchError(
             f"reservoir of {len(wset)} cannot host {a} blocks (needs >= {2 * a})")
@@ -483,32 +456,30 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGr
         raise ReservoirMismatchError(
             f"{a} blocks of <= {BLOCK_CAP} cannot absorb {len(wset)} reservoir vertices")
     floor = 2 * a if enforce_margin else 1
-    for i in range(a):
-        if len(connectors.into_start[i]) < floor:
+    for i, p in enumerate(paths):
+        if len(slots[2 * i]) < floor:
             raise ConnectorDegreeTooLowError(
-                f"start of path {i} has {len(connectors.into_start[i])} reservoir "
+                f"start of path {i} has {len(slots[2 * i])} reservoir "
                 f"in-neighbours, needs {floor}",
-                endpoint=paths[i].start, direction="in")
-        if len(connectors.out_of_end[i]) < floor:
+                endpoint=p.start, direction="in")
+        if len(slots[2 * i + 1]) < floor:
             raise ConnectorDegreeTooLowError(
-                f"end of path {i} has {len(connectors.out_of_end[i])} reservoir "
+                f"end of path {i} has {len(slots[2 * i + 1])} reservoir "
                 f"out-neighbours, needs {floor}",
-                endpoint=paths[i].end, direction="out")
+                endpoint=p.end, direction="out")
 
-    local_of = {h: i for i, h in enumerate(w_host)}
-    out_mask, in_mask = _masks(reservoir)
+    out_mask, in_mask = _masks(g)
     sizes = [len(wset) // a + (1 if i < len(wset) % a else 0) for i in range(a)]
     last_block = None
     for attempt in range(SPLICE_ATTEMPTS):
         # Re-draw the connector choice alongside the reservoir partition:
         # with few blocks the partition alone carries too little freedom.
-        picks = _choose_connectors(connectors, w_host, f"{seed}:{attempt}")
+        picks = _choose_connectors(slots, reservoir, f"{seed}:{attempt}")
         if picks is None:  # a maximum matching has the same size at every draw
             raise SpliceFailedError("no distinct connector choice exists", attempts=0)
-        # block i holds path i's exit and path i + 1's entry (local indices)
-        pinned_pairs = [(local_of[picks[2 * i + 1]], local_of[picks[(2 * i + 2) % (2 * a)]])
-                        for i in range(a)]
-        free = [local_of[h] for h in sorted(wset - set(picks))]
+        # block i holds path i's exit and path i + 1's entry
+        pinned_pairs = [(picks[2 * i + 1], picks[(2 * i + 2) % (2 * a)]) for i in range(a)]
+        free = sorted(wset - set(picks))
         rng = random.Random(f"{seed}:blocks:{attempt}")
         for _ in range(12):
             # reachability pre-screen: cheap rejections instead of burning a
@@ -529,18 +500,18 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGr
             continue
         intervals: list[tuple[int, ...]] = []
         for i, block in enumerate(blocks):
-            sub = reservoir.induced_subgraph(block)
             verts = sorted(block)
             try:
                 got = hamilton_path_between(
-                    sub, verts.index(pinned_pairs[i][0]), verts.index(pinned_pairs[i][1]),
+                    g.induced_subgraph(verts), verts.index(pinned_pairs[i][0]),
+                    verts.index(pinned_pairs[i][1]),
                     budget=BLOCK_PATH_BUDGET, seed=rng.randrange(1 << 30))
             except BudgetExhaustedError:
                 got = None
             if got is None:
                 last_block = i
                 break
-            intervals.append(sub.host_path(got.vertices))
+            intervals.append(tuple(verts[x] for x in got.vertices))
         else:
             order: list[int] = []
             for i in range(a):
@@ -553,26 +524,23 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], reservoir: OrientedGr
 
 
 def verify_completed_cycle(cycle: HamiltonCycle, paths: Sequence[DirectedPath],
-                           reservoir: OrientedGraph, connectors: Connectors) -> bool:
+                           g: OrientedGraph) -> bool:
     """Independent check of a completed cycle against its inputs."""
-    expected = set()
-    for p in paths:
-        expected |= set(p.vertices)
-    w_host = [reservoir.host(v) for v in range(reservoir.n)]
-    expected |= set(w_host)
-    if not cycle.spans(expected):
+    vertices = set(range(g.n))
+    covered = {v for p in paths for v in p.vertices}
+    if not covered <= vertices or not cycle.spans(vertices):
         return False
     # the cycle visits each vertex once, so a path is one contiguous arc of
     # it exactly when every edge of the path is a cycle edge
     edges = cycle.edges
     if not all(edges.issuperset(p.edges()) for p in paths):
         return False
-    allowed: set[Edge] = set(reservoir.host_edges())
+    w = vertices - covered
+    allowed = {(u, v) for u in w for v in g.out_neighbors[u] if v in w}
     for p in paths:
         allowed.update(p.edges())
-    for i, p in enumerate(paths):
-        allowed.update((w, p.start) for w in connectors.into_start[i])
-        allowed.update((p.end, w) for w in connectors.out_of_end[i])
+        allowed.update((u, p.start) for u in w.intersection(g.in_neighbors[p.start]))
+        allowed.update((p.end, v) for v in w.intersection(g.out_neighbors[p.end]))
     return edges <= allowed
 
 
@@ -633,17 +601,11 @@ def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
 
     used: set[Edge] = set()
     cycles: list[HamiltonCycle] = []
-    w_index = {v: i for i, v in enumerate(w_sorted)}
     for j, cover in enumerate(family.covers):
         remaining = h.edges - used
-        f_j = OrientedGraph(len(w_sorted),
-                            {(w_index[x], w_index[y])
-                             for x, y in remaining if x in wset and y in wset},
-                            labels=tuple(w_sorted))
-        connectors = connectors_from_edges(remaining, cover.paths, w_sorted)
         try:
             cycle = complete_cover_to_cycle(
-                cover.paths, f_j, connectors, seed=f"{seed}:round:{j}",
+                cover.paths, OrientedGraph(h.n, remaining), seed=f"{seed}:round:{j}",
                 enforce_margin=strict)
         except (ConnectorDegreeTooLowError, SpliceFailedError,
                 ReservoirMismatchError) as exc:

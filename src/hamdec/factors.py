@@ -69,13 +69,14 @@ def random_cycle_factor(out: Sequence[list[int]], rng: random.Random) -> list[in
     free, and after DRAW_TRIES misses a uniform entry of the row's free
     ones.  Each vertex this greedy pass leaves unmatched then roots one
     breadth-first search for a shortest augmenting path, walking the rows
-    in order.  The root, and then each vertex as it joins the queue, is
-    tested for a free out-neighbour, and the search stops at the first that
-    has one: the path ends at one of its free out-neighbours, drawn
-    uniformly from the sorted free ones.  Testing on entry rather than on
-    leaving the queue finds the same vertex, since nothing the test reads
-    changes during one search, but scans no row of the vertices queued
-    before it.  The search is complete, so by Kuhn's argument the result is
+    in order.  Each vertex is tested for a free out-neighbour as it joins
+    the queue, and the search stops at the first that has one: the path
+    ends at one of its free out-neighbours, drawn uniformly from the sorted
+    free ones.  The root has none, since the greedy pass leaves a vertex
+    unmatched only when every out-neighbour is taken, and taken stays
+    taken.  Testing on entry rather than on leaving the queue finds the
+    same vertex, since nothing the test reads changes during one search,
+    but scans no row of the vertices queued before it.  The search is complete, so by Kuhn's argument the result is
     a maximum matching.  The result depends only on ``out`` and the
     generator's state, never on set iteration order.
 
@@ -124,22 +125,20 @@ def random_cycle_factor(out: Sequence[list[int]], rng: random.Random) -> list[in
     for root in unmatched:
         # parent[x] is the left vertex whose edge to succ[x] reached x
         parent = {root: -1}
-        x = root
-        if free.isdisjoint(out[root]):
-            queue = [root]
-            for a in queue:
-                for b in out[a]:  # all taken: a has no free out-neighbour
-                    x = pred[b]
-                    if x not in parent:
-                        parent[x] = a
-                        if not free.isdisjoint(out[x]):
-                            break
-                        queue.append(x)
-                else:
-                    continue
-                break
+        queue = [root]
+        for a in queue:
+            for b in out[a]:  # all taken: a has no free out-neighbour
+                x = pred[b]
+                if x not in parent:
+                    parent[x] = a
+                    if not free.isdisjoint(out[x]):
+                        break
+                    queue.append(x)
             else:
-                continue  # no augmenting path: root stays unmatched
+                continue
+            break
+        else:
+            continue  # no augmenting path: root stays unmatched
         b = choice(sorted(free.intersection(out[x])))
         free.discard(b)
         while x != -1:
@@ -194,14 +193,16 @@ def _b_matching(left_caps: Sequence[int], right_caps: Sequence[int],
     each breadth-first search from all unsaturated left vertices at once
     augments along the first alternating path it finds to a head with cap
     left, the smallest such head of the path's last vertex; once one finds
-    none, the set is maximum by max-flow/min-cut.  Every root is tested for
-    a free head it does not hold first, then each vertex as it joins the
-    queue.  Nothing the test reads changes during one search, so the search
-    stops at the vertex a test on leaving the queue would find, without
-    scanning the rows of the vertices queued before it.  An augmentation
-    gives one root one more head and takes one cap from one head, so the
-    unsaturated roots (in increasing order) and the free heads are kept
-    across searches.
+    none, the set is maximum by max-flow/min-cut.  Each vertex is tested
+    for a free head it does not hold as it joins the queue.  Nothing the
+    test reads changes during one search, so the search stops at the vertex
+    a test on leaving the queue would find, without scanning the rows of
+    the vertices queued before it.  An augmentation gives one root one more
+    head and takes one cap from one head, so the unsaturated roots (in
+    increasing order) and the free heads are kept across searches.  No root
+    needs the test: the greedy pass stops a vertex at its first head with
+    no cap left, so it leaves no unsaturated vertex a free head it does not
+    hold, and after that caps only fall and roots never lose heads.
     """
     picks, owners, rest = _greedy_b_matching(left_caps, right_caps, rows)
     roots = [a for a, cap in enumerate(left_caps) if len(picks[a]) < cap]
@@ -239,10 +240,6 @@ def _augmenting_end(rows: Sequence[Sequence[int]], picks: list[set[int]],
     that it does not hold, or None if there is none; ``parent`` gains the
     vertices reached."""
     queue = list(parent)
-    for w in queue:
-        hits = free.intersection(rows[w]) - picks[w]
-        if hits:
-            return w, hits
     seen: set[int] = set()
     for w in queue:
         mine = picks[w]
@@ -356,11 +353,11 @@ def oriented_reg(g: OrientedGraph) -> int:
 
 def extract_oriented_r_factor(g: OrientedGraph, r: int) -> OrientedGraph:
     """A spanning sub-digraph of g with every in/out-degree exactly r, on
-    g's vertices and labels: g itself when g is r-regular, the edgeless
+    g's vertices: g itself when g is r-regular, the edgeless
     graph when r = 0, and otherwise g less the edges of a b-matching on
     the excess degrees."""
     if r == 0:
-        return OrientedGraph(g.n, (), labels=g.labels)
+        return OrientedGraph(g.n, ())
     degs = degree_summary(g)
     if r == degs.min_semi == degs.max_semi:
         return g
@@ -368,8 +365,7 @@ def extract_oriented_r_factor(g: OrientedGraph, r: int) -> OrientedGraph:
     if picks is None:
         raise NoFactorError(f"graph has no {r}-factor")
     return OrientedGraph(g.n, ((u, v) for u, row in enumerate(g.out_neighbors)
-                               for v in row if v not in picks[u]),
-                         labels=g.labels)
+                               for v in row if v not in picks[u]))
 
 
 # -- test-instance generator -------------------------------------------

@@ -1,10 +1,9 @@
 """Oriented-graph and bipartite-graph representations, generators and io.
 
 An oriented graph is an orientation of a simple graph: no loops, and at most
-one of (u, v), (v, u) present.  Vertices are dense integers [0, n); subgraph
-views carry a ``labels`` tuple mapping their local indices back to the parent
-graph, so structures found in a subproblem can be lifted without renumbering
-mistakes.  Graph objects are immutable after construction and safe to share.
+one of (u, v), (v, u) present.  Vertices are dense integers [0, n); an
+induced subgraph numbers its vertices 0, 1, ... in increasing order of the
+parent's.  Graph objects are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     AntiparallelPairError,
@@ -73,9 +72,9 @@ class OrientedGraph:
     antiparallel pair through u (:class:`AntiparallelPairError`).
     """
 
-    __slots__ = ("n", "out_neighbors", "in_neighbors", "labels")
+    __slots__ = ("n", "out_neighbors", "in_neighbors")
 
-    def __init__(self, n: int, edges: Iterable[Edge], labels: tuple[int, ...] | None = None):
+    def __init__(self, n: int, edges: Iterable[Edge]):
         _check_order(n)
         outs, ins = [[] for _ in range(n)], [[] for _ in range(n)]
         for u, v in edges:
@@ -100,9 +99,6 @@ class OrientedGraph:
             if not heads.isdisjoint(back):
                 v = min(heads.intersection(back))
                 raise AntiparallelPairError(f"both ({u}, {v}) and ({v}, {u}) supplied")
-        if labels is not None and len(labels) != n:
-            raise VertexOutOfRangeError("label map length must equal n")
-        self.labels = labels
 
     # -- queries -------------------------------------------------------
 
@@ -122,30 +118,19 @@ class OrientedGraph:
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
 
-    def host(self, v: int) -> int:
-        """Lift a local vertex index to the parent graph's labels."""
-        return v if self.labels is None else self.labels[v]
-
-    def host_path(self, seq: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.host(v) for v in seq)
-
-    def host_edges(self) -> set[Edge]:
-        return {(self.host(u), self.host(v)) for u, v in self.edges}
-
     def induced_subgraph(self, vertices: Iterable[int]) -> "OrientedGraph":
-        """Subgraph on ``vertices`` (local indices), labels composed with self's."""
+        """Subgraph on ``vertices``, vertex i of it the i-th smallest of them."""
         verts = sorted(set(vertices))
         index = {v: i for i, v in enumerate(verts)}
         edges = [(index[u], index[v]) for u in verts for v in self.out_neighbors[u] if v in index]
-        labels = tuple(self.host(v) for v in verts)
-        return OrientedGraph(len(verts), edges, labels=labels)
+        return OrientedGraph(len(verts), edges)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OrientedGraph) and self.n == other.n
-                and self.out_neighbors == other.out_neighbors and self.labels == other.labels)
+                and self.out_neighbors == other.out_neighbors)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.out_neighbors, self.labels))
+        return hash((self.n, self.out_neighbors))
 
     def __repr__(self) -> str:
         return f"OrientedGraph(n={self.n}, m={sum(map(len, self.out_neighbors))})"

@@ -113,7 +113,13 @@ def verify_certificate(g: OrientedGraph, cert: DecompositionCertificate
     (on a cycle), EdgeReuse, LeftoverOverlap, UnknownEdge (in the leftover),
     LeftoverMismatch, and then RegMismatch, TooManyCycles.  g is hashed
     only once the sizes agree, and its reg computed only once every edge
-    check has passed."""
+    check has passed.
+
+    Vertices are compared by value, as Python compares them: a ``bool``
+    anywhere is read as vertex 0 or 1, and a leftover head that is a float
+    equal to a vertex (``3.0``) as that vertex.  ``from_json`` refuses both,
+    so certificates read from JSON hold only ints; callers that build a
+    certificate by hand must pass ints."""
     return _check_certificate(g, cert, lambda: graph_digest(g), lambda: oriented_reg(g))
 
 

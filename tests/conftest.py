@@ -4,7 +4,6 @@ import random
 
 from hypothesis import strategies as st
 
-from hamdec.assembly import connectors_from_edges
 from hamdec.errors import (
     AntiparallelPairError,
     DuplicateEdgeError,
@@ -14,14 +13,6 @@ from hamdec.errors import (
 from hamdec.flows import Dinic
 from hamdec.graphs import OrientedGraph
 from hamdec.pathcovers import DirectedPath
-
-
-def reservoir_view(host, w_vertices):
-    """Induced subgraph on w_vertices with labels pointing back to host."""
-    w = sorted(w_vertices)
-    idx = {v: i for i, v in enumerate(w)}
-    edges = {(idx[u], idx[v]) for u, v in host.edges if u in idx and v in idx}
-    return OrientedGraph(len(w), edges, labels=tuple(w))
 
 
 def reference_edge_fault(n, edges):
@@ -49,7 +40,7 @@ def plant_completable_instance(seed, w_size, a):
     Vertices [0, P) form a disjoint paths, [P, P + w_size) the reservoir.  A
     cyclic order visiting every path as a segment with reservoir runs of
     length >= 2 is planted; every other vertex pair is oriented at random.
-    Returns (host, paths, reservoir, connectors).
+    Returns (host, paths).
     """
     assert w_size >= 2 * a
     rng = random.Random(f"planted:{seed}")
@@ -83,30 +74,30 @@ def plant_completable_instance(seed, w_size, a):
                 edges.add((y, x))
             else:
                 edges.add((x, y) if rng.random() < 0.5 else (y, x))
-    host = OrientedGraph(n, edges)
-    reservoir = reservoir_view(host, w)
-    connectors = connectors_from_edges(host.edges, tuple(paths), w)
-    return host, tuple(paths), reservoir, connectors
+    return OrientedGraph(n, edges), tuple(paths)
 
 
-def bruteforce_completable(paths, reservoir, connectors, node_cap=500_000):
+def bruteforce_completable(paths, host, node_cap=500_000):
     """Exhaustive check that some completion exists: a cyclic arrangement of
-    all paths and reservoir vertices where paths appear as segments, each
-    reservoir run has length >= 2, and every join is an available edge.
+    all paths and reservoir vertices (the host's vertices on no path) where
+    paths appear as segments, each reservoir run has length >= 2, and every
+    join is a host edge.
 
     Independent of the splicing code: a plain DFS over the contracted
     digraph.  Returns True / False, or None when node_cap is hit.
     """
     a = len(paths)
-    w = [reservoir.host(v) for v in range(reservoir.n)]
-    w_edges = reservoir.host_edges()
-    succ = {v: set() for v in w}
-    for u, v in w_edges:
-        succ[u].add(v)
-    enter = {i: set(connectors.into_start[i]) for i in range(a)}   # w -> path i
-    leave = {i: set(connectors.out_of_end[i]) for i in range(a)}   # path i -> w
+    w_set = set(range(host.n)) - {v for p in paths for v in p.vertices}
+    edges = host.edges
+    succ = {v: set() for v in w_set}
+    for u, v in edges:
+        if u in w_set and v in w_set:
+            succ[u].add(v)
+    enter = {i: {u for u, v in edges if v == paths[i].start and u in w_set}
+             for i in range(a)}   # w -> path i
+    leave = {i: {v for u, v in edges if u == paths[i].end and v in w_set}
+             for i in range(a)}   # path i -> w
 
-    w_set = set(w)
     budget = [node_cap]
 
     def dfs(visited_paths, visited_w, head, run_len):

@@ -154,17 +154,16 @@ def test_criterion_6_cover_completion():
         a = rng.randint(1, 4)
         w_size = rng.randint(max(8, 5 * a), 24)
         seed = rng.randrange(1 << 30)
-        host, paths, reservoir, connectors = plant_completable_instance(seed, w_size, a)
-        confirmed = bruteforce_completable(paths, reservoir, connectors)
+        host, paths = plant_completable_instance(seed, w_size, a)
+        confirmed = bruteforce_completable(paths, host)
         if confirmed is not True:
             continue
         attempted += 1
         try:
-            cycle = complete_cover_to_cycle(paths, reservoir, connectors,
-                                            seed=seed, enforce_margin=False)
+            cycle = complete_cover_to_cycle(paths, host, seed=seed, enforce_margin=False)
         except HamdecError:
             continue
-        assert verify_completed_cycle(cycle, paths, reservoir, connectors)
+        assert verify_completed_cycle(cycle, paths, host)
         succeeded += 1
     assert succeeded >= 95
     _report(6, "cover completion on confirmed-completable instances", t0, 60,

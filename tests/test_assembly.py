@@ -12,7 +12,6 @@ from hamdec.assembly import (
     PATCH_REDRAWS,
     SPLICE_ATTEMPTS,
     CompletionOutcome,
-    Connectors,
     HamiltonCycle,
     _choose_connectors,
     _masks,
@@ -20,7 +19,6 @@ from hamdec.assembly import (
     _reach,
     complete_cover_to_cycle,
     complete_family_to_cycles,
-    connectors_from_edges,
     hamilton_path_between,
     patch_hamilton_cycles,
     residual_cycle_factors,
@@ -44,7 +42,7 @@ from hamdec.graphs import (
 from hamdec.pathcovers import DirectedPath, PathCover, PathCoverFamily
 
 from conftest import (bruteforce_completable, dinic_flow, oriented_graphs,
-                      plant_completable_instance, reservoir_view)
+                      plant_completable_instance)
 
 
 def ham_path_exists_bruteforce(g, s, t):
@@ -193,46 +191,50 @@ def test_path_search_outputs_frozen(budget):
 
 # -- complete_cover_to_cycle ---------------------------------------------------
 
-def spliced_instance():
-    # one path 0 -> 1, reservoir {2, 3, 4} carrying a directed triangle
-    paths = (DirectedPath((0, 1)),)
-    reservoir = OrientedGraph(3, {(0, 1), (1, 2), (2, 0)}, labels=(2, 3, 4))
-    connectors = Connectors(
-        into_start=(frozenset({4}),),   # 4 -> 0
-        out_of_end=(frozenset({2}),),   # 1 -> 2
-    )
-    return paths, reservoir, connectors
+# one path 0 -> 1 entered by 4 -> 0 and left by 1 -> 2, and a reservoir
+# {2, 3, 4} carrying a directed triangle
+SPLICED_EDGES = {(0, 1), (2, 3), (3, 4), (4, 2), (4, 0), (1, 2)}
 
 
 def test_complete_single_path_unique_splice():
-    paths, reservoir, connectors = spliced_instance()
-    cycle = complete_cover_to_cycle(paths, reservoir, connectors,
-                                    enforce_margin=False)
+    paths, g = (DirectedPath((0, 1)),), OrientedGraph(5, SPLICED_EDGES)
+    cycle = complete_cover_to_cycle(paths, g, enforce_margin=False)
     assert cycle == HamiltonCycle.from_order([0, 1, 2, 3, 4])
-    assert verify_completed_cycle(cycle, paths, reservoir, connectors)
+    assert verify_completed_cycle(cycle, paths, g)
 
 
 def test_complete_rejects_empty_cover():
-    _, reservoir, _ = spliced_instance()
     with pytest.raises(InvariantViolationError):
-        complete_cover_to_cycle((), reservoir, Connectors((), ()))
+        complete_cover_to_cycle((), OrientedGraph(5, SPLICED_EDGES))
+
+
+@pytest.mark.parametrize("paths, words", [
+    ((DirectedPath((0, 1)), DirectedPath((1, 2))), "overlap each other"),
+    ((DirectedPath((0, 5)),), "leave the graph"),
+])
+def test_complete_rejects_paths_off_a_cover(paths, words):
+    with pytest.raises(InvariantViolationError, match=words):
+        complete_cover_to_cycle(paths, OrientedGraph(5, SPLICED_EDGES))
 
 
 def test_complete_rejects_missing_connectors():
-    paths, reservoir, _ = spliced_instance()
-    bad = Connectors(into_start=(frozenset(),), out_of_end=(frozenset({2}),))
+    paths = (DirectedPath((0, 1)),)
+    g = OrientedGraph(5, SPLICED_EDGES - {(4, 0)})
     with pytest.raises(ConnectorDegreeTooLowError) as exc:
-        complete_cover_to_cycle(paths, reservoir, bad, enforce_margin=False)
+        complete_cover_to_cycle(paths, g, enforce_margin=False)
     assert exc.value.direction == "in"
 
 
-def one_vertex_paths_instance(into, out, w_size):
-    """Paths 0..a-1 of one vertex each, an edgeless reservoir a..a+w_size-1,
-    and the given connector sets."""
+def two_vertex_paths_instance(into, out, w_size):
+    """Paths 2i -> 2i + 1 for i < a, an edgeless reservoir 2a..2a+w_size-1,
+    and edges from reservoir vertex 2a + j to path i's start for j in
+    into[i] and from path i's end to 2a + j for j in out[i]."""
     a = len(into)
-    paths = tuple(DirectedPath((i,)) for i in range(a))
-    reservoir = OrientedGraph(w_size, [], labels=tuple(range(a, a + w_size)))
-    return paths, reservoir, Connectors(tuple(into), tuple(out))
+    paths = tuple(DirectedPath((2 * i, 2 * i + 1)) for i in range(a))
+    edges = [(2 * i, 2 * i + 1) for i in range(a)]
+    edges += [(2 * a + j, 2 * i) for i, c in enumerate(into) for j in c]
+    edges += [(2 * i + 1, 2 * a + j) for i, c in enumerate(out) for j in c]
+    return paths, OrientedGraph(2 * a + w_size, edges)
 
 
 @pytest.mark.parametrize("a, w_size, margin, words", [
@@ -241,10 +243,10 @@ def one_vertex_paths_instance(into, out, w_size):
     (1, BLOCK_CAP + 1, False, "cannot absorb"),
 ])
 def test_complete_rejects_mismatched_reservoirs(a, w_size, margin, words):
-    every = [frozenset(range(a, a + w_size))] * a
-    paths, reservoir, connectors = one_vertex_paths_instance(every, every, w_size)
+    every = [range(w_size)] * a
+    paths, g = two_vertex_paths_instance(every, every, w_size)
     with pytest.raises(ReservoirMismatchError, match=words):
-        complete_cover_to_cycle(paths, reservoir, connectors, enforce_margin=margin)
+        complete_cover_to_cycle(paths, g, enforce_margin=margin)
 
 
 def test_complete_fails_at_once_without_distinct_connectors():
@@ -252,23 +254,22 @@ def test_complete_fails_at_once_without_distinct_connectors():
     # more take two vertices each of the other 30: 60 slots and 60 vertices
     # but no distinct choice, a pigeonhole that costs a backtracking search
     # exponential time
-    low = frozenset(range(30, 60))
-    pairs = [frozenset({60 + 2 * i, 61 + 2 * i}) for i in range(14)]
-    paths, reservoir, connectors = one_vertex_paths_instance(
-        [low] * 16 + pairs, [low] * 16 + pairs, 60)
+    low = range(30)
+    pairs = [(30 + 2 * i, 31 + 2 * i) for i in range(14)]
+    paths, g = two_vertex_paths_instance([low] * 16 + pairs, [low] * 16 + pairs, 60)
     t0 = time.perf_counter()
     with pytest.raises(SpliceFailedError) as exc:
-        complete_cover_to_cycle(paths, reservoir, connectors, enforce_margin=False)
+        complete_cover_to_cycle(paths, g, enforce_margin=False)
     assert time.perf_counter() - t0 < 1
     assert exc.value.attempts == 0
 
 
 def test_complete_fails_after_every_reservoir_partition():
     # an edgeless reservoir has no path inside any block
-    every = [frozenset(range(1, 5))]
-    paths, reservoir, connectors = one_vertex_paths_instance(every, every, 4)
+    every = [range(4)]
+    paths, g = two_vertex_paths_instance(every, every, 4)
     with pytest.raises(SpliceFailedError) as exc:
-        complete_cover_to_cycle(paths, reservoir, connectors, enforce_margin=False)
+        complete_cover_to_cycle(paths, g, enforce_margin=False)
     assert exc.value.attempts == SPLICE_ATTEMPTS and exc.value.block_index == -1
 
 
@@ -279,7 +280,7 @@ def test_connector_choice_for_600_paths_is_distinct():
     planted = rng.sample(w, 2 * a)
     into, out = (tuple(frozenset(rng.sample(w, 3) + [planted[2 * i + side]]) for i in range(a))
                  for side in (0, 1))
-    picks = _choose_connectors(Connectors(into, out), w, seed=0)
+    picks = _choose_connectors([c for pair in zip(into, out) for c in pair], w, seed=0)
     assert len(set(picks)) == 2 * a
     assert all(picks[2 * i] in into[i] and picks[2 * i + 1] in out[i] for i in range(a))
 
@@ -293,8 +294,7 @@ def test_connector_choice_matches_a_flow_oracle(data):
     w = data.draw(st.permutations(range(100, 100 + data.draw(st.integers(0, 10)))))
     sets = [frozenset(data.draw(st.lists(st.sampled_from(w), unique=True)) if w else [])
             for _ in range(2 * a)]
-    picks = _choose_connectors(Connectors(tuple(sets[0::2]), tuple(sets[1::2])), w,
-                               seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+    picks = _choose_connectors(sets, w, seed=data.draw(st.integers(0, 2 ** 32 - 1)))
     index = {h: j for j, h in enumerate(w)}
     edges = [(k, index[h]) for k, c in enumerate(sets) for h in sorted(c)]
     flow, _ = dinic_flow([1] * (2 * a), [1] * len(w), edges)
@@ -304,36 +304,35 @@ def test_connector_choice_matches_a_flow_oracle(data):
         assert all(h in c for h, c in zip(picks, sets))
 
 
-def reference_completed_cycle(cycle, paths, reservoir, connectors):
+def reference_completed_cycle(cycle, paths, g):
     """verify_completed_cycle as a position walk: the order visits exactly
-    the path and reservoir vertices, once each, every path appears as a
-    contiguous arc, and every cycle edge is a path, reservoir or connector
-    edge."""
+    g's vertices, once each, every path appears as a contiguous arc, and
+    every cycle edge is a path edge or an edge of g leaving a reservoir
+    vertex (one on no path) for a reservoir vertex or a path start, or
+    entering a reservoir vertex from a path end."""
     order = cycle.order
     n = len(order)
-    expected = {v for p in paths for v in p.vertices}
-    expected |= {reservoir.host(v) for v in range(reservoir.n)}
-    if n != len(expected) or set(order) != expected:
+    if n != g.n or set(order) != set(range(g.n)):
         return False
     pos = {v: i for i, v in enumerate(order)}
     for p in paths:
         i = pos[p.start]
         if any(order[(i + step) % n] != v for step, v in enumerate(p.vertices)):
             return False
-    allowed = set(reservoir.host_edges()) | {e for p in paths for e in p.edges()}
-    for i, p in enumerate(paths):
-        allowed |= {(w, p.start) for w in connectors.into_start[i]}
-        allowed |= {(p.end, w) for w in connectors.out_of_end[i]}
+    w = set(range(g.n)) - {v for p in paths for v in p.vertices}
+    starts, ends = {p.start for p in paths}, {p.end for p in paths}
+    allowed = {e for p in paths for e in p.edges()}
+    allowed |= {(u, v) for u, v in g.edges
+                if (u in w and (v in w or v in starts)) or (u in ends and v in w)}
     return set(zip(order, order[1:] + order[:1])) <= allowed
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(0, 8), st.data())
 def test_verify_completed_cycle_matches_a_position_walk(seed, a, extra, data):
-    _, paths, reservoir, connectors = plant_completable_instance(seed, 2 * a + 4 + extra, a)
+    g, paths = plant_completable_instance(seed, 2 * a + 4 + extra, a)
     try:
-        cycle = complete_cover_to_cycle(paths, reservoir, connectors, seed=seed,
-                                        enforce_margin=False)
+        cycle = complete_cover_to_cycle(paths, g, seed=seed, enforce_margin=False)
     except HamdecError:
         assume(False)
     order = list(cycle.order)
@@ -353,8 +352,8 @@ def test_verify_completed_cycle_matches_a_position_walk(seed, a, extra, data):
     verdicts = set()
     for seq in variants:
         cyc = HamiltonCycle(tuple(seq))
-        verdict = verify_completed_cycle(cyc, paths, reservoir, connectors)
-        assert verdict == reference_completed_cycle(cyc, paths, reservoir, connectors)
+        verdict = verify_completed_cycle(cyc, paths, g)
+        assert verdict == reference_completed_cycle(cyc, paths, g)
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -365,15 +364,17 @@ def test_complete_randomized_planted_instances():
         rng = random.Random(1000 + seed)
         a = rng.randint(1, 3)
         w_size = rng.randint(max(8, 4 * a), 20)
-        host, paths, reservoir, connectors = plant_completable_instance(seed, w_size, a)
-        if any(len(c) < 2 * a for c in connectors.into_start + connectors.out_of_end):
+        host, paths = plant_completable_instance(seed, w_size, a)
+        w = set(range(host.n)) - {v for p in paths for v in p.vertices}
+        if any(len(w.intersection(row)) < 2 * a for p in paths
+               for row in (host.in_neighbors[p.start], host.out_neighbors[p.end])):
             continue
         attempts += 1
         try:
-            cycle = complete_cover_to_cycle(paths, reservoir, connectors, seed=seed)
+            cycle = complete_cover_to_cycle(paths, host, seed=seed)
         except Exception:
             continue
-        assert verify_completed_cycle(cycle, paths, reservoir, connectors)
+        assert verify_completed_cycle(cycle, paths, host)
         successes += 1
     assert attempts >= 20
     assert successes >= attempts * 0.9
@@ -381,8 +382,8 @@ def test_complete_randomized_planted_instances():
 
 def test_bruteforce_oracle_confirms_planted_instances():
     for seed in range(10):
-        _, paths, reservoir, connectors = plant_completable_instance(seed, 10, 2)
-        assert bruteforce_completable(paths, reservoir, connectors) is True
+        host, paths = plant_completable_instance(seed, 10, 2)
+        assert bruteforce_completable(paths, host) is True
 
 
 def frozen_splice_outputs(enforce_margin):
@@ -392,15 +393,18 @@ def frozen_splice_outputs(enforce_margin):
         a = rng.randint(1, 4)
         w_size = rng.randint(max(8, 5 * a), 24)
         seed = rng.randrange(1 << 30)
-        _, paths, reservoir, connectors = plant_completable_instance(seed, w_size, a)
+        host, paths = plant_completable_instance(seed, w_size, a)
         x = rng.random()
         if x < 0.4:  # thin each connector set, or crowd all into 2a - 1 vertices
-            keep = (set(rng.sample(sorted(reservoir.labels), 2 * a - 1)) if x < 0.15
-                    else {w for w in reservoir.labels if rng.random() < 0.6})
-            connectors = Connectors(*(tuple(c & keep for c in side)
-                                      for side in (connectors.into_start, connectors.out_of_end)))
+            w = [v for v in range(host.n) if all(v not in p.vertices for p in paths)]
+            keep = (set(rng.sample(w, 2 * a - 1)) if x < 0.15
+                    else {v for v in w if rng.random() < 0.6})
+            starts, ends = {p.start for p in paths}, {p.end for p in paths}
+            host = OrientedGraph(host.n, {(u, v) for u, v in host.edges
+                                          if not (u in w and u not in keep and v in starts)
+                                          and not (u in ends and v in w and v not in keep)})
         try:
-            out.append(complete_cover_to_cycle(paths, reservoir, connectors, seed=seed,
+            out.append(complete_cover_to_cycle(paths, host, seed=seed,
                                                enforce_margin=enforce_margin).order)
         except HamdecError as exc:
             out.append((type(exc).__name__, str(exc), vars(exc)))
@@ -424,10 +428,10 @@ def test_splice_outputs_frozen(enforce_margin):
 # -- complete_family_to_cycles ---------------------------------------------------
 
 def family_instance():
-    """12-vertex host: U = 0..7 with two edge-disjoint covers, W = 8..11."""
-    host = random_tournament(12, seed=42)
+    """20-vertex host: U = 0..7 with two edge-disjoint covers, W = 8..19."""
+    host = random_tournament(20, seed=42)
     u = list(range(8))
-    w = list(range(8, 12))
+    w = list(range(8, 20))
     return host, u, w
 
 
@@ -461,10 +465,11 @@ def test_complete_family_two_covers():
     outcome = complete_family_to_cycles(host, u, w, family, slack=0,
                                         seed=3, strict=False)
     assert isinstance(outcome, CompletionOutcome)
+    assert outcome.complete and len(outcome.cycles) == 2
     # every completed cycle is Hamilton on the host and edge-disjoint
     seen = set()
     for i, cyc in enumerate(outcome.cycles):
-        assert cyc.spans(set(range(12)))
+        assert cyc.spans(set(range(20)))
         assert cyc.edges <= host.edges
         assert not (seen & cyc.edges)
         seen |= cyc.edges
@@ -488,12 +493,44 @@ def test_complete_family_t1_matches_single_completion():
     family = PathCoverFamily((cover,), a=cover.size, t=1)
     outcome = complete_family_to_cycles(host, u, w, family, slack=0,
                                         seed=5, strict=False)
-    if outcome.cycles:
-        reservoir = reservoir_view(host, w)
-        connectors = connectors_from_edges(host.edges, cover.paths, w)
-        assert outcome.cycles[0].spans(set(range(12)))
-        assert verify_completed_cycle(outcome.cycles[0], cover.paths,
-                                      reservoir, connectors)
+    assert outcome.complete and len(outcome.cycles) == 1
+    assert outcome.cycles[0].spans(set(range(20)))
+    assert verify_completed_cycle(outcome.cycles[0], cover.paths, host)
+
+
+def frozen_family_outputs():
+    """Both strict modes of complete_family_to_cycles on random tournaments
+    of order 40, U = 0..15, with two greedy covers: the cycles and failure,
+    or the error, of each run."""
+    out = []
+    for s in range(40):
+        host = random_tournament(40, s)
+        u, w = list(range(16)), list(range(16, 40))
+        rng = random.Random(s)
+        cover1 = greedy_cover_of(host, u, set(), rng)
+        cover2 = greedy_cover_of(host, u, cover1.edges(), rng)
+        family = PathCoverFamily((cover1, cover2), a=max(cover1.size, cover2.size), t=2)
+        for strict in (True, False):
+            try:
+                outcome = complete_family_to_cycles(host, u, w, family, slack=0,
+                                                    seed=s, strict=strict)
+                out.append(([c.order for c in outcome.cycles], outcome.failure))
+            except HamdecError as exc:
+                out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+# SHA-256 of the repr of frozen_family_outputs(), computed while the splice
+# still took a reservoir view and a connector table
+FROZEN_FAMILY_DIGEST = "f07d63611b9c496b16efd43443d65186f9213510a45d7c781bf5501ec69373fa"
+
+
+def test_family_outputs_frozen():
+    outputs = frozen_family_outputs()
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == FROZEN_FAMILY_DIGEST
+    # both the success path and the strict checks run
+    assert sum(len(o[0]) for o in outputs if isinstance(o[0], list)) > 0
+    assert sum(o[0] == "HypothesisViolatedError" for o in outputs) > 0
 
 
 # -- cycle-factor patching -----------------------------------------------

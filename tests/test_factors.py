@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -486,6 +487,23 @@ def b_matching_instances(draw):
 @given(b_matching_instances())
 def test_b_matching_equals_reference(instance):
     assert factors._b_matching(*instance) == reference_b_matching(*instance)
+
+
+@settings(max_examples=400, deadline=None)
+@given(b_matching_instances())
+def test_b_matching_roots_have_no_free_head_left(instance):
+    # at every augmenting search, no unsaturated root has a head with cap
+    # left that it does not hold, so the search need not test the roots
+    searches = []
+    search = factors._augmenting_end
+
+    def checked(rows, picks, owners, free, parent):
+        searches.append(all(free.intersection(rows[w]) <= picks[w] for w in parent))
+        return search(rows, picks, owners, free, parent)
+
+    with mock.patch.object(factors, "_augmenting_end", checked):
+        factors._b_matching(*instance)
+    assert all(searches)
 
 
 def assert_b_matching_equals_reference_near_reg(g):

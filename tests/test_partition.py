@@ -67,15 +67,17 @@ def test_verifier_rejects_duplicated_edge(split101):
         verify_partition(g, factor, tampered, k=2, eps=0.3)
 
 
-def test_graph_views_carry_labels(split101):
+def test_graph_views_number_their_vertex_lists(split101):
     g, _, specs, _ = split101
     spec = specs[0]
     inner = spec.inner_graph
-    assert inner.labels == spec.u_vertices
-    assert inner.host_edges() == spec.inner_edges
+    u = spec.u_vertices
+    assert inner.n == len(u)
+    assert {(u[x], u[y]) for x, y in inner.edges} == spec.inner_edges
     res = spec.reservoir_graph
-    assert res.labels == spec.w_vertices
-    assert res.host_edges() == spec.reservoir_edges
+    w = spec.w_vertices
+    assert res.n == len(w)
+    assert {(w[x], w[y]) for x, y in res.edges} == spec.reservoir_edges
 
 
 def test_deterministic_given_seed():
