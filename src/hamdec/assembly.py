@@ -430,7 +430,8 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
     The reservoir is every vertex of g on no path; path i is entered from a
     reservoir in-neighbour of its start and left to a reservoir
     out-neighbour of its end.  The cycle visits every path as a contiguous
-    segment and every reservoir vertex exactly once.
+    segment and every reservoir vertex exactly once.  Paths that overlap,
+    leave g or use an edge g lacks raise InvariantViolationError.
     """
     a = len(paths)
     if a == 0:
@@ -442,6 +443,8 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
         covered.update(p.vertices)
     if covered.difference(range(g.n)):
         raise InvariantViolationError("paths leave the graph")
+    if not all(g.has_edge(u, v) for p in paths for u, v in p.edges()):
+        raise InvariantViolationError("a path edge is not an edge of the graph")
     reservoir = [v for v in range(g.n) if v not in covered]
     wset = set(reservoir)
     slots = [wset.intersection(row) for p in paths
@@ -525,10 +528,14 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
 
 def verify_completed_cycle(cycle: HamiltonCycle, paths: Sequence[DirectedPath],
                            g: OrientedGraph) -> bool:
-    """Independent check of a completed cycle against its inputs."""
+    """Independent check of a completed cycle against its inputs: it spans
+    g, each path is one arc of it made of edges of g, and its other edges
+    are edges of g that lie in, enter or leave the reservoir."""
     vertices = set(range(g.n))
     covered = {v for p in paths for v in p.vertices}
     if not covered <= vertices or not cycle.spans(vertices):
+        return False
+    if not all(g.has_edge(u, v) for p in paths for u, v in p.edges()):
         return False
     # the cycle visits each vertex once, so a path is one contiguous arc of
     # it exactly when every edge of the path is a cycle edge
@@ -602,16 +609,13 @@ def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
     used: set[Edge] = set()
     cycles: list[HamiltonCycle] = []
     for j, cover in enumerate(family.covers):
-        remaining = h.edges - used
         try:
             cycle = complete_cover_to_cycle(
-                cover.paths, OrientedGraph(h.n, remaining), seed=f"{seed}:round:{j}",
+                cover.paths, OrientedGraph(h.n, h.edges - used), seed=f"{seed}:round:{j}",
                 enforce_margin=strict)
         except (ConnectorDegreeTooLowError, SpliceFailedError,
                 ReservoirMismatchError) as exc:
             return CompletionOutcome(cycles, CompletionFailure(j, f"{type(exc).__name__}: {exc}"))
-        if not cycle.edges <= remaining:
-            return CompletionOutcome(cycles, CompletionFailure(j, "cycle reused an edge; bug"))
         used |= cycle.edges
         cycles.append(cycle)
     return CompletionOutcome(cycles, None)

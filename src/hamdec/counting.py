@@ -168,45 +168,77 @@ def decomposition_upper_bound(n: int, r: int) -> LogCount:
 
 
 def count_hamilton_cycles_exact(g: OrientedGraph) -> LogCount:
-    """Exact number of directed Hamilton cycles, by a layered subset DP
-    anchored at vertex 0.
+    """Exact number of directed Hamilton cycles, by a subset DP anchored at
+    vertex 0 whose counts carry half of each vertex subset in bit fields.
 
-    Layer k maps each k-subset S of V - {0} to a list ``row`` in which
-    ``row[w]`` counts the paths from 0 through exactly S that end at w.
-    The next layer is pulled: for w outside S, the paths through S + {w}
-    ending at w number the sum of ``row[v]`` over the in-neighbours v of w,
-    since ``row`` is 0 outside S.  Each target w reads those entries with
-    one ``itemgetter(0, 0, *in-neighbours)``: ``row[0]`` is always 0, as
-    no path ends at 0 inside S, so the two padding indices add nothing and
-    make the getter return a tuple even at in-degree 0 or 1.  Only two
-    layers are held at a time.
+    The DP counts, for each subset S of V - {0} and each w in S, the paths
+    from 0 through exactly S that end at w; for w outside S, the paths
+    through S + {w} ending at w number the sum of those counts over the
+    in-neighbours v of w.  The subsets are split.  The high vertices
+    l+1..n-1, l = (n - 1) // 2, form the key H of a dict.  The low vertices
+    1..l index W-bit fields of one int per endpoint: under H, field T of
+    ``row[w]`` (T a low subset, bit w - 1 for vertex w) counts the paths
+    through T + H ending at w, so one addition moves 2^l subsets at once.
+    Every field, also one that a mask below discards, counts at most the
+    orderings of one set of at most n - 1 vertices, and so does a sum of
+    one field over distinct end vertices.  So no field exceeds (n - 1)!,
+    and with W = bit length of (n - 1)! none carries into the next.
+
+    Each target w reads its in-neighbours' entries with one
+    ``itemgetter(0, 0, *in-neighbours)``, vertex 0 read at index n:
+    ``row[n]`` is the empty path at 0, 1 in field 0 under H = {} and 0
+    elsewhere, and ``row[0]`` is always 0, so the two padding indices add
+    nothing and make the getter return a tuple even at in-degree 0 or 1.
+    The sum skips the zero entries, such as those of high in-neighbours
+    outside H, since adding 0 to a long int copies it.
+
+    A low target w stays under H: its sum masked by ``without[w - 1]``,
+    all ones at the fields whose subset lacks w, and shifted by
+    W * 2^(w - 1) moves field T to field T + {w}.  The low targets are
+    swept l times in place; after sweep p every field with |T| <= p is
+    final, so then every low subset under H is.  A high target w outside H
+    then goes to key H + {w}, so the dict is layered by |H| and two layers
+    are held at a time.  At the full high key the top field, T = all low
+    vertices, of the sum over the in-neighbours of 0 counts the cycles.
     """
     n = g.n
     if n > HC_COUNT_CAP:
         raise TooLargeError(f"n={n} exceeds cycle-count cap {HC_COUNT_CAP}")
     if n < 3:
         return LogCount.from_int(0)
-    targets = [(w, 1 << w, itemgetter(0, 0, *g.in_neighbors[w])) for w in range(1, n)]
-    layer: dict[int, list[int]] = {}
-    for w in g.out_neighbors[0]:
-        row = [0] * n
-        row[w] = 1
-        layer[1 << w] = row
-    for _ in range(n - 2):
+    low = (n - 1) // 2
+    width = math.factorial(n - 1).bit_length()
+    # without[i]: all-ones fields at the low subsets that lack bit i,
+    # doubled up one low vertex at a time
+    full, without = (1 << width) - 1, []
+    for i in range(low):
+        span = width << i
+        without = [m | m << span for m in without] + [full]
+        full |= full << span
+    pick = [itemgetter(0, 0, *(v or n for v in g.in_neighbors[w])) for w in range(n)]
+    lows = [(w, pick[w], without[w - 1], width << (w - 1)) for w in range(1, low + 1)]
+    highs = [(w, 1 << w, pick[w]) for w in range(low + 1, n)]
+    layer = {0: [0] * n + [1]}
+    while True:
         nxt: dict[int, list[int]] = {}
         for mask, row in layer.items():
-            for w, bit, pick in targets:
+            for _ in range(low):
+                for w, get, keep, shift in lows:
+                    row[w] = (sum(filter(None, get(row))) & keep) << shift
+            for w, bit, get in highs:
                 if mask & bit:
                     continue
-                ways = sum(pick(row))
+                ways = sum(filter(None, get(row)))
                 if ways:
                     tgt = nxt.get(mask | bit)
                     if tgt is None:
-                        tgt = nxt[mask | bit] = [0] * n
+                        tgt = nxt[mask | bit] = [0] * (n + 1)
                     tgt[w] = ways
+        if not nxt:
+            break
         layer = nxt
-    row = layer.get((1 << n) - 2, [0] * n)
-    return LogCount.from_int(sum(row[v] for v in g.in_neighbors[0]))
+    row = layer.get((1 << n) - (2 << low), [0] * (n + 1))
+    return LogCount.from_int(sum(pick[0](row)) >> ((width << low) - width))
 
 
 # -- exact decomposition counting --------------------------------------

@@ -217,6 +217,15 @@ def test_complete_rejects_paths_off_a_cover(paths, words):
         complete_cover_to_cycle(paths, OrientedGraph(5, SPLICED_EDGES))
 
 
+def test_path_edges_must_be_edges_of_the_graph():
+    # without 0 -> 1 the path 0 -> 1 is no path of g, though its ends keep
+    # their connectors 4 -> 0 and 1 -> 2 and the reservoir its triangle
+    paths, g = (DirectedPath((0, 1)),), OrientedGraph(5, SPLICED_EDGES - {(0, 1)})
+    with pytest.raises(InvariantViolationError, match="not an edge of the graph"):
+        complete_cover_to_cycle(paths, g, enforce_margin=False)
+    assert not verify_completed_cycle(HamiltonCycle.from_order([0, 1, 2, 3, 4]), paths, g)
+
+
 def test_complete_rejects_missing_connectors():
     paths = (DirectedPath((0, 1)),)
     g = OrientedGraph(5, SPLICED_EDGES - {(4, 0)})
@@ -307,9 +316,9 @@ def test_connector_choice_matches_a_flow_oracle(data):
 def reference_completed_cycle(cycle, paths, g):
     """verify_completed_cycle as a position walk: the order visits exactly
     g's vertices, once each, every path appears as a contiguous arc, and
-    every cycle edge is a path edge or an edge of g leaving a reservoir
-    vertex (one on no path) for a reservoir vertex or a path start, or
-    entering a reservoir vertex from a path end."""
+    every cycle edge is an edge of g that is a path edge, leaves a
+    reservoir vertex (one on no path) for a reservoir vertex or a path
+    start, or enters a reservoir vertex from a path end."""
     order = cycle.order
     n = len(order)
     if n != g.n or set(order) != set(range(g.n)):
@@ -321,7 +330,7 @@ def reference_completed_cycle(cycle, paths, g):
             return False
     w = set(range(g.n)) - {v for p in paths for v in p.vertices}
     starts, ends = {p.start for p in paths}, {p.end for p in paths}
-    allowed = {e for p in paths for e in p.edges()}
+    allowed = {e for p in paths for e in p.edges()} & g.edges
     allowed |= {(u, v) for u, v in g.edges
                 if (u in w and (v in w or v in starts)) or (u in ends and v in w)}
     return set(zip(order, order[1:] + order[:1])) <= allowed

@@ -249,6 +249,23 @@ def test_count_cycles_rotational_frozen_values():
         assert count_hamilton_cycles_exact(rotational_tournament(n)).exact == cycles
 
 
+def test_count_cycles_at_the_field_width_limit():
+    # the benchmark's references at n = 17, and at the cap n = 20 the count
+    # of the plain one-subset-per-entry DP, with 2^9 fields of 57 bits per
+    # int (19! is 84% of 2^57)
+    assert count_hamilton_cycles_exact(rotational_tournament(17)).exact == 455_248_142
+    assert count_hamilton_cycles_exact(random_tournament(17, 0)).exact == 160_433_732
+    assert count_hamilton_cycles_exact(random_tournament(20, 0)).exact == 60_436_004_541
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_count_cycles_matches_enumeration_with_several_low_and_high_vertices(n):
+    for seed in range(3):
+        for g in (random_tournament(n, seed), random_regular_oriented(n, 2, seed),
+                  random_regular_oriented(n, 3, seed)):
+            assert count_hamilton_cycles_exact(g).exact == len(_hamilton_cycles(g))
+
+
 def test_count_cycles_matches_bruteforce():
     for seed in range(10):
         g = random_tournament(6, seed=seed)
