@@ -41,9 +41,10 @@ from .pathcovers import DirectedPath, PathCoverFamily
 
 # consecutive cycle factors without a merging switch before patching stops
 PATCH_REDRAWS = 20
-# most cycle factors the degree <= 2 end check walks: a draw and its merge
-# pass over every vertex several times, a walk at most once, so eight walks
-# per redraw the check replaces keep it no dearer than the redraws
+# most cycle factors of a Hamilton cycle's sign the degree <= 2 end check
+# walks (up to 2^(n/2) at degree 2): a draw and its merge pass over every
+# vertex several times, a walk at most once, so eight walks per redraw the
+# check replaces keep it no dearer than the redraws
 FACTOR_WALKS = 8 * PATCH_REDRAWS
 # budget slices, each with fresh tie-breaking, of a budgeted path search
 PATH_SEARCH_SLICES = 4
@@ -88,12 +89,13 @@ class HamiltonCycle:
 
 @dataclass
 class PatchingOutcome:
-    """Cycles found in order, failed factor draws, switches made, why the
-    search stopped, and the sorted out-rows of the residual graph."""
+    """Cycles found in order, failed factor draws, switches made, factors
+    the end check walked, why the search stopped, the residual's sorted rows."""
 
     cycles: list[HamiltonCycle]
     failures: int
     switches: int
+    walks: int
     stop_reason: str
     residual: list[list[int]]
 
@@ -117,22 +119,24 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
 
     A 2-switch trades two factor edges for two residual edges, so every
     merge yields another cycle factor of the residual.  Once every residual
-    in- and out-degree is d <= 2 those factors are few (see
-    :func:`residual_cycle_factors`), and when none is a Hamilton cycle no
-    draw can succeed, so the search stops without drawing.  The check runs
-    before the first draw and after each cycle found (a failed draw leaves
-    the rows as they were) and takes nothing from the generator.
+    in- and out-degree is d <= 2 those factors are few, and when none is a
+    Hamilton cycle no draw can succeed, so the search stops without drawing.
+    :func:`residual_cycle_factors` decides it by the factors' signs first,
+    then walks only those of a Hamilton cycle's sign; ``walks`` sums them.
+    The check runs before the first draw and after each cycle found (a
+    failed draw leaves the rows as they were), drawing nothing.
     """
     n = g.n
     rng = random.Random(f"{seed}:patch")
     out = [list(row) for row in g.out_neighbors]
     cycles: list[HamiltonCycle] = []
-    failures = switches = consecutive = 0
+    failures = switches = walks = consecutive = 0
     reason = f"{PATCH_REDRAWS} consecutive factors without a merging switch"
     while consecutive < PATCH_REDRAWS:
         if consecutive == 0:
-            decided = residual_cycle_factors(out)
-            if decided is not None and decided[1] is False:
+            _, verdict, walked = _walk_residual_factors(out) or (0, None, 0)
+            walks += walked
+            if verdict is False:
                 reason = "no cycle factor of the residual is a Hamilton cycle"
                 break
         succ = random_cycle_factor(out, rng)
@@ -152,7 +156,7 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
             row, x = out[x], succ[x]
             del row[bisect_left(row, x)]
         cycles.append(HamiltonCycle.from_order(order))
-    return PatchingOutcome(cycles, failures, switches, reason, out)
+    return PatchingOutcome(cycles, failures, switches, walks, reason, out)
 
 
 def _merge_factor(succ: list[int], out: list[list[int]]) -> tuple[bool, int]:
@@ -200,24 +204,17 @@ def _merge_factor(succ: list[int], out: list[list[int]]) -> tuple[bool, int]:
     return True, made
 
 
-def residual_cycle_factors(out: Sequence[list[int]]) -> tuple[int, bool | None] | None:
-    """Decide from the cycle factors of a digraph of degree 1 or 2 whether
-    one is a Hamilton cycle.
-
-    ``out`` holds the sorted out-rows of a digraph on at least one vertex.
-    Unless every in- and out-degree is the same d in {1, 2} the result is
-    None.  Otherwise it is (number of cycle factors, whether one of them is
-    a single cycle through all vertices), with None for the second when
-    the number exceeds FACTOR_WALKS and the factors are not walked.
-
-    At d = 1 the rows are the one cycle factor.  At d = 2 the double cover
-    (out-copy u joined to in-copy v for each edge u -> v) is 2-regular, a
-    disjoint union of c even cycles, and a cycle factor takes one of the
-    two alternate halves of each: 2^c factors.  ``take[u]`` is the row
-    index u's edge has in the half with bit 0 of its component ``comp[u]``.
-    """
-    n = len(out)
-    d = len(out[0])
+def alternating_components(out: Sequence[list[int]]
+                           ) -> tuple[list[int], list[int], list[int]] | None:
+    """(comp, take, ells) of the sorted out-rows of a digraph whose every in-
+    and out-degree is the same d in {1, 2}, else None.  At d = 2 the double
+    cover (out-copy u joined to in-copy v per edge u -> v) is a union of c
+    even cycles, the alternating components; a cycle factor takes one of the
+    two alternate halves of each.  u's out-copy lies in component
+    ``comp[u]``, its edge in the half with bit 0 is ``out[u][take[u]]``, and
+    component i has ``ells[i]`` out-copies.  At d = 1 the rows are the one
+    cycle factor: ``ells`` is empty and every ``comp`` and ``take`` is 0."""
+    n, d = len(out), len(out[0])
     if not 1 <= d <= 2 or any(len(row) != d for row in out):
         return None
     tails: list[list[int]] = [[] for _ in range(n)]
@@ -228,30 +225,68 @@ def residual_cycle_factors(out: Sequence[list[int]]) -> tuple[int, bool | None] 
         return None
     comp = [-1 if d == 2 else 0] * n
     take = [0] * n
-    c = 0
+    ells: list[int] = []
     for root in range(n):
         if comp[root] < 0:
-            u, j = root, 0
+            u, j, ell = root, 0, 0
             while comp[u] < 0:
-                comp[u], take[u] = c, j
+                comp[u], take[u], ell = len(ells), j, ell + 1
                 v = out[u][j]
                 a, b = tails[v]
                 u = b if a == u else a  # v's other tail takes its other edge
                 j = 1 - out[u].index(v)
-            c += 1
-    count = 1 << c
-    if count > FACTOR_WALKS:
-        return count, None
-    for mask in range(count):
+            ells.append(ell)
+    return comp, take, ells
+
+
+def factor_sign(succ: Sequence[int]) -> int:
+    """(n - number of cycles) mod 2 of the permutation ``succ``: 0 when it
+    is even, 1 when odd.  A Hamilton cycle has sign (n - 1) mod 2."""
+    seen, cycles = [False] * len(succ), 0
+    for v in range(len(succ)):
+        cycles += not seen[v]
+        while not seen[v]:
+            seen[v], v = True, succ[v]
+    return (len(succ) - cycles) % 2
+
+
+def residual_cycle_factors(out: Sequence[list[int]]) -> tuple[int, bool | None] | None:
+    """Decide from the cycle factors of a digraph of degree 1 or 2 whether
+    one is a Hamilton cycle: None when :func:`alternating_components` is,
+    else (number of cycle factors, whether one is a single cycle through all
+    n vertices), with None for the second when it would walk more than
+    FACTOR_WALKS factors.  There is one factor at d = 1 and one per mask of
+    flipped components at d = 2.  A flip of l out-copies permutes l heads
+    cyclically, multiplying the factor's sign (:func:`factor_sign`) by
+    (-1)^(l - 1); a Hamilton cycle's is (n - 1) mod 2.  That fixes the parity
+    of the flipped components of even l, and only those masks are walked,
+    along the factor's cycle through vertex 0.  When every l is odd and the
+    mask-0 factor has the wrong sign, the answer is False with no walk."""
+    return None if (decided := _walk_residual_factors(out)) is None else decided[:2]
+
+
+def _walk_residual_factors(out: Sequence[list[int]]) -> tuple[int, bool | None, int] | None:
+    """:func:`residual_cycle_factors` and the number of masks it walked."""
+    parts = alternating_components(out)
+    if parts is None:
+        return None
+    comp, take, ells = parts
+    n, count = len(out), 1 << len(ells)
+    even = sum(1 << i for i, ell in enumerate(ells) if ell % 2 == 0)
+    # parity of the even-l components a mask must flip
+    flip = factor_sign([row[t] for row, t in zip(out, take)]) ^ (n - 1) % 2
+    if not even and flip:
+        return count, False, 0
+    if (count // 2 if even else count) > FACTOR_WALKS:
+        return count, None, 0
+    masks = [m for m in range(count) if (m & even).bit_count() % 2 == flip]
+    for walked, mask in enumerate(masks, 1):
         x, length = 0, 0
-        while True:  # walk the factor's cycle through vertex 0
-            x = out[x][take[x] ^ (mask >> comp[x] & 1)]
-            length += 1
-            if x == 0:
-                break
+        while not length or x:  # walk the factor's cycle through vertex 0
+            x, length = out[x][take[x] ^ (mask >> comp[x] & 1)], length + 1
         if length == n:
-            return count, True
-    return count, False
+            return count, True, walked
+    return count, False, len(masks)
 
 
 # -- exact Hamilton-path search -----------------------------------------

@@ -56,15 +56,17 @@ class DecompositionCertificate:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "DecompositionCertificate":
-        numbers = chain((doc["n"], doc["reg"], doc["k"]), *doc["cycles"], *doc["leftover"])
-        if not set(map(type, numbers)) <= {int}:
-            raise FormatError("certificate numbers must be JSON integers")
+        rows = [doc["cycles"], doc["leftover"], *doc["cycles"], *doc["leftover"]]
+        numbers = chain((doc["n"], doc["reg"], doc["k"]), *rows[2:])
+        if (type(doc["graph_sha256"]) is not str or set(map(type, rows)) != {list}
+                or not set(map(type, numbers)) <= {int}):
+            raise FormatError("certificate needs JSON integers in lists and a string hash")
         # rotated to start at the least vertex, not checked: verify_certificate
         # judges whether each cycle is Hamiltonian
         cycles = tuple(HamiltonCycle(tuple(seq[k:] + seq[:k])) for seq in doc["cycles"]
                        for k in [seq.index(min(seq)) if seq else 0])
         leftover = frozenset((u, v) for u, v in doc["leftover"])
-        cert = cls(n=doc["n"], graph_sha256=str(doc["graph_sha256"]),
+        cert = cls(n=doc["n"], graph_sha256=doc["graph_sha256"],
                    cycles=cycles, leftover=leftover, reg=doc["reg"])
         if cert.k != doc["k"]:
             raise InvariantViolationError("certificate k field disagrees with cycles")
@@ -211,7 +213,7 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
             cycles, rest = outcome.cycles, outcome.residual
             report.stages.append({"name": "direct", "mode": "patching",
                                   "rounds": len(cycles), "failures": outcome.failures,
-                                  "switches": outcome.switches,
+                                  "switches": outcome.switches, "walks": outcome.walks,
                                   "stop_reason": outcome.stop_reason,
                                   "seconds": time.perf_counter() - t1})
     leftover = frozenset((u, v) for u, row in enumerate(rest) for v in row)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hamdec.assembly import (
     BLOCK_CAP,
+    FACTOR_WALKS,
     PATCH_REDRAWS,
     SPLICE_ATTEMPTS,
     CompletionOutcome,
@@ -17,8 +18,10 @@ from hamdec.assembly import (
     _masks,
     _merge_factor,
     _reach,
+    alternating_components,
     complete_cover_to_cycle,
     complete_family_to_cycles,
+    factor_sign,
     hamilton_path_between,
     patch_hamilton_cycles,
     residual_cycle_factors,
@@ -597,11 +600,13 @@ def test_patching_without_cycle_factor():
 
 def test_patching_stops_without_drawing_when_no_factor_is_hamiltonian():
     # two disjoint rotational tournaments of order 5: 2-regular, with no
-    # Hamilton cycle at all
+    # Hamilton cycle at all; each is one component with l = 5, so every
+    # factor is two 5-cycles, of sign 0 against a Hamilton cycle's 1, and
+    # the check decides without a walk
     g = OrientedGraph(10, [(5 * b + i, 5 * b + (i + j) % 5)
                             for b in range(2) for i in range(5) for j in (1, 2)])
     out = patch_hamilton_cycles(g)
-    assert out.cycles == [] and out.failures == out.switches == 0
+    assert out.cycles == [] and out.failures == out.switches == out.walks == 0
     assert out.stop_reason == "no cycle factor of the residual is a Hamilton cycle"
     assert out.residual == [list(row) for row in g.out_neighbors]
 
@@ -701,9 +706,59 @@ def test_residual_cycle_factors_match_the_bruteforce_oracle(out):
     ([[], [], []], None),           # degree 0
     ([list(row) for row in rotational_tournament(7).out_neighbors], None),  # degree 3
     # eight disjoint complete digraphs on three vertices: 2^8 factors, more
-    # than the check walks
+    # than the check walks, but each component has l = 3 and every factor
+    # is eight 3-cycles, of sign (24 - 8) mod 2 = 0, not a Hamilton cycle's 1
     ([sorted({3 * (v // 3) + (v + 1) % 3, 3 * (v // 3) + (v + 2) % 3}) for v in range(24)],
-     (256, None)),
+     (256, False)),
+    # seven of them and a complete digraph on a 4-cycle, whose two
+    # components have l = 2: half of the 2^9 factors have the right sign,
+    # more than the check walks
+    ([sorted({3 * (v // 3) + (v + 1) % 3, 3 * (v // 3) + (v + 2) % 3}) for v in range(21)]
+     + [sorted({21 + (v + 1) % 4, 21 + (v + 3) % 4}) for v in range(4)],
+     (512, None)),
 ])
 def test_residual_cycle_factors_outside_the_walked_cases(out, expected):
     assert residual_cycle_factors(out) == expected
+    if expected is not None and expected[1] is None:
+        assert expected[0] // 2 > FACTOR_WALKS
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree_one_or_two_rows())
+def test_a_component_flip_multiplies_the_factor_sign_by_its_parity(out):
+    # each mask's factor is the mask-0 factor after one Kempe swap per
+    # flipped component, and the swap of a component with l out-copies
+    # multiplies the sign by (-1)^(l - 1); at d = 2 a mask's factor and its
+    # complement's split the edges, and the product of their signs is the
+    # same for every split
+    comp, take, ells = alternating_components(out)
+    c, n = len(ells), len(out)
+
+    def factor(mask):
+        return [row[t ^ (mask >> comp[u] & 1)] for u, (row, t) in enumerate(zip(out, take))]
+
+    sign0 = factor_sign(factor(0))
+    products = set()
+    for mask in range(1 << c):
+        succ, rest = factor(mask), factor(mask ^ ((1 << c) - 1))
+        assert sorted(succ) == list(range(n))
+        flipped = sum(ells[i] - 1 for i in range(c) if mask >> i & 1)
+        assert factor_sign(succ) == (sign0 + flipped) % 2
+        if len(out[0]) == 2:
+            assert all(sorted(pair) == row for pair, row in zip(zip(succ, rest), out))
+            products.add(factor_sign(succ) ^ factor_sign(rest))
+    assert len(products) <= 1
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
+def test_factor_sign_matches_cycle_count_and_inversions(perm):
+    n = len(perm)
+    cycles = set()
+    for v in range(n):
+        orbit, x = {v}, perm[v]
+        while x != v:
+            orbit.add(x)
+            x = perm[x]
+        cycles.add(frozenset(orbit))
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    assert factor_sign(perm) == (n - len(cycles)) % 2 == inversions % 2

@@ -1,12 +1,24 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamdec import counting
 from hamdec.cli import cli_main
-from hamdec.graphs import read_edge_list, rotational_tournament, write_edge_list
+from hamdec.graphs import (
+    MAX_N,
+    random_tournament,
+    read_edge_list,
+    rotational_tournament,
+    write_edge_list,
+)
+from hamdec.pipeline import approximate_decomposition
 
 
 @pytest.fixture()
@@ -297,3 +309,149 @@ def test_failed_self_check_is_internal_error(triangle_file, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err == ("internal error: AssertionError: emitted certificate "
                    "failed self-check: Simulated\n")
+
+
+# -- exit codes under malformed input -----------------------------------
+
+
+def _run_on_file(argv, data):
+    """(exit code, stderr) of cli_main on argv followed by the path of a
+    temporary file holding the bytes data."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main([*argv, path])
+    return code, err.getvalue()
+
+
+def _is_int(token):
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+_non_int_tokens = st.text("0123456789+-._ex", min_size=1, max_size=4).filter(
+    lambda t: not _is_int(t))
+
+
+@st.composite
+def malformed_edge_lists(draw):
+    """The bytes of a tournament's edge list with one defect: a bad header,
+    an edge count the lines do not match, an edge line that is not two
+    integers, a vertex out of range, a loop, an edge given twice or in both
+    directions, an order outside [1, MAX_N], or a byte that is not ASCII."""
+    n = draw(st.integers(3, 6))
+    edges = sorted(random_tournament(n, draw(st.integers(0, 99))).edges)
+    lines = [f"{u} {v}" for u, v in edges]
+    head = ["og", str(n), None]
+    defect = draw(st.sampled_from(["tag", "fields", "header_number", "count", "edge_tokens",
+                                   "out_of_range", "loop", "duplicate", "antiparallel",
+                                   "order", "not_ascii"]))
+    u, v = draw(st.sampled_from(edges))
+    if defect == "tag":
+        head[0] = draw(st.sampled_from(["OG", "og:", "graph", "o g"]))
+    elif defect == "fields":
+        head = draw(st.sampled_from([head[:2], head + ["0"]]))
+    elif defect == "header_number":
+        head[draw(st.sampled_from([1, 2]))] = draw(_non_int_tokens)
+    elif defect == "count":
+        head[2] = str(len(lines) + draw(st.integers(-len(lines), 3).filter(bool)))
+    elif defect == "edge_tokens":
+        bad = draw(st.sampled_from([str(u), f"{u} {v} {v}", f"{u} {draw(_non_int_tokens)}"]))
+        lines[draw(st.integers(0, len(lines) - 1))] = bad
+    elif defect == "out_of_range":
+        w = draw(st.integers(-3, -1) | st.integers(n, n + 3))
+        lines.append(draw(st.sampled_from([f"{u} {w}", f"{w} {v}"])))
+    elif defect == "loop":
+        lines.append(f"{u} {u}")
+    elif defect == "duplicate":
+        lines.append(f"{u} {v}")
+    elif defect == "antiparallel":
+        lines.append(f"{v} {u}")
+    elif defect == "order":
+        head[1] = str(draw(st.integers(-3, 0) | st.integers(MAX_N + 1, 10 * MAX_N)))
+        lines = []
+    if head[-1] is None:
+        head[-1] = str(len(lines))
+    data = "\n".join([" ".join(h for h in head if h is not None), *lines]).encode("ascii")
+    return data + b"\xe9\n" if defect == "not_ascii" else data
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_edge_lists(), st.sampled_from([["reg"], ["decompose"], ["count-exact"]]))
+def test_malformed_edge_list_exits_2_with_one_error_line(data, command):
+    code, err = _run_on_file(command, data)
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers(-2, 8)
+                 | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=2),
+    max_leaves=6)
+
+
+def _not_a_row(row, width=None):
+    """True unless row is a list of JSON integers, of length width if given."""
+    return (type(row) is not list or any(type(x) is not int for x in row)
+            or width is not None and len(row) != width)
+
+
+def _wrong_rows(valid, width=None):
+    """A list of rows where one is not a list of integers (of the width),
+    or a value that is not a list at all."""
+    bad_row = _json_values.filter(lambda row: _not_a_row(row, width))
+    return (_json_values.filter(lambda x: type(x) is not list)
+            | st.tuples(st.just(valid), st.integers(0, len(valid)), bad_row).map(
+                lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1]:]))
+
+
+@st.composite
+def malformed_certificates(draw):
+    """A certificate of the rotational tournament of order 5 with one key of
+    the wrong JSON type or shape or missing, optionally wrapped as the
+    'certificate' of a decompose report; or a JSON value that is not an
+    object; or text that is not JSON."""
+    doc = approximate_decomposition(rotational_tournament(5))[0].to_json()
+    key = draw(st.sampled_from(sorted(doc) + ["not_object", "not_json"]))
+    if key == "not_json":
+        return draw(st.text(max_size=8).filter(lambda t: not _parses(t))).encode()
+    if key == "not_object":
+        return json.dumps(draw(_json_values.filter(lambda x: type(x) is not dict))).encode()
+    if draw(st.booleans()):
+        del doc[key]
+    elif key == "graph_sha256":
+        doc[key] = draw(_json_values.filter(lambda x: type(x) is not str))
+    elif key in ("cycles", "leftover"):
+        doc[key] = draw(_wrong_rows(doc[key], 2 if key == "leftover" else None))
+    else:
+        doc[key] = draw(_json_values.filter(lambda x: type(x) is not int))
+    return json.dumps({"certificate": doc} if draw(st.booleans()) else doc).encode()
+
+
+def _parses(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_certificates())
+def test_malformed_certificate_exits_2_with_one_error_line(data):
+    graph = write_edge_list(rotational_tournament(5)).encode("ascii")
+    with tempfile.TemporaryDirectory() as tmp:
+        gpath = os.path.join(tmp, "g.og")
+        with open(gpath, "wb") as fh:
+            fh.write(graph)
+        code, err = _run_on_file(["verify", gpath], data)
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1

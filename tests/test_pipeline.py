@@ -215,6 +215,7 @@ def test_direct_stage_reports_patching_counters():
     assert direct["mode"] == "patching"
     assert direct["rounds"] == cert.k
     assert direct["switches"] >= 0 and direct["failures"] >= 0
+    assert isinstance(direct["walks"], int) and direct["walks"] >= 0
     assert direct["stop_reason"] == "no cycle factor of the residual is a Hamilton cycle"
 
 
