@@ -9,6 +9,7 @@ parent's.  Graph objects are immutable after construction and safe to share.
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
@@ -330,9 +331,19 @@ def write_edge_list(g: OrientedGraph) -> str:
 
 
 def read_edge_list(text: str) -> OrientedGraph:
+    """The graph of an edge list: a header ``og <n> <m>``, then m lines
+    ``<u> <v>``, one per edge u -> v.  The text is ASCII and every number a
+    plain decimal, ``-?[0-9]+``: ``int`` alone would also read ``+3``,
+    ``1_0`` and non-ASCII digits such as ``\u0663``, so a mistyped list
+    would be taken for another graph.  Blank lines are skipped."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty edge-list input")
+    if not text.isascii() or "+" in text or "_" in text:
+        stray = re.search(r"[+_]|[^\x00-\x7f]", text)
+        line = text.count("\n", 0, stray.start()) + 1
+        raise FormatError(f"{stray.group()!r} on line {line}: an edge list is ASCII, "
+                          "its numbers plain decimals")
     head = lines[0].split()
     if len(head) != 3 or head[0] != "og":
         raise FormatError(f"bad header {lines[0]!r}; expected 'og <n> <m>'")

@@ -5,6 +5,7 @@ import os
 import tempfile
 import time
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -340,11 +341,27 @@ _non_int_tokens = st.text("0123456789+-._ex", min_size=1, max_size=4).filter(
 
 
 @st.composite
+def _int_spellings(draw):
+    """A number that int() reads but that is not a plain ASCII decimal:
+    signed with '+', grouped with '_', or in Arabic-Indic, Devanagari or
+    fullwidth digits."""
+    k = draw(st.integers(0, 12))
+    zero = draw(st.sampled_from([0x660, 0x966, 0xFF10]))
+    native = str(k).translate({48 + d: zero + d for d in range(10)})
+    return draw(st.sampled_from([f"+{k}", f"{k}_0", f"1_{k}", native, f"-{native}"]))
+
+
+_bad_numbers = _non_int_tokens | _int_spellings()
+
+
+@st.composite
 def malformed_edge_lists(draw):
     """The bytes of a tournament's edge list with one defect: a bad header,
     an edge count the lines do not match, an edge line that is not two
-    integers, a vertex out of range, a loop, an edge given twice or in both
-    directions, an order outside [1, MAX_N], or a byte that is not ASCII."""
+    integers, a number int() reads but that is no plain ASCII decimal
+    (such as "+3", "1_0" or an Arabic-Indic digit), a vertex out of range,
+    a loop, an edge given twice or in both directions, an order outside
+    [1, MAX_N], or a byte that is not ASCII."""
     n = draw(st.integers(3, 6))
     edges = sorted(random_tournament(n, draw(st.integers(0, 99))).edges)
     lines = [f"{u} {v}" for u, v in edges]
@@ -358,11 +375,12 @@ def malformed_edge_lists(draw):
     elif defect == "fields":
         head = draw(st.sampled_from([head[:2], head + ["0"]]))
     elif defect == "header_number":
-        head[draw(st.sampled_from([1, 2]))] = draw(_non_int_tokens)
+        head[draw(st.sampled_from([1, 2]))] = draw(_bad_numbers)
     elif defect == "count":
         head[2] = str(len(lines) + draw(st.integers(-len(lines), 3).filter(bool)))
     elif defect == "edge_tokens":
-        bad = draw(st.sampled_from([str(u), f"{u} {v} {v}", f"{u} {draw(_non_int_tokens)}"]))
+        bad = draw(st.sampled_from([str(u), f"{u} {v} {v}", f"{u} {draw(_bad_numbers)}",
+                                    f"{draw(_bad_numbers)} {v}"]))
         lines[draw(st.integers(0, len(lines) - 1))] = bad
     elif defect == "out_of_range":
         w = draw(st.integers(-3, -1) | st.integers(n, n + 3))
@@ -378,7 +396,7 @@ def malformed_edge_lists(draw):
         lines = []
     if head[-1] is None:
         head[-1] = str(len(lines))
-    data = "\n".join([" ".join(h for h in head if h is not None), *lines]).encode("ascii")
+    data = "\n".join([" ".join(h for h in head if h is not None), *lines]).encode("utf-8")
     return data + b"\xe9\n" if defect == "not_ascii" else data
 
 
@@ -388,6 +406,14 @@ def test_malformed_edge_list_exits_2_with_one_error_line(data, command):
     code, err = _run_on_file(command, data)
     assert code == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # standard input skips the file's ASCII decoding; the reader alone
+    # must refuse the same text
+    err = io.StringIO()
+    with (mock.patch("sys.stdin", io.StringIO(data.decode("utf-8", "replace"))),
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+        code = cli_main([*command, "-"])
+    assert code == 2, err.getvalue()
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 _json_scalars = (st.none() | st.booleans() | st.integers(-2, 8)

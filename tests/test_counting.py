@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+import struct
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hamdec import counting
 from hamdec.counting import (
@@ -150,6 +152,68 @@ def test_permanent_of_j_minus_i_counts_derangements(n, derangements):
     assert permanent(mat).exact == derangements == closed_form
 
 
+@st.composite
+def parity_matrices(draw):
+    """A 0/1 matrix of order 1 to 13 whose row sums are all even (so many
+    of Glynn's terms are 0), all odd (none is) or mixed, with all-ones rows
+    among them, so that row forms reach +-10 (the bytes 0x0A and 0xF6), and
+    ones and zeros spelled as ints, bools or floats."""
+    n = draw(st.integers(1, 13))
+    parity = draw(st.sampled_from(["even", "odd", "mixed"]))
+    rows = []
+    for _ in range(n):
+        row = [1] * n if draw(st.integers(0, 3)) == 0 else draw(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        want = {"even": 0, "odd": 1, "mixed": sum(row) & 1}[parity]
+        if sum(row) & 1 != want:
+            j = draw(st.integers(0, n - 1))
+            row[j] ^= 1
+        rows.append(row)
+    spell = draw(st.sampled_from([(0, 1), (False, True), (0.0, 1.0)]))
+    return [[spell[x] for x in row] for row in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(parity_matrices())
+def test_permanent_matches_subset_dp_hypothesis(mat):
+    ints = [[int(x) for x in row] for row in mat]
+    assert permanent(mat).exact == permanent_subset_dp(ints)
+
+
+def test_permanent_hands_struct_only_zero_free_forms_of_sorted_rows(monkeypatch):
+    # rows with row sums 11, 2, 7, ... in that order: sorted even sums
+    # first, ascending, byte i of every form unpacked has the parity of the
+    # i-th sorted row sum and at most its size, and no form is 0
+    sums = [11, 2, 7, 4, 12, 3, 6, 1, 9, 8, 5, 10]
+    n = len(sums)
+    rng = random.Random("sorted-rows")
+    mat = [[int(j < k) for j in rng.sample(range(n), n)] for k in sums]
+    seen = []
+
+    class Recorder:
+        def __init__(self, fmt):
+            self.unpack = struct.Struct(fmt).iter_unpack
+
+        def iter_unpack(self, data):
+            forms = list(self.unpack(data))
+            seen.extend(forms)
+            return iter(forms)
+
+    monkeypatch.setattr(counting, "struct", SimpleNamespace(Struct=Recorder))
+    assert permanent(mat).exact == permanent_subset_dp(mat)
+    order = sorted(sums, key=lambda k: (k & 1, k))
+    assert seen and all(0 not in forms for forms in seen)
+    for forms in seen:
+        assert all(f % 2 == k % 2 and abs(f) <= k for f, k in zip(forms, order))
+
+
+def test_permanent_of_the_rotational_tournament_of_order_21():
+    # its cycle factors; the even row sums r = 10 give zero terms to drop
+    g = rotational_tournament(21)
+    mat = [[int(g.has_edge(u, v)) for v in range(21)] for u in range(21)]
+    assert permanent(mat).exact == 16_866_126_115_498
+
+
 def test_permanent_all_ones_beyond_64_bits():
     # the largest term, at every sign +1, reaches 16^16 = 2^64 here
     assert permanent([[1] * 16 for _ in range(16)]).exact == math.factorial(16)
@@ -264,6 +328,23 @@ def test_count_cycles_matches_enumeration_with_several_low_and_high_vertices(n):
         for g in (random_tournament(n, seed), random_regular_oriented(n, 2, seed),
                   random_regular_oriented(n, 3, seed)):
             assert count_hamilton_cycles_exact(g).exact == len(_hamilton_cycles(g))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_count_cycles_when_the_low_vertices_need_every_sweep(n):
+    # relabel along a Hamilton cycle 0, c_1, ..., c_(n-1) so that it reads
+    # 0, l, l - 1, ..., 1, l + 1, ..., n - 1: each low vertex on it is
+    # entered from the next higher one, which an ascending sweep updates
+    # after it, so each sweep extends the run by one vertex and only the
+    # l-th counts this cycle
+    low = (n - 1) // 2
+    for seed in range(3):
+        for g in (random_regular_oriented(n, 3, seed), random_regular_oriented(n, 4, seed)):
+            order = _hamilton_cycles(g)[0][0]
+            label = {v: low + 1 - i if 1 <= i <= low else i for i, v in enumerate(order)}
+            h = OrientedGraph(n, [(label[u], label[v]) for u, v in g.edges])
+            assert all(h.has_edge(w + 1, w) for w in range(1, low))
+            assert count_hamilton_cycles_exact(h).exact == len(_hamilton_cycles(h))
 
 
 def test_count_cycles_matches_bruteforce():

@@ -396,3 +396,14 @@ def test_edge_list_reader_errors():
     for bad in ("1 x", "1 2 0", "1", "1.0 2"):
         with pytest.raises(FormatError, match=f"bad edge line '{bad}'"):
             read_edge_list(f"og 3 3\n0 1\n{bad}\n0 2\n")
+
+
+@pytest.mark.parametrize("text", [
+    "og 12 2\n1_0 2\n+3 4\n", "og 1_2 0\n", "og +5 0\n", "og 5 1\n\u0663 1\n",
+    "og 5 1\n3 \uff11\n", "og 5 1\n3\u00a01\n"])
+def test_edge_list_numbers_are_plain_ascii_decimals(text):
+    # int() would read each of these numbers: as 10, 12, +3, +5 or the
+    # Arabic-Indic and fullwidth digits 3 and 1; and str.split() would take
+    # the no-break space for a separator
+    with pytest.raises(FormatError, match="is ASCII, its numbers plain decimals"):
+        read_edge_list(text)
