@@ -119,12 +119,11 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
 
     A 2-switch trades two factor edges for two residual edges, so every
     merge yields another cycle factor of the residual.  Once every residual
-    in- and out-degree is d <= 2 those factors are few, and when none is a
-    Hamilton cycle no draw can succeed, so the search stops without drawing.
-    :func:`residual_cycle_factors` decides it by the factors' signs first,
-    then walks only those of a Hamilton cycle's sign; ``walks`` sums them.
-    The check runs before the first draw and after each cycle found (a
-    failed draw leaves the rows as they were), drawing nothing.
+    in- and out-degree is d <= 2 those factors are few: the first Hamilton
+    cycle :func:`residual_cycle_factors` walks (``walks`` sums the walks) is
+    the round's factor, and when there is none the search stops.  The walk
+    draws nothing; it runs before the first draw and after each cycle found,
+    and leaves the round to a draw only when it would exceed FACTOR_WALKS.
     """
     n = g.n
     rng = random.Random(f"{seed}:patch")
@@ -134,12 +133,12 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
     reason = f"{PATCH_REDRAWS} consecutive factors without a merging switch"
     while consecutive < PATCH_REDRAWS:
         if consecutive == 0:
-            _, verdict, walked = _walk_residual_factors(out) or (0, None, 0)
+            _, found, walked = residual_cycle_factors(out) or (0, None, 0)
             walks += walked
-            if verdict is False:
+            if found is False:
                 reason = "no cycle factor of the residual is a Hamilton cycle"
                 break
-        succ = random_cycle_factor(out, rng)
+        succ = found or random_cycle_factor(out, rng)  # after a failed draw found is None
         if -1 in succ:
             reason = "no cycle factor in residual"
             break
@@ -250,23 +249,20 @@ def factor_sign(succ: Sequence[int]) -> int:
     return (len(succ) - cycles) % 2
 
 
-def residual_cycle_factors(out: Sequence[list[int]]) -> tuple[int, bool | None] | None:
-    """Decide from the cycle factors of a digraph of degree 1 or 2 whether
-    one is a Hamilton cycle: None when :func:`alternating_components` is,
-    else (number of cycle factors, whether one is a single cycle through all
-    n vertices), with None for the second when it would walk more than
-    FACTOR_WALKS factors.  There is one factor at d = 1 and one per mask of
-    flipped components at d = 2.  A flip of l out-copies permutes l heads
-    cyclically, multiplying the factor's sign (:func:`factor_sign`) by
-    (-1)^(l - 1); a Hamilton cycle's is (n - 1) mod 2.  That fixes the parity
-    of the flipped components of even l, and only those masks are walked,
-    along the factor's cycle through vertex 0.  When every l is odd and the
-    mask-0 factor has the wrong sign, the answer is False with no walk."""
-    return None if (decided := _walk_residual_factors(out)) is None else decided[:2]
-
-
-def _walk_residual_factors(out: Sequence[list[int]]) -> tuple[int, bool | None, int] | None:
-    """:func:`residual_cycle_factors` and the number of masks it walked."""
+def residual_cycle_factors(out: Sequence[list[int]]
+                           ) -> tuple[int, list[int] | bool | None, int] | None:
+    """Find a cycle factor of a digraph of degree 1 or 2 that is a Hamilton
+    cycle: None when :func:`alternating_components` is, else (number of
+    cycle factors, found, masks walked), ``found`` the successor list of the
+    first walked factor that is one cycle through all n vertices, False when
+    none is, and None when it would walk more than FACTOR_WALKS factors.
+    There is one factor at d = 1 and one per mask of flipped components at
+    d = 2.  A flip of l out-copies permutes l heads cyclically, multiplying
+    the factor's sign (:func:`factor_sign`) by (-1)^(l - 1); a Hamilton
+    cycle's is (n - 1) mod 2.  That fixes the parity of the flipped
+    components of even l, and only those masks are walked, in increasing
+    order, along the factor's cycle through vertex 0.  When every l is odd
+    and the mask-0 factor has the wrong sign, the answer is False unwalked."""
     parts = alternating_components(out)
     if parts is None:
         return None
@@ -285,7 +281,8 @@ def _walk_residual_factors(out: Sequence[list[int]]) -> tuple[int, bool | None, 
         while not length or x:  # walk the factor's cycle through vertex 0
             x, length = out[x][take[x] ^ (mask >> comp[x] & 1)], length + 1
         if length == n:
-            return count, True, walked
+            factor = [row[take[v] ^ (mask >> comp[v] & 1)] for v, row in enumerate(out)]
+            return count, factor, walked
     return count, False, len(masks)
 
 

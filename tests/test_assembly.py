@@ -7,6 +7,7 @@ from bisect import bisect_left
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hamdec import assembly
 from hamdec.assembly import (
     BLOCK_CAP,
     FACTOR_WALKS,
@@ -612,9 +613,9 @@ def test_patching_stops_without_drawing_when_no_factor_is_hamiltonian():
 
 
 def reference_patch(g, seed):
-    # patch_hamilton_cycles without the degree <= 2 end check: it stops only
-    # when the residual has no cycle factor or after PATCH_REDRAWS failed
-    # draws in a row
+    # patch_hamilton_cycles without the degree <= 2 walk: every cycle comes
+    # from a random draw, and it stops only when the residual has no cycle
+    # factor or after PATCH_REDRAWS failed draws in a row
     n = g.n
     rng = random.Random(f"{seed}:patch")
     out = [list(row) for row in g.out_neighbors]
@@ -644,12 +645,70 @@ def reference_patch(g, seed):
                                      ("rotational", 51), ("rotational", 101),
                                      ("regular", 41)])
 def test_patching_matches_the_reference_with_no_more_failed_draws(kind, n):
+    # the two draw the same cycles until the walk first finds a Hamilton
+    # cycle, which patching takes and the reference redraws for; k agrees
     g = rotational_tournament(n) if kind == "rotational" else random_regular_oriented(n, 6, 0)
     for seed in range(5):
         out = patch_hamilton_cycles(g, seed=seed)
         cycles, failures, switches, residual = reference_patch(g, seed)
-        assert out.cycles == cycles and out.residual == residual
+        rows = [list(row) for row in g.out_neighbors]
+        for i, cycle in enumerate(out.cycles):
+            found = (residual_cycle_factors(rows) or (0, None, 0))[1]
+            if found:
+                assert cycle.edges == set(enumerate(found))
+                break
+            assert cycle == cycles[i]
+            for u, v in cycle.edges:
+                rows[u].remove(v)
+        else:
+            assert out.residual == residual
+        assert len(out.cycles) == len(cycles)
         assert out.failures <= failures and out.switches <= switches
+
+
+@pytest.mark.parametrize("g, seed, decides", [
+    pytest.param(rotational_tournament(11), 1, True, id="rotational-11"),
+    pytest.param(rotational_tournament(25), 1, True, id="rotational-25"),
+    pytest.param(rotational_tournament(151), 0, True, id="rotational-151"),
+    pytest.param(random_regular_oriented(81, 4, 1), 2, True, id="regular-81-4-1"),
+    pytest.param(random_regular_oriented(41, 6, 0), 0, True, id="regular-41-6-0"),
+    # nine disjoint rotational tournaments of order 5: 2^9 factors of a
+    # Hamilton cycle's sign, more than the walk takes, so it draws
+    pytest.param(OrientedGraph(45, [(5 * b + i, 5 * b + (i + j) % 5) for b in range(9)
+                                    for i in range(5) for j in (1, 2)]), 0, False,
+                 id="nine-rotational-5")])
+def test_no_factor_is_drawn_after_the_walk_decides(monkeypatch, g, seed, decides):
+    # each draw follows a walk that left the question open: at a degree
+    # other than 1 or 2 (the last draw, on the empty residual, finds no
+    # factor), or over FACTOR_WALKS factors; a walk that finds a Hamilton
+    # cycle or rules one out is followed by the next walk or by the stop
+    events = []
+
+    def walk(out):
+        got = residual_cycle_factors(out)
+        events.append(("walk", got))
+        return got
+
+    def draw(out, rng):
+        events.append(("draw", max(map(len, out))))
+        return random_cycle_factor(out, rng)
+
+    monkeypatch.setattr(assembly, "residual_cycle_factors", walk)
+    monkeypatch.setattr(assembly, "random_cycle_factor", draw)
+    out = patch_hamilton_cycles(g, seed=seed)
+    last_walk = None
+    for kind, what in events:
+        if kind == "walk":
+            last_walk = what
+        elif what in (1, 2):
+            assert last_walk[1] is None and last_walk[0] > FACTOR_WALKS
+        else:
+            assert last_walk is None
+    walked = [what[1] for kind, what in events if kind == "walk" and what]
+    assert any(found is not None for found in walked) == decides
+    assert (len(out.cycles) > 0) == decides
+    assert (out.stop_reason == f"{PATCH_REDRAWS} consecutive factors without a merging switch"
+            ) != decides
 
 
 @st.composite
@@ -697,7 +756,18 @@ def cycle_factors_bruteforce(out):
 @settings(max_examples=200, deadline=None)
 @given(degree_one_or_two_rows())
 def test_residual_cycle_factors_match_the_bruteforce_oracle(out):
-    assert residual_cycle_factors(out) == cycle_factors_bruteforce(out)
+    count, found, walked = residual_cycle_factors(out)
+    assert found is not None
+    assert (count, bool(found)) == cycle_factors_bruteforce(out)
+    assert 0 <= walked <= count
+    if found:
+        # one cycle through all n vertices along edges of the rows
+        assert all(w in row for row, w in zip(out, found))
+        x, seen = 0, set()
+        while x not in seen:
+            seen.add(x)
+            x = found[x]
+        assert x == 0 and len(seen) == len(out)
 
 
 @pytest.mark.parametrize("out, expected", [
@@ -709,13 +779,17 @@ def test_residual_cycle_factors_match_the_bruteforce_oracle(out):
     # than the check walks, but each component has l = 3 and every factor
     # is eight 3-cycles, of sign (24 - 8) mod 2 = 0, not a Hamilton cycle's 1
     ([sorted({3 * (v // 3) + (v + 1) % 3, 3 * (v // 3) + (v + 2) % 3}) for v in range(24)],
-     (256, False)),
+     (256, False, 0)),
     # seven of them and a complete digraph on a 4-cycle, whose two
     # components have l = 2: half of the 2^9 factors have the right sign,
     # more than the check walks
     ([sorted({3 * (v // 3) + (v + 1) % 3, 3 * (v // 3) + (v + 2) % 3}) for v in range(21)]
      + [sorted({21 + (v + 1) % 4, 21 + (v + 3) % 4}) for v in range(4)],
-     (512, None)),
+     (512, None, 0)),
+    # nine disjoint rotational tournaments of order 5: one component of
+    # l = 5 each, so all 2^9 factors have a Hamilton cycle's sign
+    ([sorted({5 * (v // 5) + (v + 1) % 5, 5 * (v // 5) + (v + 2) % 5}) for v in range(45)],
+     (512, None, 0)),
 ])
 def test_residual_cycle_factors_outside_the_walked_cases(out, expected):
     assert residual_cycle_factors(out) == expected

@@ -223,7 +223,8 @@ def test_direct_stage_reports_patching_counters():
 # 0, 1 and 2, computed with the engine that draws each cycle factor by
 # factors.random_cycle_factor (a random greedy matching, each pick drawn by
 # rejection over sorted residual rows, completed by shortest augmenting
-# paths)
+# paths); once every residual degree is at most 2, a Hamilton cycle found
+# by the exact walk of assembly.residual_cycle_factors is taken as it is
 FROZEN_CERTIFICATES = {
     ("rotational", 11): (
         "e1d2480fb547cac78acf41b922a818d57210a63833d082455407bf0f818d7f45",
@@ -231,7 +232,7 @@ FROZEN_CERTIFICATES = {
         "de353cdd4dd80d1405de08a1421ad0a9bd27d21c92a8fa43b9fe848b13bc1df5"),
     ("rotational", 25): (
         "e2d98b359b27b1fd07251f3c399715deb07138e5fc3fdeeb7fea2eaebaf70ba6",
-        "4eac325afad15868f7e0fb955db7a33a1bf1d87b1b72cc1fa59ca3124b34f236",
+        "e20fd5f2b5a0b917d819057515b752c21bb8ac78411d4d71fa97f91111dd0f96",
         "d4c50ac54b92867912ab341bc68951a3a64f78ba501ed56d9ceaf45bc0db3fee"),
     ("tournament", 13): (   # random_tournament(13, 0)
         "702b7400d15b0cd54d725dcb961c46c2c21bc4bb675b2e2651c231eb84f34429",
@@ -262,6 +263,67 @@ def test_certificates_identical_across_hash_seeds(tmp_path):
             env=env, capture_output=True, text=True, timeout=120, check=True)
         texts.add(json.dumps(json.loads(proc.stdout)["certificate"]))
     assert len(texts) == 1
+
+
+# k of each RunConfig seed 0-4 (one seed for the random tournaments) while
+# each residual Hamilton cycle at degree <= 2 was redrawn at random
+K_BEFORE_THE_WALKED_FACTOR = {
+    ("rotational", 11): (3, 5, 4, 4, 4),
+    ("rotational", 25): (10, 11, 11, 10, 10),
+    ("rotational", 51): (24, 23, 23, 23, 23),
+    ("rotational", 101): (48, 48, 48, 48, 48),
+    ("rotational", 151): (73, 74, 73, 73, 73),
+    ("rotational", 201): (98, 98, 98, 98, 98),
+    ("regular", 81, 4, 0): (1, 1, 2, 3, 2),
+    ("regular", 81, 4, 1): (3, 2, 2, 2, 2),
+    ("regular", 81, 4, 2): (2, 3, 3, 2, 3),
+    ("regular", 151, 30, 0): (28, 28, 28, 28, 29),
+    ("regular", 151, 30, 1): (28, 29, 28, 28, 28),
+    ("regular", 151, 30, 2): (28, 28, 28, 28, 27),
+    ("regular", 41, 6, 0): (4, 4, 5, 4, 5),
+    ("tournament", 101, 0): (37,),
+    ("tournament", 201, 0): (77,),
+}
+
+
+# runs that stopped after PATCH_REDRAWS failed draws at residual degree 2,
+# though one of the residual's cycle factors was a Hamilton cycle, and their
+# k once patching takes that cycle
+WALKED_FACTOR_GAINS = {
+    (("rotational", 151), 0): 74,
+    (("regular", 81, 4, 1), 2): 3,
+    (("regular", 151, 30, 0), 2): 29,
+    (("regular", 151, 30, 1), 4): 29,
+}
+
+
+def grid_graph(key):
+    kind, *args = key
+    return {"rotational": rotational_tournament, "regular": random_regular_oriented,
+            "tournament": random_tournament}[kind](*args)
+
+
+def test_no_run_of_the_grid_loses_a_cycle():
+    gained = []
+    for key, before in K_BEFORE_THE_WALKED_FACTOR.items():
+        g = grid_graph(key)
+        for seed, k in enumerate(before):
+            cert, _ = approximate_decomposition(g, RunConfig(seed=seed))
+            assert cert.k >= k, (key, seed)
+            if cert.k > k:
+                gained.append((key, seed, cert.k - k))
+    assert gained == [(key, seed, 1) for key, seed in WALKED_FACTOR_GAINS]
+
+
+@pytest.mark.parametrize("key, seed", WALKED_FACTOR_GAINS, ids=lambda x: (
+    "-".join(map(str, x)) if isinstance(x, tuple) else f"seed{x}"))
+def test_patching_takes_the_hamilton_cycle_of_a_degree_two_stall(key, seed):
+    g = grid_graph(key)
+    cert, report = approximate_decomposition(g, RunConfig(seed=seed))
+    assert cert.k == WALKED_FACTOR_GAINS[key, seed]
+    assert verify_certificate(g, cert) == (True, None)
+    assert report.stages[1]["stop_reason"] == (
+        "no cycle factor of the residual is a Hamilton cycle")
 
 
 def test_pipeline_on_1201_vertices():
