@@ -16,15 +16,15 @@ from operator import itemgetter
 from typing import Any, Sequence
 
 from .errors import TooLargeError
-from .graphs import OrientedGraph, degree_summary, rotational_tournament
+from .graphs import MAX_N, OrientedGraph, degree_summary, rotational_tournament
 
 PERMANENT_CAP = 24
 # columns whose row forms permanent() precomputes for every sign choice
 # (column 0's sign fixed: 2^9 forms, packed into two ints by parity)
 PERMANENT_SPLIT = 10
 HC_COUNT_CAP = 20
-DECOMP_CAP_DENSE = 7
-DECOMP_CAP_SPARSE = 12
+# cap on r^n, r-regular order n: it bounds the paths the cycle enumeration visits
+DECOMP_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -308,50 +308,63 @@ def _hamilton_cycles(g: OrientedGraph) -> list[_Cycle]:
     return cycles
 
 
-def _check_decomposition_caps(n: int, r: int) -> None:
-    """Raise TooLargeError beyond the exact-decomposition caps for r-regular order n."""
-    if n > DECOMP_CAP_DENSE and (r > 2 or n > DECOMP_CAP_SPARSE):
+def _check_decomposition_cap(n: int, r: int) -> None:
+    """Raise TooLargeError when r^n exceeds DECOMP_CAP for r-regular order n;
+    an order above MAX_N is refused before r^n is formed."""
+    if n > MAX_N or r ** n > DECOMP_CAP:
         raise TooLargeError(f"n={n}, degree {r} beyond exact-decomposition caps")
 
 
 def _regular_cycles(g: OrientedGraph) -> tuple[int, list[_Cycle]] | None:
     """(r, the Hamilton cycles of g) when g is r-regular, else None.  The
-    edgeless graph is 0-regular; any other beyond the caps raises."""
+    edgeless graph is 0-regular; any other beyond the cap raises."""
     if not g.edges:
         return 0, []
     degrees = degree_summary(g)
     r = degrees.max_semi
     if degrees.min_semi != r:
         return None
-    _check_decomposition_caps(g.n, r)
+    _check_decomposition_cap(g.n, r)
     return r, _hamilton_cycles(g)
 
 
-def _through_each_edge(g: OrientedGraph, cycles: list[_Cycle]) -> list[list[_Cycle]]:
-    """The cycles through each edge, indexed by the edge's bit."""
-    return [[c for c in cycles if c[1] >> i & 1] for i in range(len(g.edges))]
-
-
-def count_hamilton_decompositions_exact(g: OrientedGraph) -> LogCount:
-    """Number of unordered partitions of E(g) into Hamilton cycles.
+def _canonical_covers(g: OrientedGraph) -> tuple[int, list[tuple[int, ...]] | None]:
+    """(number of partitions of E(g) into Hamilton cycles, the first or None).
 
     Counts exact covers of the edge mask by cycle masks in canonical order:
     each next cycle must contain the lowest remaining edge, so every
     partition is counted once.  Counts are memoised on the remaining mask.
+    The first cover is read back down the memo: at each step the first
+    fitting cycle, in enumeration order, after which the rest has a cover.
     """
     found = _regular_cycles(g)
     if found is None:
-        return LogCount.from_int(0)
-    through = _through_each_edge(g, found[1])
+        return 0, None
+    through = [[c for c in found[1] if c[1] >> i & 1] for i in range(len(g.edges))]
     memo = {0: 1}
+
+    def fitting(rest: int) -> list[_Cycle]:
+        # the cycles through rest's lowest edge that lie inside rest
+        low = (rest & -rest).bit_length() - 1
+        return [c for c in through[low] if c[1] & rest == c[1]]
 
     def covers(rest: int) -> int:
         if rest not in memo:
-            low = (rest & -rest).bit_length() - 1
-            memo[rest] = sum(covers(rest ^ m) for _, m in through[low] if m & rest == m)
+            memo[rest] = sum(covers(rest ^ m) for _, m in fitting(rest))
         return memo[rest]
 
-    return LogCount.from_int(covers((1 << len(g.edges)) - 1))
+    rest = (1 << len(g.edges)) - 1
+    count, first = covers(rest), []
+    while count and rest:
+        order, m = next(c for c in fitting(rest) if memo[rest ^ c[1]])
+        first.append(order)
+        rest ^= m
+    return count, first if count else None
+
+
+def count_hamilton_decompositions_exact(g: OrientedGraph) -> LogCount:
+    """Number of unordered partitions of E(g) into Hamilton cycles."""
+    return LogCount.from_int(_canonical_covers(g)[0])
 
 
 def count_hamilton_decompositions_ordered(g: OrientedGraph) -> LogCount:
@@ -379,23 +392,7 @@ def count_hamilton_decompositions_ordered(g: OrientedGraph) -> LogCount:
 def find_hamilton_decomposition(g: OrientedGraph) -> list[tuple[int, ...]] | None:
     """One full Hamilton decomposition as vertex orders, or None: the first
     cover met by the exact count's canonical search."""
-    found = _regular_cycles(g)
-    if found is None:
-        return None
-    through = _through_each_edge(g, found[1])
-
-    def first(rest: int) -> list[tuple[int, ...]] | None:
-        if not rest:
-            return []
-        low = (rest & -rest).bit_length() - 1
-        for order, m in through[low]:
-            if m & rest == m:
-                tail = first(rest ^ m)
-                if tail is not None:
-                    return [order] + tail
-        return None
-
-    return first((1 << len(g.edges)) - 1)
+    return _canonical_covers(g)[1]
 
 
 # -- decomposition-count sandwich at tiny sizes ---------------------------
@@ -404,15 +401,17 @@ def find_hamilton_decomposition(g: OrientedGraph) -> list[tuple[int, ...]] | Non
 def sandwich_experiment(n: int) -> tuple[BoundReport, dict[str, Any]]:
     """Exact decomposition count of the rotational tournament of order n,
     sandwiched between a constructive lower bound and the iterated matching
-    bound, for any n the caps allow (checked before the tournament is built)."""
+    bound, for any n the cap allows (checked before the tournament is built);
+    one canonical search gives the count and the lower bound's witness."""
     r = (n - 1) // 2
-    _check_decomposition_caps(n, r)
+    _check_decomposition_cap(n, r)
     g = rotational_tournament(n)
-    exact = count_hamilton_decompositions_exact(g)
+    count, first = _canonical_covers(g)
+    exact = LogCount.from_int(count)
     cross = count_hamilton_decompositions_ordered(g)
     if exact.exact != cross.exact:
         raise AssertionError(f"enumeration strategies disagree: {exact.exact} vs {cross.exact}")
-    lower = LogCount.from_int(1 if find_hamilton_decomposition(g) is not None else 0)
+    lower = LogCount.from_int(1 if first is not None else 0)
     upper = decomposition_upper_bound(n, r)
     bounds = BoundReport(lower=lower, exact=exact, upper=upper)
     if not bounds.holds(tol=1e-9):

@@ -118,8 +118,9 @@ def test_criterion_3_vdw_lower_bound():
 
 def test_criterion_4_decomposition_sandwich():
     t0 = time.perf_counter()
-    expected_exact = {3: 1, 5: 1, 7: 1}  # frozen from permutation brute force
-    for n in (3, 5, 7):
+    # frozen from permutation brute force at 3-7; at 9 from both counters
+    expected_exact = {3: 1, 5: 1, 7: 1, 9: 144}
+    for n in (3, 5, 7, 9):
         g = rotational_tournament(n)
         r = (n - 1) // 2
         canonical = count_hamilton_decompositions_exact(g)

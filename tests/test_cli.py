@@ -201,7 +201,7 @@ def test_sandwich_command(capsys):
     assert doc["exact_count"] == 1 and doc["holds"]
 
 
-@pytest.mark.parametrize("n", ["0", "1", "4", "9"])
+@pytest.mark.parametrize("n", ["0", "1", "4", "11"])
 def test_sandwich_outside_the_caps_is_input_error(n, capsys):
     assert cli_main(["sandwich", "--n", n]) == 2
     _one_line_error(capsys)

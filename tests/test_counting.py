@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import struct
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +25,7 @@ from hamdec.counting import (
 from hamdec.errors import EvenOrderError, TooLargeError, VertexOutOfRangeError
 from hamdec.factors import random_regular_bipartite
 from hamdec.graphs import (
+    MAX_N,
     OrientedGraph,
     random_regular_oriented,
     random_tournament,
@@ -392,12 +394,7 @@ def test_hamilton_cycle_masks_match_orders_and_the_cycle_count(g):
 
 
 @pytest.mark.parametrize("n, r", [(5, 2), (7, 2), (7, 3), (8, 2), (8, 3)])
-def test_decomposition_counts_match_bruteforce(n, r, monkeypatch):
-    if n > counting.DECOMP_CAP_DENSE and r > 2:
-        with pytest.raises(TooLargeError):
-            count_hamilton_decompositions_exact(random_regular_oriented(n, r, 0))
-        # past the cap only to compare with the oracle
-        monkeypatch.setattr(counting, "DECOMP_CAP_DENSE", n)
+def test_decomposition_counts_match_bruteforce(n, r):
     for seed in range(5):
         g = random_regular_oriented(n, r, seed)
         expected = decompositions_bruteforce(g, r)
@@ -439,21 +436,74 @@ def test_decomposition_strategies_agree():
 
 def test_decomposition_cap():
     with pytest.raises(TooLargeError):
-        count_hamilton_decompositions_exact(rotational_tournament(9))
+        count_hamilton_decompositions_exact(rotational_tournament(11))
+
+
+def test_decomposition_cap_keeps_every_order_the_two_old_caps_allowed():
+    # the old rule: n <= 7, or r <= 2 and n <= 12
+    for n in range(3, 13):
+        for r in range((n - 1) // 2 + 1):
+            if n <= 7 or (r <= 2 and n <= 12):
+                counting._check_decomposition_cap(n, r)
+    # r^n at the cap itself passes, one step beyond it is refused
+    for n, r in ((10, 4), (20, 2), (MAX_N, 1)):
+        counting._check_decomposition_cap(n, r)
+    for n, r in ((11, 4), (21, 2), (9, 5), (MAX_N + 1, 1)):
+        with pytest.raises(TooLargeError):
+            counting._check_decomposition_cap(n, r)
+
+
+def test_decomposition_cap_on_random_4_regular_graphs():
+    with pytest.raises(TooLargeError):
+        count_hamilton_decompositions_exact(random_regular_oriented(11, 4, 0))
+    g = random_regular_oriented(10, 4, 0)
+    assert count_hamilton_decompositions_exact(g).exact == 313
+    assert len(find_hamilton_decomposition(g)) == 4
 
 
 @pytest.mark.parametrize("n, error", [(0, EvenOrderError), (4, EvenOrderError),
-                                      (1, VertexOutOfRangeError), (9, TooLargeError)])
+                                      (1, VertexOutOfRangeError), (11, TooLargeError)])
 def test_sandwich_orders_outside_the_caps(n, error):
     with pytest.raises(error):
         sandwich_experiment(n)
 
 
-def test_sandwich_range_follows_the_decomposition_cap(monkeypatch):
-    monkeypatch.setattr(counting, "DECOMP_CAP_DENSE", 9)
+@pytest.mark.parametrize("n", [11, 10**8 + 1])
+def test_sandwich_refuses_orders_beyond_the_cap_before_building(n, monkeypatch):
+    built = []
+    monkeypatch.setattr(counting, "rotational_tournament", built.append)
+    t0 = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        sandwich_experiment(n)
+    assert time.perf_counter() - t0 < 0.5
+    assert not built
+
+
+def test_sandwich_at_nine():
+    # both counts agree, or the sandwich raises
     bounds, payload = sandwich_experiment(9)
     assert payload["exact_count"] == bounds.exact.exact == 144
     assert payload["holds"] and bounds.holds()
+    assert math.isfinite(payload["lower_log"])
+
+
+def test_sandwich_range_follows_the_decomposition_cap(monkeypatch):
+    monkeypatch.setattr(counting, "DECOMP_CAP", 4**9 - 1)
+    assert sandwich_experiment(7)[1]["exact_count"] == 1
+    with pytest.raises(TooLargeError):
+        sandwich_experiment(9)
+
+
+def test_sandwich_enumerates_the_cycles_once_per_route(monkeypatch):
+    calls = []
+
+    def recorded(g):
+        calls.append(g.n)
+        return _hamilton_cycles(g)
+
+    monkeypatch.setattr(counting, "_hamilton_cycles", recorded)
+    sandwich_experiment(7)
+    assert calls == [7, 7]
 
 
 def test_cycle_count_cap():
@@ -472,6 +522,40 @@ def test_find_decomposition():
     assert union == set(rotational_tournament(5).edges)
     trans = OrientedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert find_hamilton_decomposition(trans) is None
+
+
+def first_cover_by_dfs(g):
+    """The first canonical cover met by an unmemoised depth-first search."""
+    cycles = _hamilton_cycles(g) if g.edges else []
+    through = [[c for c in cycles if c[1] >> i & 1] for i in range(len(g.edges))]
+
+    def first(rest):
+        if not rest:
+            return []
+        low = (rest & -rest).bit_length() - 1
+        for order, m in through[low]:
+            if m & rest == m:
+                tail = first(rest ^ m)
+                if tail is not None:
+                    return [order] + tail
+        return None
+
+    return first((1 << len(g.edges)) - 1)
+
+
+def test_witness_is_the_first_cover_of_the_depth_first_search():
+    graphs = [random_regular_oriented(n, r, seed)
+              for n in range(3, 11) for r in range(1, (n - 1) // 2 + 1)
+              if r ** n <= counting.DECOMP_CAP for seed in range(6)]
+    graphs += [rotational_tournament(n) for n in (3, 5, 7, 9)]
+    assert len(graphs) == 124
+    found = 0
+    for g in graphs:
+        witness = find_hamilton_decomposition(g)
+        assert witness == first_cover_by_dfs(g)
+        assert (witness is None) == (count_hamilton_decompositions_exact(g).exact == 0)
+        found += witness is not None
+    assert found == 91
 
 
 # -- iterated upper bound -----------------------------------------------------

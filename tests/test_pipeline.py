@@ -144,7 +144,7 @@ def test_sandwich_values():
     assert payload7["holds"]
 
     with pytest.raises(TooLargeError):
-        sandwich_experiment(9)
+        sandwich_experiment(11)
 
 
 def test_one_graph_digest_per_run(monkeypatch):
