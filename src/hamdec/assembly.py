@@ -154,7 +154,7 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
             order.append(x)
             row, x = out[x], succ[x]
             del row[bisect_left(row, x)]
-        cycles.append(HamiltonCycle.from_order(order))
+        cycles.append(HamiltonCycle(tuple(order)))  # starts at 0, so canonical
     return PatchingOutcome(cycles, failures, switches, walks, reason, out)
 
 

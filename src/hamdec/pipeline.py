@@ -18,7 +18,7 @@ from typing import Any, Callable, Sequence
 from .assembly import HamiltonCycle, patch_hamilton_cycles
 # the binding that bench/spans.py's TARGETS traces as pipeline.sandwich_experiment
 from .counting import sandwich_experiment  # noqa: F401
-from .errors import FormatError, HamdecError, InvariantViolationError
+from .errors import FormatError
 from .factors import oriented_reg
 from .graphs import Edge, OrientedGraph, write_edge_list
 
@@ -69,7 +69,7 @@ class DecompositionCertificate:
         cert = cls(n=doc["n"], graph_sha256=doc["graph_sha256"],
                    cycles=cycles, leftover=leftover, reg=doc["reg"])
         if cert.k != doc["k"]:
-            raise InvariantViolationError("certificate k field disagrees with cycles")
+            raise FormatError("certificate k field disagrees with cycles")
         return cert
 
 
@@ -80,6 +80,8 @@ class RunReport:
     k: int = 0
     seed: int = 0
     stages: list[dict[str, Any]] = field(default_factory=list)
+    # always empty, kept only because bench/workloads.py reads it; ROADMAP
+    # item 4 deletes it
     hard_failures: list[str] = field(default_factory=list)
 
     @property
@@ -187,11 +189,10 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
                               ) -> tuple[DecompositionCertificate, RunReport]:
     """Greedily build verified edge-disjoint Hamilton cycles of g.
 
-    Returns the certificate together with a per-stage report.  A
-    ``HamdecError`` raised by the patching stage goes to
-    ``report.hard_failures``, and a certificate without cycles is returned.
-    A certificate that fails its own re-verification is a bug and raises
-    ``AssertionError``.
+    Returns the certificate together with a per-stage report.  No input
+    makes a stage fail, so there is no partial result: the re-verification
+    of the certificate is the one safety net, and a certificate that fails
+    it is a bug and raises ``AssertionError``.
     """
     config = config or RunConfig()
     report = RunReport(n=g.n, seed=config.seed)
@@ -205,17 +206,12 @@ def approximate_decomposition(g: OrientedGraph, config: RunConfig | None = None
     rest: Sequence[Sequence[int]] = g.out_neighbors
     if reg:
         t1 = time.perf_counter()
-        try:
-            outcome = patch_hamilton_cycles(g, seed=config.seed)
-        except HamdecError as exc:
-            report.hard_failures.append(f"direct: {type(exc).__name__}: {exc}")
-        else:
-            cycles, rest = outcome.cycles, outcome.residual
-            report.stages.append({"name": "direct", "mode": "patching",
-                                  "rounds": len(cycles), "failures": outcome.failures,
-                                  "switches": outcome.switches, "walks": outcome.walks,
-                                  "stop_reason": outcome.stop_reason,
-                                  "seconds": time.perf_counter() - t1})
+        outcome = patch_hamilton_cycles(g, seed=config.seed)
+        cycles, rest = outcome.cycles, outcome.residual
+        report.stages.append({"name": "direct", "rounds": len(cycles),
+                              "failures": outcome.failures, "switches": outcome.switches,
+                              "walks": outcome.walks, "stop_reason": outcome.stop_reason,
+                              "seconds": time.perf_counter() - t1})
     leftover = frozenset((u, v) for u, row in enumerate(rest) for v in row)
     cert = DecompositionCertificate(g.n, digest, tuple(sorted(cycles, key=lambda c: c.order)),
                                     leftover, reg)

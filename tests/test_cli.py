@@ -8,18 +8,22 @@ import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hamdec import counting
 from hamdec.cli import cli_main
+from hamdec.errors import HamdecError
 from hamdec.graphs import (
     MAX_N,
+    OrientedGraph,
     random_tournament,
     read_edge_list,
     rotational_tournament,
     write_edge_list,
 )
 from hamdec.pipeline import approximate_decomposition
+
+from conftest import oriented_graphs
 
 
 @pytest.fixture()
@@ -310,6 +314,38 @@ def test_failed_self_check_is_internal_error(triangle_file, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err == ("internal error: AssertionError: emitted certificate "
                    "failed self-check: Simulated\n")
+
+
+def test_patching_bug_is_internal_error(tmp_path, capsys, monkeypatch):
+    # a merge that reports success without merging leaves a factor of
+    # several cycles; the run must end as a bug, with no certificate written
+    monkeypatch.setattr("hamdec.assembly._merge_factor", lambda succ, out: (True, 0))
+    g = rotational_tournament(11)
+    gpath, cpath = tmp_path / "g.og", tmp_path / "cert.json"
+    gpath.write_text(write_edge_list(g))
+    assert cli_main(["decompose", str(gpath), "--seed", "0", "--out", str(cpath)]) == 4
+    assert capsys.readouterr().err.startswith("internal error: ")
+    assert not cpath.exists()
+    # the walk along the false cycle or the self-check raises, never an
+    # input error (a HamdecError, exit 2)
+    with pytest.raises(Exception) as raised:
+        approximate_decomposition(g)
+    assert not isinstance(raised.value, HamdecError)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oriented_graphs(min_n=1, max_n=12), st.integers(0, 99))
+@example(OrientedGraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]), 0)
+def test_decompose_then_verify_exit_0_on_valid_graphs(g, seed):
+    # the transitive tournament of order 5 has reg 0, as do many drawn graphs
+    with tempfile.TemporaryDirectory() as tmp:
+        gpath, cpath = os.path.join(tmp, "g.og"), os.path.join(tmp, "cert.json")
+        with open(gpath, "w", encoding="ascii") as fh:
+            fh.write(write_edge_list(g))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli_main(["decompose", gpath, "--seed", str(seed), "--out", cpath]) == 0
+            assert cli_main(["verify", gpath, cpath]) == 0, err.getvalue()
 
 
 # -- exit codes under malformed input -----------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import hamdec
 from hamdec.counting import sandwich_experiment
-from hamdec.errors import TooLargeError
+from hamdec.errors import FormatError, TooLargeError
 from hamdec.graphs import (
     MAX_N,
     OrientedGraph,
@@ -79,6 +79,13 @@ def test_certificate_json_roundtrip():
     back = DecompositionCertificate.from_json(doc)
     assert back == cert
     assert verify_certificate(g, back) == (True, None)
+
+
+def test_certificate_with_wrong_k_is_a_format_error():
+    doc = approximate_decomposition(rotational_tournament(11), RunConfig(seed=2))[0].to_json()
+    doc["k"] += 1
+    with pytest.raises(FormatError, match="k field disagrees"):
+        DecompositionCertificate.from_json(doc)
 
 
 def test_verify_catches_edge_reuse():
@@ -212,7 +219,6 @@ def test_direct_stage_reports_patching_counters():
     cert, report = approximate_decomposition(rotational_tournament(25), RunConfig(seed=0))
     assert [row["name"] for row in report.stages] == ["reg", "direct"]
     direct = report.stages[1]
-    assert direct["mode"] == "patching"
     assert direct["rounds"] == cert.k
     assert direct["switches"] >= 0 and direct["failures"] >= 0
     assert isinstance(direct["walks"], int) and direct["walks"] >= 0
