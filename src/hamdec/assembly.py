@@ -29,7 +29,6 @@ from typing import Iterator, Sequence
 
 from .errors import (
     BudgetExhaustedError,
-    ConnectorDegreeTooLowError,
     HypothesisViolatedError,
     InvariantViolationError,
     ReservoirMismatchError,
@@ -444,8 +443,8 @@ def _choose_connectors(slots: Sequence[set[int]], reservoir: Sequence[int],
     path i's start and 2i + 1 the exit after its end: a random maximum
     matching of the slots to the vertices ``reservoir``, drawn by
     :func:`random_cycle_factor` on the slots' sorted rows padded with empty
-    rows to a square, or None when it leaves a slot unmatched, as then no
-    distinct choice exists."""
+    rows to a square (none when the reservoir is the smaller side), or None
+    when it leaves a slot unmatched, as then no distinct choice exists."""
     index = {h: j for j, h in enumerate(reservoir)}
     rows = [sorted(index[w] for w in c) for c in slots]
     rows += [[] for _ in range(len(reservoir) - len(slots))]
@@ -456,14 +455,19 @@ def _choose_connectors(slots: Sequence[set[int]], reservoir: Sequence[int],
 
 
 def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
-                            seed: int | str = 0, enforce_margin: bool = True) -> HamiltonCycle:
+                            seed: int | str = 0) -> HamiltonCycle:
     """Complete vertex-disjoint paths of g into a Hamilton cycle of g.
 
     The reservoir is every vertex of g on no path; path i is entered from a
     reservoir in-neighbour of its start and left to a reservoir
     out-neighbour of its end.  The cycle visits every path as a contiguous
     segment and every reservoir vertex exactly once.  Paths that overlap,
-    leave g or use an edge g lacks raise InvariantViolationError.
+    leave g or use an edge g lacks raise InvariantViolationError, and a
+    reservoir larger than a blocks of BLOCK_CAP can absorb raises
+    ReservoirMismatchError.  The connector matching is the one connector
+    test: when no 2a distinct connectors exist (an endpoint without a
+    reservoir neighbour, or a reservoir of fewer than 2a vertices), it
+    raises SpliceFailedError with ``attempts == 0``.
     """
     a = len(paths)
     if a == 0:
@@ -481,27 +485,9 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
     wset = set(reservoir)
     slots = [wset.intersection(row) for p in paths
              for row in (g.in_neighbors[p.start], g.out_neighbors[p.end])]
-    if len(wset) < 2 * a:
-        raise ReservoirMismatchError(
-            f"reservoir of {len(wset)} cannot host {a} blocks (needs >= {2 * a})")
-    if enforce_margin and len(wset) < 4 * a:
-        raise ReservoirMismatchError(
-            f"reservoir of {len(wset)} is tight for {a} blocks (margin wants >= {4 * a})")
     if a * BLOCK_CAP < len(wset):
         raise ReservoirMismatchError(
             f"{a} blocks of <= {BLOCK_CAP} cannot absorb {len(wset)} reservoir vertices")
-    floor = 2 * a if enforce_margin else 1
-    for i, p in enumerate(paths):
-        if len(slots[2 * i]) < floor:
-            raise ConnectorDegreeTooLowError(
-                f"start of path {i} has {len(slots[2 * i])} reservoir "
-                f"in-neighbours, needs {floor}",
-                endpoint=p.start, direction="in")
-        if len(slots[2 * i + 1]) < floor:
-            raise ConnectorDegreeTooLowError(
-                f"end of path {i} has {len(slots[2 * i + 1])} reservoir "
-                f"out-neighbours, needs {floor}",
-                endpoint=p.end, direction="out")
 
     out_mask, in_mask = _masks(g)
     sizes = [len(wset) // a + (1 if i < len(wset) % a else 0) for i in range(a)]
@@ -612,10 +598,11 @@ def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
     each finished cycle's edges before the next round.
 
     U and W partition V(h); covers live on h[U], connectors and reservoir
-    edges come from the not-yet-used edges of h.  Strict mode enforces the
-    working hypotheses: every U vertex needs more than 2a + slack unused
-    edges to W in both directions, and h[W] needs min semi-degree at least
-    the family size.
+    edges come from the not-yet-used edges of h.  Strict mode checks the
+    working hypotheses on h up front: every U vertex needs more than
+    2a + slack edges to W in both directions, and h[W] needs min
+    semi-degree at least the family size.  In either mode each round's
+    connector matching alone decides whether its connectors exist.
     """
     u_sorted = sorted(u_set)
     w_sorted = sorted(w_set)
@@ -643,10 +630,8 @@ def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
     for j, cover in enumerate(family.covers):
         try:
             cycle = complete_cover_to_cycle(
-                cover.paths, OrientedGraph(h.n, h.edges - used), seed=f"{seed}:round:{j}",
-                enforce_margin=strict)
-        except (ConnectorDegreeTooLowError, SpliceFailedError,
-                ReservoirMismatchError) as exc:
+                cover.paths, OrientedGraph(h.n, h.edges - used), seed=f"{seed}:round:{j}")
+        except (SpliceFailedError, ReservoirMismatchError) as exc:
             return CompletionOutcome(cycles, CompletionFailure(j, f"{type(exc).__name__}: {exc}"))
         used |= cycle.edges
         cycles.append(cycle)

@@ -87,20 +87,9 @@ class BudgetExhaustedError(HamdecError):
         self.expansions = expansions
 
 
-class ConnectorDegreeTooLowError(HamdecError):
-    """A path endpoint has too few reservoir neighbours.
-
-    ``endpoint`` is the offending vertex, ``direction`` is "in" or "out".
-    """
-
-    def __init__(self, message, endpoint=None, direction=None):
-        super().__init__(message)
-        self.endpoint = endpoint
-        self.direction = direction
-
-
 class SpliceFailedError(HamdecError):
-    """All partition resamples failed while splicing a cover into a cycle."""
+    """A splice found no distinct connectors (``attempts`` 0), or every
+    reservoir partition it drew failed."""
 
     def __init__(self, message, block_index=None, attempts=0):
         super().__init__(message)
@@ -109,7 +98,8 @@ class SpliceFailedError(HamdecError):
 
 
 class ReservoirMismatchError(HamdecError):
-    """Reservoir size cannot host the requested number of blocks."""
+    """The reservoir is larger than its blocks of at most BLOCK_CAP
+    vertices can absorb."""
 
 
 class InvariantViolationError(HamdecError):

@@ -161,7 +161,7 @@ def test_criterion_6_cover_completion():
             continue
         attempted += 1
         try:
-            cycle = complete_cover_to_cycle(paths, host, seed=seed, enforce_margin=False)
+            cycle = complete_cover_to_cycle(paths, host, seed=seed)
         except HamdecError:
             continue
         assert verify_completed_cycle(cycle, paths, host)

@@ -67,6 +67,7 @@ FAULTS = {
     "cycle_vertex_wraps": "NotHamiltonian",
     "cycle_float_vertex": "NotHamiltonian",
     "cycle_wound_twice": "NotHamiltonian",
+    "reg_off_by_one": "RegMismatch",
 }
 # faults of one cycle's vertex order
 ORDER_FAULTS = ("cycle_drops_vertex", "cycle_vertex_n", "cycle_vertex_minus_one",
@@ -75,7 +76,7 @@ ORDER_FAULTS = ("cycle_drops_vertex", "cycle_vertex_n", "cycle_vertex_minus_one"
 
 def with_fault(g, cert, fault, rng):
     """cert with the single fault named, or None where cert cannot carry it."""
-    n, cycles, leftover = g.n, cert.cycles, cert.leftover
+    n, cycles, leftover, reg = g.n, cert.cycles, cert.leftover, cert.reg
     if fault in ("drop_leftover_edge", "leftover_vertex_out_of_range") and not leftover:
         return None
     if fault in ("cycle_edge_into_leftover", "repeat_cycle", "reverse_cycle", *ORDER_FAULTS
@@ -111,6 +112,9 @@ def with_fault(g, cert, fault, rng):
                         "cycle_vertex_wraps": order[j] - n,
                         "cycle_float_vertex": float(order[j])}[fault]
         cycles = cycles[:i] + (HamiltonCycle(tuple(order)),) + cycles[i + 1:]
+    elif fault == "reg_off_by_one":
+        # one below may leave k above reg, but reg is checked first
+        reg += 1 if reg == 0 or rng.random() < 0.5 else -1
     else:
         # shifting an endpoint by a multiple of n keeps its residue, so a
         # verifier that let a negative index wrap around would accept it
@@ -118,7 +122,7 @@ def with_fault(g, cert, fault, rng):
         shift = n * rng.choice((-2, -1, 1))
         moved = (u + shift, v) if rng.random() < 0.5 else (u, v + shift)
         leftover = leftover - {edge} | {moved}
-    return DecompositionCertificate(cert.n, cert.graph_sha256, cycles, leftover, cert.reg)
+    return DecompositionCertificate(cert.n, cert.graph_sha256, cycles, leftover, reg)
 
 
 small_graphs = st.one_of(
@@ -189,7 +193,7 @@ def test_cycle_wound_twice_is_not_hamiltonian():
     assert verify_certificate(g, cert) == reference_verify(g, cert) == (False, "NotHamiltonian")
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("fault", sorted(set(FAULTS) - {"reg_off_by_one"}))
 def test_faults_found_before_the_reg_check_compute_no_reg(fault, monkeypatch):
     # a tournament that is not regular, so its reg takes a b-matching
     g = random_tournament(15, 1)
@@ -199,6 +203,20 @@ def test_faults_found_before_the_reg_check_compute_no_reg(fault, monkeypatch):
     monkeypatch.setattr(hamdec.pipeline, "oriented_reg", lambda g: calls.append(g) or 0)
     assert verify_certificate(g, bad) == (False, FAULTS[fault])
     assert calls == []
+
+
+@pytest.mark.parametrize("g", [random_tournament(15, 1), rotational_tournament(3)],
+                         ids=["tournament", "reg_1"])
+def test_reg_off_by_one_is_a_reg_mismatch(g):
+    # both directions, so one below reg also leaves k above it on the
+    # rotational tournament, whose one cycle makes k = reg = 1
+    cert, _ = approximate_decomposition(g)
+    shifts = set()
+    for fault_seed in range(8):
+        bad = with_fault(g, cert, "reg_off_by_one", random.Random(fault_seed))
+        shifts.add(bad.reg - cert.reg)
+        assert verify_certificate(g, bad) == reference_verify(g, bad) == (False, "RegMismatch")
+    assert shifts == {-1, 1}
 
 
 def test_size_mismatch_neither_hashes_nor_computes_reg(monkeypatch):
