@@ -45,8 +45,6 @@ PATCH_REDRAWS = 20
 # vertex several times, a walk at most once, so eight walks per redraw the
 # check replaces keep it no dearer than the redraws
 FACTOR_WALKS = 8 * PATCH_REDRAWS
-# budget slices, each with fresh tie-breaking, of a budgeted path search
-PATH_SEARCH_SLICES = 4
 # (start, end) pairs a free-endpoint path search tries
 ENDPOINT_PAIRS = 6
 # reservoir partitions a splice draws before it gives up
@@ -122,7 +120,8 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
     cycle :func:`residual_cycle_factors` walks (``walks`` sums the walks) is
     the round's factor, and when there is none the search stops.  The walk
     draws nothing; it runs before the first draw and after each cycle found,
-    and leaves the round to a draw only when it would exceed FACTOR_WALKS.
+    and leaves the round to a draw only when its verdict is None (the
+    degrees are not all the same 1 or 2, or it would exceed FACTOR_WALKS).
     """
     n = g.n
     rng = random.Random(f"{seed}:patch")
@@ -132,7 +131,7 @@ def patch_hamilton_cycles(g: OrientedGraph, seed: int | str = 0) -> PatchingOutc
     reason = f"{PATCH_REDRAWS} consecutive factors without a merging switch"
     while consecutive < PATCH_REDRAWS:
         if consecutive == 0:
-            _, found, walked = residual_cycle_factors(out) or (0, None, 0)
+            found, walked = residual_cycle_factors(out)
             walks += walked
             if found is False:
                 reason = "no cycle factor of the residual is a Hamilton cycle"
@@ -249,12 +248,13 @@ def factor_sign(succ: Sequence[int]) -> int:
 
 
 def residual_cycle_factors(out: Sequence[list[int]]
-                           ) -> tuple[int, list[int] | bool | None, int] | None:
+                           ) -> tuple[list[int] | bool | None, int]:
     """Find a cycle factor of a digraph of degree 1 or 2 that is a Hamilton
-    cycle: None when :func:`alternating_components` is, else (number of
-    cycle factors, found, masks walked), ``found`` the successor list of the
-    first walked factor that is one cycle through all n vertices, False when
-    none is, and None when it would walk more than FACTOR_WALKS factors.
+    cycle: (found, masks walked), ``found`` the successor list of the first
+    walked factor that is one cycle through all n vertices, False when no
+    factor is, and None, unwalked, when the question stays open: when
+    :func:`alternating_components` is None (not every in- and out-degree is
+    the same 1 or 2), or when it would walk more than FACTOR_WALKS factors.
     There is one factor at d = 1 and one per mask of flipped components at
     d = 2.  A flip of l out-copies permutes l heads cyclically, multiplying
     the factor's sign (:func:`factor_sign`) by (-1)^(l - 1); a Hamilton
@@ -264,25 +264,24 @@ def residual_cycle_factors(out: Sequence[list[int]]
     and the mask-0 factor has the wrong sign, the answer is False unwalked."""
     parts = alternating_components(out)
     if parts is None:
-        return None
+        return None, 0
     comp, take, ells = parts
     n, count = len(out), 1 << len(ells)
     even = sum(1 << i for i, ell in enumerate(ells) if ell % 2 == 0)
     # parity of the even-l components a mask must flip
     flip = factor_sign([row[t] for row, t in zip(out, take)]) ^ (n - 1) % 2
     if not even and flip:
-        return count, False, 0
+        return False, 0
     if (count // 2 if even else count) > FACTOR_WALKS:
-        return count, None, 0
+        return None, 0
     masks = [m for m in range(count) if (m & even).bit_count() % 2 == flip]
     for walked, mask in enumerate(masks, 1):
         x, length = 0, 0
         while not length or x:  # walk the factor's cycle through vertex 0
             x, length = out[x][take[x] ^ (mask >> comp[x] & 1)], length + 1
         if length == n:
-            factor = [row[take[v] ^ (mask >> comp[v] & 1)] for v, row in enumerate(out)]
-            return count, factor, walked
-    return count, False, len(masks)
+            return [row[take[v] ^ (mask >> comp[v] & 1)] for v, row in enumerate(out)], walked
+    return False, len(masks)
 
 
 # -- exact Hamilton-path search -----------------------------------------
@@ -293,33 +292,25 @@ def hamilton_path_between(f: OrientedGraph, s: int, t: int,
     """A Hamilton path of f from s to t, or None once the search tree is
     fully explored.
 
-    Backtracking branches on the out-neighbour with the fewest remaining
-    out-options, prunes heads from which some unvisited vertex is
-    unreachable or cannot reach t, and splits a budget into
-    PATH_SEARCH_SLICES slices, reshuffling tie-breaking when one runs out.
-    Raises BudgetExhaustedError if the budget is consumed without either
-    finding a path or completing an exhaustive pass.  Vertices are f's local
-    indices.
+    One backtracking pass (:func:`_bounded_path_search` over all of f) whose
+    tie-breaking is drawn from the stream ``f"{seed}:path:0"``.  A budget caps
+    that pass's node expansions: a pass cut off before a verdict raises
+    BudgetExhaustedError with ``expansions == budget``, and any budget at
+    least the unbudgeted pass's expansions gives its verdict.  Vertices are
+    f's local indices.
     """
     n = f.n
     if s == t:
         raise InvariantViolationError(f"endpoints coincide: {s}")
     if not (0 <= s < n and 0 <= t < n):
         raise InvariantViolationError("endpoints outside the graph")
-    slices = 1 if budget is None else PATH_SEARCH_SLICES
-    per_slice = None if budget is None else max(1, budget // slices)
     out_mask, in_mask = _masks(f)
-    spent = 0
-    for attempt in range(slices):
-        rng = random.Random(f"{seed}:path:{attempt}")
-        result, used, cutoff = _bounded_path_search(out_mask, in_mask, s, t, per_slice, rng)
-        spent += used
-        if result is not None:
-            return DirectedPath(tuple(result))
-        if not cutoff:
-            return None
-    raise BudgetExhaustedError(
-        f"no verdict for ({s}, {t}) within {budget} expansions", expansions=spent)
+    path, spent, cutoff = _bounded_path_search(out_mask, in_mask, (1 << n) - 1, s, t, budget,
+                                               random.Random(f"{seed}:path:0"))
+    if cutoff:
+        raise BudgetExhaustedError(
+            f"no verdict for ({s}, {t}) within {budget} expansions", expansions=spent)
+    return None if path is None else DirectedPath(tuple(path))
 
 
 def _masks(f: OrientedGraph) -> tuple[list[int], list[int]]:
@@ -343,16 +334,20 @@ def _reach(masks: Sequence[int], start: int, allowed: int) -> int:
     return reach
 
 
-def _bounded_path_search(out_mask: list[int], in_mask: list[int], s: int, t: int,
-                         budget: int | None, rng: random.Random
+def _bounded_path_search(out_mask: list[int], in_mask: list[int], within: int,
+                         s: int, t: int, budget: int | None, rng: random.Random
                          ) -> tuple[list[int] | None, int, bool]:
-    """One backtracking pass over the graph with neighbour bitmasks
-    ``out_mask`` and ``in_mask``; returns (path or None, expansions, cutoff?).
+    """One backtracking pass for a Hamilton path from s to t of the graph
+    induced on the vertex bitmask ``within``, read off the neighbour
+    bitmasks ``out_mask`` and ``in_mask`` of a host graph; returns (path or
+    None, expansions, cutoff?), cut off with ``expansions == budget``.
 
-    Vertex sets are bitmasks so the per-node reachability pruning stays cheap.
+    Branches go first to the out-neighbour with the fewest remaining
+    out-options, ties broken by ``rng``; a head from which some unvisited
+    vertex is unreachable, or cannot reach t, is pruned.  Vertex sets are
+    bitmasks so the per-node reachability pruning stays cheap.
     """
-    n = len(out_mask)
-    all_mask = (1 << n) - 1
+    n = within.bit_count()
     visited = 1 << s
     path = [s]
     expansions = 0
@@ -370,7 +365,7 @@ def _bounded_path_search(out_mask: list[int], in_mask: list[int], s: int, t: int
             return None, expansions, True
         else:
             expansions += 1
-            unvisited = all_mask & ~visited
+            unvisited = within & ~visited
             # every unvisited vertex must be reachable from head through
             # unvisited vertices, and must reach t the same way
             if (not unvisited & ~_reach(out_mask, head, unvisited)
@@ -468,6 +463,13 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
     test: when no 2a distinct connectors exist (an endpoint without a
     reservoir neighbour, or a reservoir of fewer than 2a vertices), it
     raises SpliceFailedError with ``attempts == 0``.
+
+    Each attempt deals the free reservoir into a blocks of equal size
+    (within one) and joins each block's two pins by one
+    :func:`_bounded_path_search` pass on g's bitmasks within the block; a
+    pass cut off at BLOCK_PATH_BUDGET fails like one with no path.  Equal
+    sizes miss every completion whose reservoir runs are unbalanced (2 of
+    the 12 in ``test_complete_thinned_connector_sets``).
     """
     a = len(paths)
     if a == 0:
@@ -507,32 +509,28 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
             # full search attempt on a hopeless deal
             shuffled = free[:]
             rng.shuffle(shuffled)
-            blocks: list[list[int]] = []
+            block_masks: list[int] = []
             pos = 0
             for (s, t), size in zip(pinned_pairs, sizes):
-                blocks.append([s, t] + shuffled[pos:pos + size - 2])
+                block_masks.append(sum(1 << v for v in [s, t, *shuffled[pos:pos + size - 2]]))
                 pos += size - 2
-            block_masks = [sum(1 << v for v in block) for block in blocks]
             if all(_reach(out_mask, s, m) == m == _reach(in_mask, t, m)
                    for (s, t), m in zip(pinned_pairs, block_masks)):
                 break
         else:
             last_block = -1
             continue
-        intervals: list[tuple[int, ...]] = []
-        for i, block in enumerate(blocks):
-            verts = sorted(block)
-            try:
-                got = hamilton_path_between(
-                    g.induced_subgraph(verts), verts.index(pinned_pairs[i][0]),
-                    verts.index(pinned_pairs[i][1]),
-                    budget=BLOCK_PATH_BUDGET, seed=rng.randrange(1 << 30))
-            except BudgetExhaustedError:
-                got = None
-            if got is None:
+        # tie-breaking drawn from hamilton_path_between's stream, so each
+        # block's path is the one a search through it would return
+        intervals: list[list[int]] = []
+        for i, ((s, t), m) in enumerate(zip(pinned_pairs, block_masks)):
+            got, _, _ = _bounded_path_search(
+                out_mask, in_mask, m, s, t, BLOCK_PATH_BUDGET,
+                random.Random(f"{rng.randrange(1 << 30)}:path:0"))
+            if got is None:  # no path, or cut off at the budget
                 last_block = i
                 break
-            intervals.append(tuple(verts[x] for x in got.vertices))
+            intervals.append(got)
         else:
             order: list[int] = []
             for i in range(a):

@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("graph")
     v.add_argument("certificate")
 
-    b = sub.add_parser("bounds", help="counting bounds for an (n, r)-regular graph")
+    b = sub.add_parser("bounds", help="decomposition upper bound for an (n, r)-regular graph")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--r", type=int, required=True)
 
@@ -181,7 +181,7 @@ def _dispatch(args) -> int:
         if args.r > (args.n - 1) // 2:
             raise UsageError(f"no oriented graph on {args.n} vertices is "
                              f"{args.r}-regular: r exceeds (n-1)/2")
-        _emit_json({"n": args.n, "r": args.r, "lower_log": None, "exact_log": None,
+        _emit_json({"n": args.n, "r": args.r,
                     "upper_log": decomposition_upper_bound(args.n, args.r).log}, None)
         return 0
 
@@ -195,7 +195,6 @@ def _dispatch(args) -> int:
         upper = decomposition_upper_bound(n=g.n, r=r) if (
             args.what == "decompositions" and r >= 1) else None
         _emit_json({"n": g.n, "r": r, "what": args.what, "exact": lc.exact,
-                    "lower_log": None if lc.is_zero else lc.log,
                     "exact_log": None if lc.is_zero else lc.log,
                     "upper_log": None if upper is None else upper.log}, None)
         return 0

