@@ -65,48 +65,68 @@ def random_cycle_factor(out: Sequence[list[int]], rng: random.Random) -> list[in
     factor.  The rows are read, never changed.
 
     The vertices are scanned in one random order, and each is matched to a
-    uniformly drawn free out-neighbour: a uniform entry of its row, kept if
-    free, and after DRAW_TRIES misses a uniform entry of the row's free
-    ones.  Each vertex this greedy pass leaves unmatched then roots one
-    breadth-first search for a shortest augmenting path, walking the rows
-    in order.  Each vertex is tested for a free out-neighbour as it joins
-    the queue, and the search stops at the first that has one: the path
-    ends at one of its free out-neighbours, drawn uniformly from the sorted
-    free ones.  The root has none, since the greedy pass leaves a vertex
-    unmatched only when every out-neighbour is taken, and taken stays
-    taken.  Testing on entry rather than on leaving the queue finds the
-    same vertex, since nothing the test reads changes during one search,
-    but scans no row of the vertices queued before it.  The search is complete, so by Kuhn's argument the result is
-    a maximum matching.  The result depends only on ``out`` and the
-    generator's state, never on set iteration order.
+    uniformly drawn free out-neighbour.  The first try, a uniform entry of
+    its row, is kept if free; after it, up to DRAW_TRIES - 1 more tries
+    follow, and after those a uniform entry of the row's free ones.  A
+    vertex with an empty row, or with no free entry, is left unmatched.
+    When the greedy pass matches every vertex the factor is returned at
+    once.  Otherwise each unmatched vertex roots one breadth-first search
+    for a shortest augmenting path, walking the rows in order.  Each vertex
+    is tested for a free out-neighbour as it joins the queue, and the
+    search stops at the first that has one: the path ends at one of its
+    free out-neighbours, drawn uniformly from the sorted free ones.  The
+    root has none, since the greedy pass leaves a vertex unmatched only
+    when every out-neighbour is taken, and taken stays taken.  Testing on
+    entry rather than on leaving the queue finds the same vertex, since
+    nothing the test reads changes during one search, but scans no row of
+    the vertices queued before it.  The search is complete, so by Kuhn's
+    argument the result is a maximum matching.  The result depends only on
+    ``out`` and the generator's state, never on set iteration order.
 
-    The scan order and the uniform row entries are drawn straight from
+    The scan order and the uniform entries are drawn straight from
     ``rng.getrandbits``, exactly as ``rng.shuffle`` and ``rng.choice`` take
     them on CPython 3.10-3.13: an index below m is ``getrandbits(k)`` with
     k = m.bit_length(), redrawn while it is m or more.  So the generator
     ends in the state those calls would leave, and the rarer draws (the
-    fallback and the path end) still call ``rng.choice``.
+    fallback and the path end) still call ``rng.choice``.  The shuffle runs
+    in blocks of positions i with the same k = (i + 1).bit_length(), i from
+    2^k - 2 down to 2^(k-1) - 1, and the greedy pass recomputes k only when
+    the row length changes from the last scanned vertex's.
     """
     n = len(out)
     succ = [-1] * n
     pred = [-1] * n
     bits = rng.getrandbits
     scan = list(range(n))
-    for i in range(n - 1, 0, -1):  # Fisher-Yates, drawn as Random.shuffle draws it
-        k = (i + 1).bit_length()
-        j = bits(k)
-        while j > i:
+    hi = n - 1
+    while hi > 0:  # Fisher-Yates, drawn as Random.shuffle draws it
+        k = (hi + 1).bit_length()
+        lo = (1 << (k - 1)) - 1
+        for i in range(hi, lo - 1, -1):
             j = bits(k)
-        scan[i], scan[j] = scan[j], scan[i]
+            while j > i:
+                j = bits(k)
+            scan[i], scan[j] = scan[j], scan[i]
+        hi = lo - 1
     unmatched = []
     choice = rng.choice
+    retries = range(DRAW_TRIES - 1)
+    m = -1
     for a in scan:
         row = out[a]
-        if row:
+        if len(row) != m:
             m = len(row)
             k = m.bit_length()
-            for _ in range(DRAW_TRIES):
-                i = bits(k)  # Random.choice(row)
+        if not m:
+            unmatched.append(a)
+            continue
+        i = bits(k)  # Random.choice(row)
+        while i >= m:
+            i = bits(k)
+        b = row[i]
+        if pred[b] >= 0:
+            for _ in retries:
+                i = bits(k)
                 while i >= m:
                     i = bits(k)
                 b = row[i]
@@ -114,13 +134,14 @@ def random_cycle_factor(out: Sequence[list[int]], rng: random.Random) -> list[in
                     break
             else:
                 cands = [b for b in row if pred[b] < 0]
-                b = choice(cands) if cands else -1
-        else:
-            b = -1
-        if b == -1:
-            unmatched.append(a)
-        else:
-            succ[a], pred[b] = b, a
+                if not cands:
+                    unmatched.append(a)
+                    continue
+                b = choice(cands)
+        succ[a] = b
+        pred[b] = a
+    if not unmatched:
+        return succ
     free = {b for b in range(n) if pred[b] < 0}
     for root in unmatched:
         # parent[x] is the left vertex whose edge to succ[x] reached x

@@ -624,10 +624,13 @@ def reference_cycle_factor(out, rng):
 @st.composite
 def sorted_rows(draw):
     # rows of distinct heads below n; lengths that are powers of two are
-    # where a rejection draw of bit_length(m) bits is most often redrawn
-    n = draw(st.integers(0, 40))
+    # where a rejection draw of bit_length(m) bits is most often redrawn.
+    # n reaches past 64 and 128, where the shuffle's draws gain a bit, and
+    # the rows' lengths mix, so the bit length of a row draw changes from
+    # one scanned vertex to the next and also stays the same
+    n = draw(st.integers(0, 130))
     rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    lengths = [m for m in (0, 1, 2, 4, 8, 16, 32) if m <= n]
+    lengths = [m for m in (0, 1, 2, 4, 8, 16, 32, 64, 128) if m <= n]
     return [sorted(rnd.sample(range(n), rnd.choice(lengths) if rnd.random() < 0.5
                               else rnd.randint(0, n)))
             for _ in range(n)]

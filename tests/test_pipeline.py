@@ -305,6 +305,27 @@ def grid_graph(key):
             "tournament": random_tournament}[kind](*args)
 
 
+# SHA-256 of json.dumps(cert.to_json(), sort_keys=True) at RunConfig(seed=0)
+# for the benchmark's six pipeline instances (bench/workloads.py ROTATIONAL
+# and RANDOM), computed before the draw's greedy pass and shuffle were
+# rewritten to draw the same words with fewer bytecodes per pick
+BENCH_CERTIFICATES = {
+    ("rotational", 51): "2599e3aab7612eb80ad5d7133590690b39f77a867b62b280247f70dea960c73e",
+    ("rotational", 101): "ed585d108a46e0130e06c2129f9c64be3e333b4cad639dad33dddb0092682b44",
+    ("rotational", 201): "abf2f15fc4d90e3216aef0ed41bd1e3b4d45e12baab7120ba41fe856e7663e34",
+    ("tournament", 101, 0): "a06cb6740c2a6f3b00e96d78def6682ccb57856671e0c138343572de21b0da6d",
+    ("tournament", 201, 0): "09b8e5d065c8cd0f09b8e97efec50786d2abd52d48285e9ed61ca1d7f6a2deca",
+    ("regular", 151, 30, 0): "34aaf982e321bd787baf548eda8fa97b45ff24a1ecf83b03915f566524199df0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(BENCH_CERTIFICATES), ids=lambda key: "-".join(map(str, key)))
+def test_bench_certificate_bytes_frozen(key):
+    cert, _ = approximate_decomposition(grid_graph(key), RunConfig(seed=0))
+    text = json.dumps(cert.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_CERTIFICATES[key]
+
+
 def test_no_run_of_the_grid_loses_a_cycle():
     for key, ks in GRID_K.items():
         g = grid_graph(key)
