@@ -189,20 +189,27 @@ def decomposition_upper_bound(n: int, r: int) -> LogCount:
 
 def count_hamilton_cycles_exact(g: OrientedGraph) -> LogCount:
     """Exact number of directed Hamilton cycles, by a subset DP anchored at
-    vertex 0 whose counts carry half of each vertex subset in bit fields.
+    one vertex whose counts carry half of each vertex subset in bit fields.
+
+    The graph is first relabeled by ``_sweep_order``, which leaves the count
+    unchanged: the anchor becomes vertex 0, the l = (n - 1) // 2 low
+    vertices become 1..l in their sweep order and the rest l+1..n-1.  The
+    order is chosen so that few of the edges between low vertices, the b
+    back edges, run from a low vertex to an earlier one; on the rotational
+    tournaments b is 0.
 
     The DP counts, for each subset S of V - {0} and each w in S, the paths
     from 0 through exactly S that end at w; for w outside S, the paths
     through S + {w} ending at w number the sum of those counts over the
     in-neighbours v of w.  The subsets are split.  The high vertices
-    l+1..n-1, l = (n - 1) // 2, form the key H of a dict.  The low vertices
-    1..l index W-bit fields of one int per endpoint: under H, field T of
-    ``row[w]`` (T a low subset, bit w - 1 for vertex w) counts the paths
-    through T + H ending at w, so one addition moves 2^l subsets at once.
-    Every field, also one that a mask below discards, counts at most the
-    orderings of one set of at most n - 1 vertices, and so does a sum of
-    one field over distinct end vertices.  So no field exceeds (n - 1)!,
-    and with W = bit length of (n - 1)! none carries into the next.
+    l+1..n-1 form the key H of a dict.  The low vertices 1..l index W-bit
+    fields of one int per endpoint: under H, field T of ``row[w]`` (T a low
+    subset, bit w - 1 for vertex w) counts the paths through T + H ending
+    at w, so one addition moves 2^l subsets at once.  Every field, also one
+    that a mask below discards, counts at most the orderings of one set of
+    at most n - 1 vertices, and so does a sum of one field over distinct
+    end vertices.  So no field exceeds (n - 1)!, and with W = bit length of
+    (n - 1)! none carries into the next.
 
     Each target w reads its in-neighbours' entries with one
     ``itemgetter(0, 0, *in-neighbours)``, vertex 0 read at index n:
@@ -215,21 +222,81 @@ def count_hamilton_cycles_exact(g: OrientedGraph) -> LogCount:
     A low target w stays under H: its sum masked by ``without[w - 1]``,
     all ones at the fields whose subset lacks w, and shifted by
     W * 2^(w - 1) moves field T to field T + {w}.  The low targets are
-    swept in place, at most l times: after sweep p every field with
-    |T| <= p is final, so then every low subset under H is.  A sweep that
-    changes no entry leaves a fixed point of the sweep, so the sweeping
-    stops there; when each low vertex's low in-neighbours precede it, the
-    first sweep already fills every field.  A high target w outside H
-    then goes to key H + {w}, so the dict is layered by |H| and two layers
-    are held at a time.  At the full high key the top field, T = all low
-    vertices, of the sum over the in-neighbours of 0 counts the cycles.
+    swept in place, min(l, b + 1) times.  A path ending at a low vertex
+    ends in a run of low vertices entered from 0 or from H, whose entries
+    are final before the first sweep; a forward step of the run is counted
+    in the same sweep as the step before it, and a back step one sweep
+    later.  A simple path takes each back edge at most once, and a run of
+    at most l low vertices has at most l - 1 steps, so after min(l, b + 1)
+    sweeps every field is final.  A high target w outside H then goes to
+    key H + {w}, so the dict is layered by |H| and two layers are held at
+    a time.  At the full high key the top field, T = all low vertices, of
+    the sum over the in-neighbours of 0 counts the cycles.
     """
     n = g.n
     if n > HC_COUNT_CAP:
         raise TooLargeError(f"n={n} exceeds cycle-count cap {HC_COUNT_CAP}")
     if n < 3:
         return LogCount.from_int(0)
+    return LogCount.from_int(_count_cycles_in_order(g, _sweep_order(g)[0]))
+
+
+def _sweep_order(g: OrientedGraph) -> tuple[list[int], int]:
+    """(order, b) for g of order at least 3: the order lists the anchor, the
+    l = (n - 1) // 2 low vertices in sweep order and then the others, and b
+    counts the edges from a low vertex to an earlier one.
+
+    A low set is swept by decreasing out-degree within it, ties by label.
+    From each of three low sets, 1..l and the l vertices of highest and of
+    lowest out-degree, a steepest descent swaps one low vertex for one
+    other while a swap lowers b; the least b found wins, the earlier start
+    on ties.  The anchor is the least vertex outside the low set.
+    """
+    n = g.n
     low = (n - 1) // 2
+    out = [sum(1 << v for v in row) for row in g.out_neighbors]
+
+    def ranked(chosen: int) -> tuple[int, list[int]]:
+        vs = sorted((v for v in range(n) if chosen >> v & 1),
+                    key=lambda v: -(out[v] & chosen).bit_count())
+        back = before = 0
+        for v in vs:
+            back += (out[v] & before).bit_count()
+            before |= 1 << v
+        return back, vs
+
+    by_degree = sorted(range(n), key=lambda v: len(g.out_neighbors[v]))
+    best: tuple[int, list[int]] | None = None
+    for start in (range(1, low + 1), by_degree[-low:], by_degree[:low]):
+        chosen = sum(1 << v for v in start)
+        back, vs = ranked(chosen)
+        while back:
+            swap = min(ranked(chosen ^ (1 << v | 1 << u))
+                       for v in vs for u in range(n) if not chosen >> u & 1)
+            if swap[0] >= back:
+                break
+            back, vs = swap
+            chosen = sum(1 << v for v in vs)
+        if best is None or back < best[0]:
+            best = back, vs
+        if not back:
+            break
+    back, vs = best
+    rest = [v for v in range(n) if v not in vs]
+    return [rest[0], *vs, *rest[1:]], back
+
+
+def _count_cycles_in_order(g: OrientedGraph, order: Sequence[int]) -> int:
+    """The Hamilton cycles of g (order at least 3), counted by the DP of
+    ``count_hamilton_cycles_exact`` with ``order[i]`` as vertex i and the
+    low vertices swept min(l, b + 1) times for this order's b."""
+    n = g.n
+    low = (n - 1) // 2
+    label = [0] * n
+    for i, v in enumerate(order):
+        label[v] = i
+    ins = [[label[v] for v in g.in_neighbors[u]] for u in order]
+    back = sum(w < v <= low for w in range(1, low + 1) for v in ins[w])
     width = math.factorial(n - 1).bit_length()
     # without[i]: all-ones fields at the low subsets that lack bit i,
     # doubled up one low vertex at a time
@@ -238,21 +305,16 @@ def count_hamilton_cycles_exact(g: OrientedGraph) -> LogCount:
         span = width << i
         without = [m | m << span for m in without] + [full]
         full |= full << span
-    pick = [itemgetter(0, 0, *(v or n for v in g.in_neighbors[w])) for w in range(n)]
-    lows = [(w, pick[w], without[w - 1], width << (w - 1)) for w in range(1, low + 1)]
+    pick = [itemgetter(0, 0, *(v or n for v in ins[w])) for w in range(n)]
+    sweep = [(w, pick[w], without[w - 1], width << (w - 1))
+             for w in range(1, low + 1)] * min(low, back + 1)
     highs = [(w, 1 << w, pick[w]) for w in range(low + 1, n)]
     layer = {0: [0] * n + [1]}
     while True:
         nxt: dict[int, list[int]] = {}
         for mask, row in layer.items():
-            for _ in range(low):
-                settled = True
-                for w, get, keep, shift in lows:
-                    ways = (sum(filter(None, get(row))) & keep) << shift
-                    if ways != row[w]:
-                        row[w], settled = ways, False
-                if settled:
-                    break
+            for w, get, keep, shift in sweep:
+                row[w] = (sum(filter(None, get(row))) & keep) << shift
             for w, bit, get in highs:
                 if mask & bit:
                     continue
@@ -266,7 +328,7 @@ def count_hamilton_cycles_exact(g: OrientedGraph) -> LogCount:
             break
         layer = nxt
     row = layer.get((1 << n) - (2 << low), [0] * (n + 1))
-    return LogCount.from_int(sum(pick[0](row)) >> ((width << low) - width))
+    return sum(pick[0](row)) >> ((width << low) - width)
 
 
 # -- exact decomposition counting --------------------------------------

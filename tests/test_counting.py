@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from hamdec import counting
 from hamdec.counting import (
     LogCount,
+    _count_cycles_in_order,
     _hamilton_cycles,
+    _sweep_order,
     bregman_bound,
     count_hamilton_cycles_exact,
     count_hamilton_decompositions_exact,
@@ -324,12 +326,24 @@ def test_count_cycles_at_the_field_width_limit():
     assert count_hamilton_cycles_exact(random_tournament(20, 0)).exact == 60_436_004_541
 
 
+def relabeled(g, seed):
+    label = random.Random(seed).sample(range(g.n), g.n)
+    return OrientedGraph(g.n, [(label[u], label[v]) for u, v in g.edges])
+
+
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_count_cycles_matches_enumeration_with_several_low_and_high_vertices(n):
+    # each graph also under a seeded random relabeling, counted both after
+    # the order search and in its own labels, whose low vertices have back
+    # edges
     for seed in range(3):
         for g in (random_tournament(n, seed), random_regular_oriented(n, 2, seed),
                   random_regular_oriented(n, 3, seed)):
             assert count_hamilton_cycles_exact(g).exact == len(_hamilton_cycles(g))
+            h = relabeled(g, seed)
+            cycles = len(_hamilton_cycles(h))
+            assert count_hamilton_cycles_exact(h).exact == cycles
+            assert _count_cycles_in_order(h, range(n)) == cycles
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
@@ -346,7 +360,37 @@ def test_count_cycles_when_the_low_vertices_need_every_sweep(n):
             label = {v: low + 1 - i if 1 <= i <= low else i for i, v in enumerate(order)}
             h = OrientedGraph(n, [(label[u], label[v]) for u, v in g.edges])
             assert all(h.has_edge(w + 1, w) for w in range(1, low))
-            assert count_hamilton_cycles_exact(h).exact == len(_hamilton_cycles(h))
+            cycles = len(_hamilton_cycles(h))
+            # in h's own labels, not in the order count_hamilton_cycles_exact picks
+            assert _count_cycles_in_order(h, range(n)) == cycles
+            assert count_hamilton_cycles_exact(h).exact == cycles
+
+
+@pytest.mark.parametrize("n", [9, 11, 13])
+def test_count_cycles_needs_one_sweep_more_than_the_back_edges(n):
+    # a Hamilton cycle 0, 1, ..., l - b - 1, l, l - 1, ..., l - b, l + 1, ...,
+    # n - 1 whose low run takes all b back edges, plus random edges that add
+    # no back edge: the run is complete only after sweep b + 1 < l
+    low = (n - 1) // 2
+    for back in range(1, low - 1):
+        run = [*range(1, low - back), *range(low, low - back - 1, -1)]
+        order = [0, *run, *range(low + 1, n)]
+        cycle = set(zip(order, order[1:] + [0]))
+        for seed in range(3):
+            rng = random.Random(seed)
+            edges = set(cycle)
+            for u, v in itertools.combinations(range(n), 2):
+                if (u, v) not in cycle and (v, u) not in cycle and rng.random() < 0.5:
+                    edges.add((u, v) if v <= low or rng.random() < 0.5 else (v, u))
+            g = OrientedGraph(n, edges)
+            assert sum(1 <= v < u <= low for u, v in g.edges) == back
+            assert _count_cycles_in_order(g, range(n)) == len(_hamilton_cycles(g))
+
+
+def test_sweep_order_finds_no_back_edge_in_rotational_tournaments():
+    for n in range(5, 20, 2):
+        order, back = _sweep_order(rotational_tournament(n))
+        assert sorted(order) == list(range(n)) and back == 0
 
 
 def test_count_cycles_matches_bruteforce():
