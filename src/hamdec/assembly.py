@@ -27,15 +27,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import (
-    BudgetExhaustedError,
-    HypothesisViolatedError,
-    InvariantViolationError,
-    ReservoirMismatchError,
-    SpliceFailedError,
-)
+from .errors import InvariantViolationError, ReservoirMismatchError, SpliceFailedError
 from .factors import random_cycle_factor
-from .graphs import Edge, OrientedGraph, degree_summary
+from .graphs import Edge, OrientedGraph
 from .pathcovers import DirectedPath, PathCoverFamily
 
 # consecutive cycle factors without a merging switch before patching stops
@@ -287,17 +281,14 @@ def residual_cycle_factors(out: Sequence[list[int]]
 # -- exact Hamilton-path search -----------------------------------------
 
 
-def hamilton_path_between(f: OrientedGraph, s: int, t: int,
-                          budget: int | None = None, seed: int = 0) -> DirectedPath | None:
+def hamilton_path_between(f: OrientedGraph, s: int, t: int, *,
+                          seed: int = 0) -> DirectedPath | None:
     """A Hamilton path of f from s to t, or None once the search tree is
     fully explored.
 
-    One backtracking pass (:func:`_bounded_path_search` over all of f) whose
-    tie-breaking is drawn from the stream ``f"{seed}:path:0"``.  A budget caps
-    that pass's node expansions: a pass cut off before a verdict raises
-    BudgetExhaustedError with ``expansions == budget``, and any budget at
-    least the unbudgeted pass's expansions gives its verdict.  Vertices are
-    f's local indices.
+    One unbounded backtracking pass (:func:`_bounded_path_search` over all
+    of f) whose tie-breaking is drawn from the stream ``f"{seed}:path:0"``.
+    Vertices are f's local indices.
     """
     n = f.n
     if s == t:
@@ -305,11 +296,8 @@ def hamilton_path_between(f: OrientedGraph, s: int, t: int,
     if not (0 <= s < n and 0 <= t < n):
         raise InvariantViolationError("endpoints outside the graph")
     out_mask, in_mask = _masks(f)
-    path, spent, cutoff = _bounded_path_search(out_mask, in_mask, (1 << n) - 1, s, t, budget,
-                                               random.Random(f"{seed}:path:0"))
-    if cutoff:
-        raise BudgetExhaustedError(
-            f"no verdict for ({s}, {t}) within {budget} expansions", expansions=spent)
+    path = _bounded_path_search(out_mask, in_mask, (1 << n) - 1, s, t, None,
+                                random.Random(f"{seed}:path:0"))
     return None if path is None else DirectedPath(tuple(path))
 
 
@@ -336,11 +324,12 @@ def _reach(masks: Sequence[int], start: int, allowed: int) -> int:
 
 def _bounded_path_search(out_mask: list[int], in_mask: list[int], within: int,
                          s: int, t: int, budget: int | None, rng: random.Random
-                         ) -> tuple[list[int] | None, int, bool]:
+                         ) -> list[int] | None:
     """One backtracking pass for a Hamilton path from s to t of the graph
     induced on the vertex bitmask ``within``, read off the neighbour
-    bitmasks ``out_mask`` and ``in_mask`` of a host graph; returns (path or
-    None, expansions, cutoff?), cut off with ``expansions == budget``.
+    bitmasks ``out_mask`` and ``in_mask`` of a host graph: the path, or None
+    when there is none or, with a ``budget``, when the pass has made that many
+    node expansions without finding one.
 
     Branches go first to the out-neighbour with the fewest remaining
     out-options, ties broken by ``rng``; a head from which some unvisited
@@ -360,9 +349,9 @@ def _bounded_path_search(out_mask: list[int], in_mask: list[int], within: int,
         head = path[-1]
         if len(path) == n:
             if head == t:
-                return path, expansions, False
+                return path
         elif budget is not None and expansions >= budget:
-            return None, expansions, True
+            return None
         else:
             expansions += 1
             unvisited = within & ~visited
@@ -385,7 +374,7 @@ def _bounded_path_search(out_mask: list[int], in_mask: list[int], within: int,
         while True:
             if len(stack) < len(path):
                 if not stack:
-                    return None, expansions, False
+                    return None
                 visited &= ~(1 << path.pop())
             w = next(stack[-1], None)
             if w is not None:
@@ -395,8 +384,7 @@ def _bounded_path_search(out_mask: list[int], in_mask: list[int], within: int,
             stack.pop()
 
 
-def hamilton_path_any(f: OrientedGraph, budget: int | None = None,
-                      seed: int = 0) -> DirectedPath | None:
+def hamilton_path_any(f: OrientedGraph, *, seed: int = 0) -> DirectedPath | None:
     """Best-effort Hamilton path with free endpoints.
 
     Tries up to ENDPOINT_PAIRS diverse (start, end) pairs, preferring starts
@@ -419,11 +407,7 @@ def hamilton_path_any(f: OrientedGraph, budget: int | None = None,
         if (s, t) not in pairs:
             pairs.append((s, t))
     for s, t in pairs:
-        try:
-            got = hamilton_path_between(f, s, t, budget=budget,
-                                        seed=rng.randrange(1 << 30))
-        except BudgetExhaustedError:
-            got = None
+        got = hamilton_path_between(f, s, t, seed=rng.randrange(1 << 30))
         if got is not None:
             return got
     return None
@@ -524,7 +508,7 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
         # block's path is the one a search through it would return
         intervals: list[list[int]] = []
         for i, ((s, t), m) in enumerate(zip(pinned_pairs, block_masks)):
-            got, _, _ = _bounded_path_search(
+            got = _bounded_path_search(
                 out_mask, in_mask, m, s, t, BLOCK_PATH_BUDGET,
                 random.Random(f"{rng.randrange(1 << 30)}:path:0"))
             if got is None:  # no path, or cut off at the budget
@@ -590,38 +574,20 @@ class CompletionOutcome:
 
 def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
                               w_set: Sequence[int], family: PathCoverFamily,
-                              slack: int, seed: int = 0,
-                              strict: bool = True) -> CompletionOutcome:
+                              *, seed: int = 0) -> CompletionOutcome:
     """Complete each cover of the family into a Hamilton cycle of h, removing
     each finished cycle's edges before the next round.
 
     U and W partition V(h); covers live on h[U], connectors and reservoir
-    edges come from the not-yet-used edges of h.  Strict mode checks the
-    working hypotheses on h up front: every U vertex needs more than
-    2a + slack edges to W in both directions, and h[W] needs min
-    semi-degree at least the family size.  In either mode each round's
-    connector matching alone decides whether its connectors exist.
+    edges come from the not-yet-used edges of h.  Nothing is checked of the
+    degrees up front: each round's connector matching alone decides whether
+    its connectors exist, and the first round whose splice fails ends the
+    completion with a CompletionFailure.
     """
-    u_sorted = sorted(u_set)
-    w_sorted = sorted(w_set)
-    uset, wset = set(u_sorted), set(w_sorted)
+    uset, wset = set(u_set), set(w_set)
     if uset & wset or uset | wset != set(range(h.n)):
         raise InvariantViolationError("U and W must partition the vertex set")
     family.validate(universe=uset, host=h)
-    t = family.t
-    a_bound = family.a
-    if strict:
-        for u in u_sorted:
-            d_out = sum(1 for v in h.out_neighbors[u] if v in wset)
-            d_in = sum(1 for v in h.in_neighbors[u] if v in wset)
-            if d_out <= 2 * a_bound + slack or d_in <= 2 * a_bound + slack:
-                raise HypothesisViolatedError(
-                    f"vertex {u} has degrees ({d_in}, {d_out}) towards the "
-                    f"reservoir, needs > {2 * a_bound + slack}")
-        min_semi = degree_summary(h.induced_subgraph(w_sorted)).min_semi
-        if min_semi < t:
-            raise HypothesisViolatedError(
-                f"reservoir min semi-degree {min_semi} below floor {t}")
 
     used: set[Edge] = set()
     cycles: list[HamiltonCycle] = []

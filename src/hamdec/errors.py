@@ -59,10 +59,6 @@ class NoFactorError(HamdecError):
     """The requested factor does not exist."""
 
 
-class HypothesisViolatedError(HamdecError):
-    """A degree-window precondition failed; the message names the inequality."""
-
-
 class NotRegularError(HamdecError):
     """A regular (spanning) graph was required."""
 
@@ -80,7 +76,13 @@ class PartsTooSmallError(HamdecError):
 # --- assembly ---
 
 class BudgetExhaustedError(HamdecError):
-    """Search hit its node-expansion budget before settling the instance."""
+    """Search hit its node-expansion budget before settling the instance.
+
+    Nothing in hamdec raises it: the exact path search has no budget, and a
+    splice block cut off at BLOCK_PATH_BUDGET fails like one with no path.
+    Only bench/spans.py's import keeps the class, until the bench is
+    pointed at the live engine (ROADMAP item 6).
+    """
 
     def __init__(self, message, expansions=0):
         super().__init__(message)

@@ -1,9 +1,8 @@
 """Oriented-graph and bipartite-graph representations, generators and io.
 
 An oriented graph is an orientation of a simple graph: no loops, and at most
-one of (u, v), (v, u) present.  Vertices are dense integers [0, n); an
-induced subgraph numbers its vertices 0, 1, ... in increasing order of the
-parent's.  Graph objects are immutable after construction and safe to share.
+one of (u, v), (v, u) present.  Vertices are dense integers [0, n).  Graph
+objects are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -118,13 +117,6 @@ class OrientedGraph:
         row = self.out_neighbors[u] if 0 <= u < self.n else ()
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
-
-    def induced_subgraph(self, vertices: Iterable[int]) -> "OrientedGraph":
-        """Subgraph on ``vertices``, vertex i of it the i-th smallest of them."""
-        verts = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(verts)}
-        edges = [(index[u], index[v]) for u in verts for v in self.out_neighbors[u] if v in index]
-        return OrientedGraph(len(verts), edges)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OrientedGraph) and self.n == other.n

@@ -23,6 +23,9 @@ from typing import Sequence
 from .errors import InvariantViolationError, KTooLargeError, NotRegularError
 from .graphs import Edge, OrientedGraph, _equipartition, degree_summary
 
+# splits sampled before the best-scoring one is returned with its flag down
+PARTITION_RETRIES = 3
+
 
 @dataclass(frozen=True)
 class SubproblemSpec:
@@ -218,12 +221,13 @@ def _sample_specs(g: OrientedGraph, factor: OrientedGraph, k: int,
 
 
 def build_partition(g: OrientedGraph, factor: OrientedGraph, k: int, eps: float,
-                    seed: int, retry_budget: int = 5
-                    ) -> tuple[list[SubproblemSpec], PartitionReport]:
-    """Sample the K^3 subproblem split, retrying until the target properties
-    hold or the budget runs out (then: best-scoring attempt, flag down).
+                    seed: int) -> tuple[list[SubproblemSpec], PartitionReport]:
+    """Sample the K^3 subproblem split, up to PARTITION_RETRIES times, until
+    the target properties hold; when no sample meets them, the best-scoring
+    one is returned with ``retries == PARTITION_RETRIES`` and
+    ``stats.properties_met`` False.
 
-    Resamples use seeds seed+1, seed+2, ... so runs are reproducible.
+    Sample i uses the seed seed + i, so runs are reproducible.
     """
     n = g.n
     if k < 2:
@@ -239,18 +243,18 @@ def build_partition(g: OrientedGraph, factor: OrientedGraph, k: int, eps: float,
         raise NotRegularError(
             f"factor is not regular: semi-degrees {degs.min_semi} to {degs.max_semi}")
 
-    best: tuple[int, list[SubproblemSpec], PartitionStats, int] | None = None
-    for attempt in range(max(1, retry_budget)):
+    best: tuple[int, list[SubproblemSpec], PartitionStats] | None = None
+    for attempt in range(PARTITION_RETRIES):
         rng = random.Random(seed + attempt)
         specs = _sample_specs(g, factor, k, eps, rng)
         stats = _compute_stats(g, factor, specs, k, eps)
         if stats.properties_met:
             return specs, PartitionReport(stats=stats, seed=seed, retries=attempt)
         if best is None or stats.score() > best[0]:
-            best = (stats.score(), specs, stats, attempt)
+            best = (stats.score(), specs, stats)
     assert best is not None
-    _, specs, stats, _ = best
-    return specs, PartitionReport(stats=stats, seed=seed, retries=max(1, retry_budget))
+    _, specs, stats = best
+    return specs, PartitionReport(stats=stats, seed=seed, retries=PARTITION_RETRIES)
 
 
 def verify_partition(g: OrientedGraph, factor: OrientedGraph,

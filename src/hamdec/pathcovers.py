@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 from itertools import islice, takewhile
 from typing import Sequence
 
-from .errors import (
-    HypothesisViolatedError,
-    InvariantViolationError,
-    OddOrderError,
-    PartsTooSmallError,
-)
+from .errors import InvariantViolationError, OddOrderError, PartsTooSmallError
 from .factors import Matching, disjoint_maximum_matchings
 from .graphs import Edge, OrientedGraph, _equipartition, bipartite_between, degree_summary
 
@@ -210,7 +205,7 @@ def matchings_to_path_cover(parts: Sequence[Sequence[int]],
     return cover
 
 
-def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
+def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, *,
                             seed: int) -> tuple[PathCoverFamily, int]:
     """A family of up to t edge-disjoint path covers of h, each of size <= a.
 
@@ -223,11 +218,6 @@ def build_path_cover_family(h: OrientedGraph, b: int, a: int, t: int, xi: float,
         raise OddOrderError(f"part count must be even and >= 2, got {b}")
     if b > n // 2:
         raise PartsTooSmallError(f"b={b} parts on {n} vertices")
-    degs = degree_summary(h)
-    spread = degs.max_semi - degs.min_semi
-    if spread > xi:
-        raise HypothesisViolatedError(
-            f"semi-degree spread {spread} exceeds declared slack {xi}")
     if t == 0:
         return PathCoverFamily((), a=a, t=0), 0
 

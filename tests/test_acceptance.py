@@ -196,7 +196,7 @@ def test_criterion_8_partition_mechanics():
     total = k ** 3
     assert (total - 2 * k) * ((1 - eps) / (total - 2 * k)) + 2 * k * (eps / (2 * k)) == 1.0
     g = rotational_tournament(101)
-    specs, report = build_partition(g, g, k=k, eps=eps, seed=8, retry_budget=3)
+    specs, report = build_partition(g, g, k=k, eps=eps, seed=8)
     assert len(specs) == total
     seen = set()
     for spec in specs:
@@ -236,7 +236,7 @@ def test_criterion_9_hamilton_connectivity_oracle():
                     edges.add((u, v) if rng.random() < 0.5 else (v, u))
         g = OrientedGraph(n, edges)
         s, t = rng.sample(range(n), 2)
-        found = hamilton_path_between(g, s, t, budget=None, seed=checked)
+        found = hamilton_path_between(g, s, t, seed=checked)
         assert (found is not None) == exists_by_permutations(g, s, t)
         if found is not None:
             assert found.vertices[0] == s and found.vertices[-1] == t
@@ -247,7 +247,7 @@ def test_criterion_9_hamilton_connectivity_oracle():
     for s in range(7):
         for t in range(7):
             if s != t:
-                path = hamilton_path_between(g7, s, t, budget=None)
+                path = hamilton_path_between(g7, s, t)
                 assert path is not None and sorted(path.vertices) == list(range(7))
     _report(9, "exact path search agrees with permutation enumeration", t0, 60,
             f"({checked} random instances + 42 pairs)")

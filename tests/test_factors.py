@@ -690,7 +690,7 @@ FROZEN_MATCHING_DIGESTS = {
 def frozen_matching_outputs(name, seed):
     if name == "build_path_cover_family":
         h = random_regular_oriented(40, 8, seed=seed)
-        fam, mu = build_path_cover_family(h, b=4, a=14, t=4, xi=0, seed=seed)
+        fam, mu = build_path_cover_family(h, b=4, a=14, t=4, seed=seed)
         return [[p.vertices for p in c.paths] for c in fam.covers], fam.limiting_pair, mu
     if name == "perfect_matchings":
         return [sorted(m.pairs) for m in first_matchings(random_regular_bipartite(12, 5, seed), 5)]

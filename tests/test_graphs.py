@@ -313,15 +313,6 @@ def test_bipartite_between_recovers_directed_edges():
     assert {(xs[a], ys[c]) for a, c in b.edges} == expected
 
 
-def test_induced_subgraph_numbers_vertices_in_increasing_order():
-    g = rotational_tournament(7)
-    verts = (1, 3, 5)
-    sub = g.induced_subgraph([5, 1, 3, 1])
-    assert sub.n == 3
-    assert {(verts[u], verts[v]) for u, v in sub.edges} == {
-        (u, v) for u, v in g.edges if u in verts and v in verts}
-
-
 def test_edge_list_roundtrip():
     g = rotational_tournament(5)
     text = write_edge_list(g)

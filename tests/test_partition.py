@@ -12,7 +12,7 @@ from hamdec.partition import SubproblemSpec, build_partition, verify_partition
 def split101():
     g = rotational_tournament(101)
     factor = g  # g is its own 50-factor
-    specs, report = build_partition(g, factor, k=2, eps=0.3, seed=11, retry_budget=3)
+    specs, report = build_partition(g, factor, k=2, eps=0.3, seed=11)
     return g, factor, specs, report
 
 
@@ -82,8 +82,8 @@ def test_graph_views_number_their_vertex_lists(split101):
 
 def test_deterministic_given_seed():
     g = rotational_tournament(101)
-    s1, r1 = build_partition(g, g, k=2, eps=0.3, seed=4, retry_budget=2)
-    s2, r2 = build_partition(g, g, k=2, eps=0.3, seed=4, retry_budget=2)
+    s1, r1 = build_partition(g, g, k=2, eps=0.3, seed=4)
+    s2, r2 = build_partition(g, g, k=2, eps=0.3, seed=4)
     assert [s.all_edges() for s in s1] == [s.all_edges() for s in s2]
     assert r1 == r2
 
@@ -112,7 +112,7 @@ def test_build_partition_refuses_a_factor_on_fewer_vertices():
 def frozen_partition_outputs(n):
     g = random_tournament(n, n)
     factor = extract_oriented_r_factor(g, oriented_reg(g) - 3)
-    specs, report = build_partition(g, factor, k=2, eps=0.3, seed=n, retry_budget=3)
+    specs, report = build_partition(g, factor, k=2, eps=0.3, seed=n)
     return report, verify_partition(g, factor, specs, k=2, eps=0.3)
 
 
