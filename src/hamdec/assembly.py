@@ -7,17 +7,13 @@ completed by shortest augmenting paths) and merge its cycles by 2-switches
 into one Hamilton cycle.  The residual graph is held as sorted out-neighbour
 rows, built once and shrunk by each cycle found.
 
-A cover of a vertex-disjoint paths is completed into one cycle by picking,
-for each path, a reservoir in-neighbour of its start and a reservoir
-out-neighbour of its end (2a distinct picks: a random maximum matching of
-the 2a path ends to the reservoir), partitioning the reservoir
-into a blocks that pin consecutive picks together, and joining each pinned
-pair by a Hamilton path inside its block.  Block paths are found by exact
-backtracking search with reachability pruning, so blocks are kept small;
-failed blocks trigger a fresh random partition of the reservoir.  One
-bitmask reachability routine, over neighbour bitmasks built once from the
-sorted rows, serves both the search's pruning and the splice's cheap
-pre-screen of each block.
+A cover of a vertex-disjoint paths is completed into one cycle by one
+Hamilton-path search on the contracted digraph, where each path is one
+vertex entered from its start's reservoir in-neighbours and left to its
+end's reservoir out-neighbours.  The search is exact backtracking with
+fail-first ordering and bitmask reachability pruning, over neighbour
+bitmasks of a host graph within a vertex bitmask; the same pass, unbounded,
+is :func:`hamilton_path_between`.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import InvariantViolationError, ReservoirMismatchError, SpliceFailedError
+from .errors import InvariantViolationError, SpliceFailedError
 from .factors import random_cycle_factor
 from .graphs import Edge, OrientedGraph
 from .pathcovers import DirectedPath, PathCoverFamily
@@ -41,12 +37,8 @@ PATCH_REDRAWS = 20
 FACTOR_WALKS = 8 * PATCH_REDRAWS
 # (start, end) pairs a free-endpoint path search tries
 ENDPOINT_PAIRS = 6
-# reservoir partitions a splice draws before it gives up
-SPLICE_ATTEMPTS = 20
-# most reservoir vertices one splice block may hold
-BLOCK_CAP = 24
-# node expansions allowed for each block's Hamilton-path search
-BLOCK_PATH_BUDGET = 200_000
+# node expansions allowed for a splice's one Hamilton-path search
+SPLICE_PATH_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -416,23 +408,6 @@ def hamilton_path_any(f: OrientedGraph, *, seed: int = 0) -> DirectedPath | None
 # -- completing one cover into one cycle ---------------------------------
 
 
-def _choose_connectors(slots: Sequence[set[int]], reservoir: Sequence[int],
-                       seed: int | str) -> list[int] | None:
-    """Distinct reservoir picks for the 2a ``slots``, 2i the entry before
-    path i's start and 2i + 1 the exit after its end: a random maximum
-    matching of the slots to the vertices ``reservoir``, drawn by
-    :func:`random_cycle_factor` on the slots' sorted rows padded with empty
-    rows to a square (none when the reservoir is the smaller side), or None
-    when it leaves a slot unmatched, as then no distinct choice exists."""
-    index = {h: j for j, h in enumerate(reservoir)}
-    rows = [sorted(index[w] for w in c) for c in slots]
-    rows += [[] for _ in range(len(reservoir) - len(slots))]
-    picks = random_cycle_factor(rows, random.Random(f"{seed}:choice"))[:len(slots)]
-    if -1 in picks:
-        return None
-    return [reservoir[j] for j in picks]
-
-
 def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
                             seed: int | str = 0) -> HamiltonCycle:
     """Complete vertex-disjoint paths of g into a Hamilton cycle of g.
@@ -441,22 +416,20 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
     reservoir in-neighbour of its start and left to a reservoir
     out-neighbour of its end.  The cycle visits every path as a contiguous
     segment and every reservoir vertex exactly once.  Paths that overlap,
-    leave g or use an edge g lacks raise InvariantViolationError, and a
-    reservoir larger than a blocks of BLOCK_CAP can absorb raises
-    ReservoirMismatchError.  The connector matching is the one connector
-    test: when no 2a distinct connectors exist (an endpoint without a
-    reservoir neighbour, or a reservoir of fewer than 2a vertices), it
-    raises SpliceFailedError with ``attempts == 0``.
+    leave g or use an edge g lacks raise InvariantViolationError.
 
-    Each attempt deals the free reservoir into a blocks of equal size
-    (within one) and joins each block's two pins by one
-    :func:`_bounded_path_search` pass on g's bitmasks within the block; a
-    pass cut off at BLOCK_PATH_BUDGET fails like one with no path.  Equal
-    sizes miss every completion whose reservoir runs are unbalanced (2 of
-    the 12 in ``test_complete_thinned_connector_sets``).
+    Such cycles are exactly the Hamilton cycles of the contracted digraph:
+    the reservoir keeps g's edges among itself, path i becomes one vertex
+    (its start's index) whose in-row is its start's reservoir in-neighbours
+    and whose out-row is its end's reservoir out-neighbours, and path 0 is
+    split into a source (its out-row) and a sink (index g.n, its in-row).
+    One :func:`_bounded_path_search` pass from source to sink, on the stream
+    ``hamilton_path_between`` uses, finds the cycle; when it finds none
+    within SPLICE_PATH_BUDGET expansions, SpliceFailedError is raised.  The
+    neighbour bitmasks are built directly, since w -> p and p -> w may both
+    be edges there (w enters p's start and leaves p's end).
     """
-    a = len(paths)
-    if a == 0:
+    if not paths:
         raise InvariantViolationError("cover must contain at least one path")
     covered: set[int] = set()
     for p in paths:
@@ -467,63 +440,33 @@ def complete_cover_to_cycle(paths: Sequence[DirectedPath], g: OrientedGraph,
         raise InvariantViolationError("paths leave the graph")
     if not all(g.has_edge(u, v) for p in paths for u, v in p.edges()):
         raise InvariantViolationError("a path edge is not an edge of the graph")
-    reservoir = [v for v in range(g.n) if v not in covered]
-    wset = set(reservoir)
-    slots = [wset.intersection(row) for p in paths
-             for row in (g.in_neighbors[p.start], g.out_neighbors[p.end])]
-    if a * BLOCK_CAP < len(wset):
-        raise ReservoirMismatchError(
-            f"{a} blocks of <= {BLOCK_CAP} cannot absorb {len(wset)} reservoir vertices")
+    wset = set(range(g.n)) - covered
+    sink = g.n
+    out_mask, in_mask = [0] * (sink + 1), [0] * (sink + 1)
 
-    out_mask, in_mask = _masks(g)
-    sizes = [len(wset) // a + (1 if i < len(wset) % a else 0) for i in range(a)]
-    last_block = None
-    for attempt in range(SPLICE_ATTEMPTS):
-        # Re-draw the connector choice alongside the reservoir partition:
-        # with few blocks the partition alone carries too little freedom.
-        picks = _choose_connectors(slots, reservoir, f"{seed}:{attempt}")
-        if picks is None:  # a maximum matching has the same size at every draw
-            raise SpliceFailedError("no distinct connector choice exists", attempts=0)
-        # block i holds path i's exit and path i + 1's entry
-        pinned_pairs = [(picks[2 * i + 1], picks[(2 * i + 2) % (2 * a)]) for i in range(a)]
-        free = sorted(wset - set(picks))
-        rng = random.Random(f"{seed}:blocks:{attempt}")
-        for _ in range(12):
-            # reachability pre-screen: cheap rejections instead of burning a
-            # full search attempt on a hopeless deal
-            shuffled = free[:]
-            rng.shuffle(shuffled)
-            block_masks: list[int] = []
-            pos = 0
-            for (s, t), size in zip(pinned_pairs, sizes):
-                block_masks.append(sum(1 << v for v in [s, t, *shuffled[pos:pos + size - 2]]))
-                pos += size - 2
-            if all(_reach(out_mask, s, m) == m == _reach(in_mask, t, m)
-                   for (s, t), m in zip(pinned_pairs, block_masks)):
-                break
-        else:
-            last_block = -1
-            continue
-        # tie-breaking drawn from hamilton_path_between's stream, so each
-        # block's path is the one a search through it would return
-        intervals: list[list[int]] = []
-        for i, ((s, t), m) in enumerate(zip(pinned_pairs, block_masks)):
-            got = _bounded_path_search(
-                out_mask, in_mask, m, s, t, BLOCK_PATH_BUDGET,
-                random.Random(f"{rng.randrange(1 << 30)}:path:0"))
-            if got is None:  # no path, or cut off at the budget
-                last_block = i
-                break
-            intervals.append(got)
-        else:
-            order: list[int] = []
-            for i in range(a):
-                order.extend(paths[i].vertices)
-                order.extend(intervals[i])
-            return HamiltonCycle.from_order(order)
-    raise SpliceFailedError(
-        f"splice failed after {SPLICE_ATTEMPTS} reservoir partitions",
-        block_index=last_block, attempts=SPLICE_ATTEMPTS)
+    def join(u: int, v: int) -> None:
+        out_mask[u] |= 1 << v
+        in_mask[v] |= 1 << u
+
+    for w in wset:
+        for v in wset.intersection(g.out_neighbors[w]):
+            join(w, v)
+    for i, p in enumerate(paths):
+        for w in wset.intersection(g.in_neighbors[p.start]):
+            join(w, p.start if i else sink)
+        for w in wset.intersection(g.out_neighbors[p.end]):
+            join(p.start, w)
+    starts = {p.start: p for p in paths}
+    within = sum(1 << v for v in [*wset, *starts, sink])
+    found = _bounded_path_search(out_mask, in_mask, within, paths[0].start, sink,
+                                 SPLICE_PATH_BUDGET, random.Random(f"{seed}:path:0"))
+    if found is None:
+        raise SpliceFailedError(
+            f"no completion found within {SPLICE_PATH_BUDGET} search expansions")
+    order: list[int] = []
+    for v in found[:-1]:
+        order.extend(starts[v].vertices if v in starts else (v,))
+    return HamiltonCycle.from_order(order)
 
 
 def verify_completed_cycle(cycle: HamiltonCycle, paths: Sequence[DirectedPath],
@@ -580,9 +523,9 @@ def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
 
     U and W partition V(h); covers live on h[U], connectors and reservoir
     edges come from the not-yet-used edges of h.  Nothing is checked of the
-    degrees up front: each round's connector matching alone decides whether
-    its connectors exist, and the first round whose splice fails ends the
-    completion with a CompletionFailure.
+    degrees up front: each round's splice search alone decides, and the
+    first round whose splice raises SpliceFailedError ends the completion
+    with a CompletionFailure.
     """
     uset, wset = set(u_set), set(w_set)
     if uset & wset or uset | wset != set(range(h.n)):
@@ -595,7 +538,7 @@ def complete_family_to_cycles(h: OrientedGraph, u_set: Sequence[int],
         try:
             cycle = complete_cover_to_cycle(
                 cover.paths, OrientedGraph(h.n, h.edges - used), seed=f"{seed}:round:{j}")
-        except (SpliceFailedError, ReservoirMismatchError) as exc:
+        except SpliceFailedError as exc:
             return CompletionOutcome(cycles, CompletionFailure(j, f"{type(exc).__name__}: {exc}"))
         used |= cycle.edges
         cycles.append(cycle)

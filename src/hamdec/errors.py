@@ -79,7 +79,7 @@ class BudgetExhaustedError(HamdecError):
     """Search hit its node-expansion budget before settling the instance.
 
     Nothing in hamdec raises it: the exact path search has no budget, and a
-    splice block cut off at BLOCK_PATH_BUDGET fails like one with no path.
+    splice search cut off at SPLICE_PATH_BUDGET fails like one with no path.
     Only bench/spans.py's import keeps the class, until the bench is
     pointed at the live engine (ROADMAP item 6).
     """
@@ -90,18 +90,8 @@ class BudgetExhaustedError(HamdecError):
 
 
 class SpliceFailedError(HamdecError):
-    """A splice found no distinct connectors (``attempts`` 0), or every
-    reservoir partition it drew failed."""
-
-    def __init__(self, message, block_index=None, attempts=0):
-        super().__init__(message)
-        self.block_index = block_index
-        self.attempts = attempts
-
-
-class ReservoirMismatchError(HamdecError):
-    """The reservoir is larger than its blocks of at most BLOCK_CAP
-    vertices can absorb."""
+    """A splice's Hamilton-path search on the contracted graph found no
+    completion: none exists, or the search hit SPLICE_PATH_BUDGET."""
 
 
 class InvariantViolationError(HamdecError):

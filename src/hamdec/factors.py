@@ -6,10 +6,10 @@ decide it; the literal subset inequality of the Gale-Ryser criterion is
 kept as an independent exponential oracle for cross-validation.  Every
 maximum matching comes from one routine, :func:`random_cycle_factor`,
 which reads sorted adjacency rows and draws each greedy pick by rejection:
-patching's cycle factors and the splice's connector picks call it on their
-own rows, and :func:`disjoint_maximum_matchings` runs it on a bipartite
-graph's rows, deleting each matching before the next draw, for the
-path-cover matching chains.
+patching's cycle factors call it on the residual's rows, and
+:func:`disjoint_maximum_matchings` runs it on a bipartite graph's rows,
+deleting each matching before the next draw, for the path-cover matching
+chains.
 The random regular bipartite test instances come from the switch chain
 that also draws random regular oriented graphs.
 """

@@ -80,8 +80,8 @@ class RunReport:
     k: int = 0
     seed: int = 0
     stages: list[dict[str, Any]] = field(default_factory=list)
-    # always empty, kept only because bench/workloads.py reads it; ROADMAP
-    # item 4 deletes it
+    # always empty and left out of to_json, kept only because
+    # bench/workloads.py reads it; ROADMAP item 6 deletes it
     hard_failures: list[str] = field(default_factory=list)
 
     @property
@@ -93,7 +93,6 @@ class RunReport:
             "n": self.n, "reg": self.reg, "k": self.k,
             "ratio": self.ratio, "seed": self.seed,
             "stages": self.stages,
-            "hard_failures": self.hard_failures,
         }
 
 

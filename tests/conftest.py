@@ -77,10 +77,11 @@ def plant_completable_instance(seed, w_size, a):
     return OrientedGraph(n, edges), tuple(paths)
 
 
-def bruteforce_completable(paths, host, node_cap=500_000):
+def bruteforce_completable(paths, host, node_cap=500_000, min_run=2):
     """Exhaustive check that some completion exists: a cyclic arrangement of
     all paths and reservoir vertices (the host's vertices on no path) where
-    paths appear as segments, each reservoir run has length >= 2, and every
+    paths appear as segments, each reservoir run has length >= min_run
+    (at least 1, as a path's end never joins a path's start), and every
     join is a host edge.
 
     Independent of the splicing code: a plain DFS over the contracted
@@ -105,7 +106,7 @@ def bruteforce_completable(paths, host, node_cap=500_000):
         if budget[0] <= 0:
             return None
         budget[0] -= 1
-        if run_len >= 2:
+        if run_len >= min_run:
             if len(visited_paths) == a and visited_w == w_set and head in enter[0]:
                 return True  # close the cycle back into path 0
             for nxt in range(1, a):

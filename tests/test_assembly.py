@@ -9,15 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hamdec import assembly
 from hamdec.assembly import (
-    BLOCK_CAP,
-    BLOCK_PATH_BUDGET,
     FACTOR_WALKS,
     PATCH_REDRAWS,
-    SPLICE_ATTEMPTS,
+    SPLICE_PATH_BUDGET,
     CompletionOutcome,
     HamiltonCycle,
     _bounded_path_search,
-    _choose_connectors,
     _masks,
     _merge_factor,
     _reach,
@@ -34,7 +31,6 @@ from hamdec.assembly import (
 from hamdec.errors import (
     HamdecError,
     InvariantViolationError,
-    ReservoirMismatchError,
     SpliceFailedError,
 )
 from hamdec.factors import random_cycle_factor
@@ -46,7 +42,7 @@ from hamdec.graphs import (
 )
 from hamdec.pathcovers import DirectedPath, PathCover, PathCoverFamily, build_path_cover_family
 
-from conftest import (bruteforce_completable, dinic_flow, oriented_graphs,
+from conftest import (bruteforce_completable, oriented_graphs,
                       plant_completable_instance)
 
 
@@ -123,8 +119,8 @@ def test_path_search_matches_bruteforce():
 
 
 def test_bounded_path_search_cap_fails_like_no_path():
-    # the splice's block cap: a pass cut off at its budget returns None, as
-    # a block with no path does; BLOCK_PATH_BUDGET does not bind here
+    # the splice's cap: a pass cut off at its budget returns None, as a
+    # search with no path does; SPLICE_PATH_BUDGET does not bind here
     g = rotational_tournament(9)
     out_mask, in_mask = _masks(g)
     within = (1 << 9) - 1
@@ -134,7 +130,7 @@ def test_bounded_path_search_cap_fails_like_no_path():
                                     random.Random("0:path:0"))
 
     assert search(2) is None
-    assert search(None) == search(BLOCK_PATH_BUDGET) == [0, 2, 6, 8, 3, 4, 5, 7, 1]
+    assert search(None) == search(SPLICE_PATH_BUDGET) == [0, 2, 6, 8, 3, 4, 5, 7, 1]
     assert hamilton_path_between(g, 0, 1).vertices == (0, 2, 6, 8, 3, 4, 5, 7, 1)
 
 
@@ -252,13 +248,12 @@ def test_path_edges_must_be_edges_of_the_graph():
 
 
 def test_complete_rejects_missing_connectors():
-    # without 4 -> 0 the start of path 0 -> 1 has no reservoir in-neighbour:
-    # the connector matching leaves its slot empty at the first draw
+    # without 4 -> 0 the start of path 0 -> 1 has no reservoir in-neighbour,
+    # so the contracted graph's sink has no in-edge
     paths = (DirectedPath((0, 1)),)
     g = OrientedGraph(5, SPLICED_EDGES - {(4, 0)})
-    with pytest.raises(SpliceFailedError, match="no distinct connector choice") as exc:
+    with pytest.raises(SpliceFailedError):
         complete_cover_to_cycle(paths, g)
-    assert exc.value.attempts == 0
 
 
 def two_vertex_paths_instance(into, out, w_size):
@@ -277,16 +272,17 @@ def test_complete_fails_at_once_on_a_reservoir_below_2a():
     # 2 paths need 4 distinct connectors from a reservoir of 3
     every = [range(3)] * 2
     paths, g = two_vertex_paths_instance(every, every, 3)
-    with pytest.raises(SpliceFailedError, match="no distinct connector choice") as exc:
+    with pytest.raises(SpliceFailedError):
         complete_cover_to_cycle(paths, g)
-    assert exc.value.attempts == 0
 
 
-def test_complete_rejects_a_reservoir_its_blocks_cannot_absorb():
-    every = [range(BLOCK_CAP + 1)]
-    paths, g = two_vertex_paths_instance(every, every, BLOCK_CAP + 1)
-    with pytest.raises(ReservoirMismatchError, match="cannot absorb"):
-        complete_cover_to_cycle(paths, g)
+def test_complete_one_vertex_through_a_reservoir_of_79():
+    # the reservoir's size has no cap: the other 79 vertices of a tournament
+    # are the one path's reservoir
+    g = random_tournament(80, 0)
+    paths = (DirectedPath((0,)),)
+    cycle = complete_cover_to_cycle(paths, g)
+    assert verify_completed_cycle(cycle, paths, g)
 
 
 def thinned_planted_instances(count):
@@ -309,76 +305,35 @@ def thinned_planted_instances(count):
 
 
 def test_complete_thinned_connector_sets():
-    # each endpoint has fewer than 2a reservoir neighbours, yet distinct
-    # connectors and a completion exist: every splice gets past the
-    # connector matching, and most complete (equal blocks cannot host every
-    # planted completion, so a few run out of reservoir partitions)
-    instances = thinned_planted_instances(12)
-    successes = 0
-    for host, paths in instances:
-        try:
-            cycle = complete_cover_to_cycle(paths, host, seed=1)
-        except SpliceFailedError as exc:
-            assert exc.attempts == SPLICE_ATTEMPTS
-            continue
+    # each endpoint has fewer than 2a reservoir neighbours, yet a completion
+    # exists, and the one search finds it whatever the reservoir runs' sizes
+    for host, paths in thinned_planted_instances(12):
+        cycle = complete_cover_to_cycle(paths, host, seed=1)
         assert verify_completed_cycle(cycle, paths, host)
-        successes += 1
-    assert successes >= 0.8 * len(instances)
 
 
 def test_complete_fails_at_once_without_distinct_connectors():
     # 16 paths share 30 reservoir vertices for their 32 connectors, and 14
     # more take two vertices each of the other 30: 60 slots and 60 vertices
-    # but no distinct choice, a pigeonhole that costs a backtracking search
-    # exponential time
+    # but no distinct choice, a pigeonhole.  Each of the other 30 is entered
+    # and left by one path alone, so it cannot lie on a cycle through the
+    # rest, which the search's first reachability check sees
     low = range(30)
     pairs = [(30 + 2 * i, 31 + 2 * i) for i in range(14)]
     paths, g = two_vertex_paths_instance([low] * 16 + pairs, [low] * 16 + pairs, 60)
     t0 = time.perf_counter()
-    with pytest.raises(SpliceFailedError) as exc:
+    with pytest.raises(SpliceFailedError):
         complete_cover_to_cycle(paths, g)
     assert time.perf_counter() - t0 < 1
-    assert exc.value.attempts == 0
 
 
-def test_complete_fails_after_every_reservoir_partition():
-    # an edgeless reservoir has no path inside any block
+def test_complete_fails_on_an_edgeless_reservoir():
+    # one path and four reservoir vertices with no edge among them: every
+    # reservoir run is one vertex long, so at most one of the four is used
     every = [range(4)]
     paths, g = two_vertex_paths_instance(every, every, 4)
-    with pytest.raises(SpliceFailedError) as exc:
+    with pytest.raises(SpliceFailedError):
         complete_cover_to_cycle(paths, g)
-    assert exc.value.attempts == SPLICE_ATTEMPTS and exc.value.block_index == -1
-
-
-def test_connector_choice_for_600_paths_is_distinct():
-    a = 600
-    w = list(range(a, 3 * a))
-    rng = random.Random(6)
-    planted = rng.sample(w, 2 * a)
-    into, out = (tuple(frozenset(rng.sample(w, 3) + [planted[2 * i + side]]) for i in range(a))
-                 for side in (0, 1))
-    picks = _choose_connectors([c for pair in zip(into, out) for c in pair], w, seed=0)
-    assert len(set(picks)) == 2 * a
-    assert all(picks[2 * i] in into[i] and picks[2 * i + 1] in out[i] for i in range(a))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_connector_choice_matches_a_flow_oracle(data):
-    # None exactly when no distinct choice exists, i.e. when a unit-capacity
-    # max flow from the slots to the reservoir vertices is below the slot count
-    a = data.draw(st.integers(1, 4))
-    w = data.draw(st.permutations(range(100, 100 + data.draw(st.integers(0, 10)))))
-    sets = [frozenset(data.draw(st.lists(st.sampled_from(w), unique=True)) if w else [])
-            for _ in range(2 * a)]
-    picks = _choose_connectors(sets, w, seed=data.draw(st.integers(0, 2 ** 32 - 1)))
-    index = {h: j for j, h in enumerate(w)}
-    edges = [(k, index[h]) for k, c in enumerate(sets) for h in sorted(c)]
-    flow, _ = dinic_flow([1] * (2 * a), [1] * len(w), edges)
-    assert (picks is None) == (flow < 2 * a)
-    if picks is not None:
-        assert len(picks) == 2 * a == len(set(picks))
-        assert all(h in c for h, c in zip(picks, sets))
 
 
 def reference_completed_cycle(cycle, paths, g):
@@ -463,6 +418,42 @@ def test_bruteforce_oracle_confirms_planted_instances():
         assert bruteforce_completable(paths, host) is True
 
 
+def small_splice_instances(count):
+    """Planted instances with a <= 3 and a reservoir of at most 12 whose
+    every edge between the reservoir and the paths is kept with a drawn
+    probability, so that some lose every completion."""
+    rng = random.Random("splice-exactness")
+    for _ in range(count):
+        a = rng.randint(1, 3)
+        host, paths = plant_completable_instance(rng.randrange(1 << 30), rng.randint(2 * a, 12), a)
+        w = set(range(host.n)) - {v for p in paths for v in p.vertices}
+        keep = rng.choice((1.0, 0.6, 0.3))
+        host = OrientedGraph(host.n, {(u, v) for u, v in host.edges
+                                      if not ((u in w) != (v in w) and rng.random() > keep)})
+        yield host, paths
+
+
+def test_complete_exactly_when_the_oracle_finds_a_completion():
+    # a completion may pass a single reservoir vertex between two paths:
+    # 0 1 4 2 3 5 uses 4 as path 0's exit and path 1's entry
+    single_runs = (OrientedGraph(6, {(0, 1), (2, 3), (1, 4), (4, 2), (3, 5), (5, 0)}),
+                   (DirectedPath((0, 1)), DirectedPath((2, 3))))
+    assert complete_cover_to_cycle(single_runs[1], single_runs[0]).order == (0, 1, 4, 2, 3, 5)
+    verdicts = []
+    for host, paths in [single_runs, *small_splice_instances(100)]:
+        truth = bruteforce_completable(paths, host, min_run=1)
+        assert truth is not None
+        try:
+            cycle = complete_cover_to_cycle(paths, host)
+        except SpliceFailedError:
+            verdicts.append(False)
+        else:
+            assert verify_completed_cycle(cycle, paths, host)
+            verdicts.append(True)
+        assert verdicts[-1] == truth
+    assert True in verdicts and False in verdicts
+
+
 def frozen_splice_outputs():
     # the stream's name dates from when a margin switch picked one of two
     rng = random.Random("frozen-splice:False")
@@ -488,11 +479,8 @@ def frozen_splice_outputs():
     return out
 
 
-# SHA-256 of the repr of the cycles and errors, computed before the splice
-# dropped its own reachability search and up-front connector matching, and
-# re-frozen when the matching became the one connector test (two empty
-# slots now end as SpliceFailedError with attempts 0)
-FROZEN_SPLICE_DIGEST = "eb243f247ee6b3dc01109ef1e30cf8b805e666acf6990251a1225162b11c4c02"
+# SHA-256 of the repr of the cycles and errors; 95 of the 100 complete
+FROZEN_SPLICE_DIGEST = "5dccc03363f5520026d6b0f1039ae27263208fccea4db368e3b414f722ba5ac7"
 
 
 def test_splice_outputs_frozen():
@@ -591,9 +579,9 @@ def frozen_family_outputs():
     return out
 
 
-# SHA-256 of the repr of frozen_family_outputs(), computed as the
-# non-strict half of the runs while the completion still had a strict mode
-FROZEN_FAMILY_DIGEST = "8cc6d6e10e92c041eef61ca418c8cd017ef3619c8ecf5e3531c8413e515a0dae"
+# SHA-256 of the repr of frozen_family_outputs(); every run completes both
+# covers
+FROZEN_FAMILY_DIGEST = "6215ea502ef36b5ff62ea99fe6cf5069b05a95afefce69c2de90b1cb7f51e295"
 
 
 def test_family_outputs_frozen():

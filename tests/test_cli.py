@@ -206,6 +206,10 @@ def test_each_json_command_prints_only_what_it_computed(triangle_file, capsys):
     for argv, keys in runs.items():
         assert cli_main(list(argv)) == 0
         assert set(json.loads(capsys.readouterr().out)) == keys, argv
+    # the run report leaves out the always-empty hard_failures
+    assert cli_main(["decompose", triangle_file]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert set(report) == {"n", "reg", "k", "ratio", "seed", "stages"}
 
 
 def test_count_exact_command(triangle_file, capsys):
