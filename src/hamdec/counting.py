@@ -93,15 +93,26 @@ def permanent(matrix: Sequence[Sequence[int]]) -> LogCount:
 
     Most terms are 0 (81-91% of them for random matrices at n = 20), and
     a row form can vanish only when its row has an even number of ones.
-    Such terms are dropped before ``struct`` sees them: when the XOR leaves
-    a zero byte, one precompiled regex keeps only the zero-free n-byte
-    blocks; ``(?s)`` lets ``.`` match the byte 0x0A of a form equal to 10,
-    which would otherwise shift the blocks.  The rows are sorted (a row
-    permutation leaves the permanent unchanged) so that the rows that can
-    vanish come first, even row sums before odd and small before large,
-    and the regex rejects a zero block within its first bytes.  A matrix
+    Such terms are dropped before ``struct`` sees them.  The rows are
+    sorted (a row permutation leaves the permanent unchanged) so that the
+    rows that can vanish come first, even row sums before odd and small
+    before large.  When the XOR leaves a zero byte, one precompiled regex
+    matches maximal runs of n-byte blocks: a run of zero-free blocks is one
+    match, kept whole, and a run of blocks that each hold a zero byte is
+    another, kept as b"".  Each alternative consumes whole blocks and every
+    block fits one of them, so each match starts on a block boundary.  A
+    block joins a zero run through a lookahead that finds a zero byte
+    within it; as the leading bytes are the forms that can vanish, that
+    search mostly stops within a few bytes.  So ``findall`` returns about
+    two items per run of zero-free blocks, not one per block, and
+    ``b"".join`` hands ``struct`` exactly the zero-free forms.  ``(?s)``
+    lets ``.`` match the byte 0x0A of a form equal to 10, which would
+    otherwise shift the blocks.  The pattern has only greedy repeats and a
+    lookahead, no possessive quantifier or atomic group (both new in
+    Python 3.11), so it compiles under Python 3.10's ``re``.  A matrix
     whose row sums are all odd has no zero term and pays one ``in`` test
-    per product.
+    per product, and one with a zero row or column returns 0 before the
+    walk.
     """
     n = len(matrix)
     if n > PERMANENT_CAP:
@@ -116,6 +127,9 @@ def permanent(matrix: Sequence[Sequence[int]]) -> LogCount:
     rows = sorted(([int(x) for x in row] for row in matrix),
                   key=lambda row: (sum(row) % 2, sum(row)))
     cols = [sum(row[j] << (8 * i) for i, row in enumerate(rows)) for j in range(n)]
+    # a zero row sorts first; a zero column packs to 0
+    if not any(rows[0]) or not all(cols):
+        return LogCount.from_int(0)
     b = min(PERMANENT_SPLIT, n)
     even, odd = [cols[0]], []
     for c in cols[1:b]:
@@ -131,8 +145,10 @@ def permanent(matrix: Sequence[Sequence[int]]) -> LogCount:
     high = [2 * c * ones for c in cols[b:]]
     base = sum(cols[b:]) * ones
     signed = struct.Struct(f"<{n}b").iter_unpack
-    # each n-byte block that holds no zero form, and b"" for every other
-    nonzero = re.compile(b"(?s)([^\\x00]{%d})|.{%d}" % (n, n)).findall
+    # each maximal run of n-byte blocks that hold no zero form, and b"" for
+    # each maximal run of blocks that hold one
+    nonzero = re.compile(b"(?s)((?:[^\\x00]{%d})+)|(?:(?=[^\\x00]{0,%d}\\x00).{%d})+"
+                         % (n, n - 1, n)).findall
 
     def products(forms: int) -> int:
         # sum over the packed forms of the product of their signed bytes
@@ -228,7 +244,11 @@ def count_hamilton_cycles_exact(g: OrientedGraph) -> LogCount:
     in the same sweep as the step before it, and a back step one sweep
     later.  A simple path takes each back edge at most once, and a run of
     at most l low vertices has at most l - 1 steps, so after min(l, b + 1)
-    sweeps every field is final.  A high target w outside H then goes to
+    sweeps every field is final.  Only the first sweep covers all of
+    1..l; the later ones start at the earliest back-edge head, the least w
+    with a low in-neighbour v > w.  Each target before it has only earlier
+    low in-neighbours, so it is final after the first sweep, and sweeping
+    it again would change nothing.  A high target w outside H then goes to
     key H + {w}, so the dict is layered by |H| and two layers are held at
     a time.  At the full high key the top field, T = all low vertices, of
     the sum over the in-neighbours of 0 counts the cycles.
@@ -289,14 +309,16 @@ def _sweep_order(g: OrientedGraph) -> tuple[list[int], int]:
 def _count_cycles_in_order(g: OrientedGraph, order: Sequence[int]) -> int:
     """The Hamilton cycles of g (order at least 3), counted by the DP of
     ``count_hamilton_cycles_exact`` with ``order[i]`` as vertex i and the
-    low vertices swept min(l, b + 1) times for this order's b."""
+    low vertices swept min(l, b + 1) times for this order's b, the later
+    sweeps from its earliest back-edge head."""
     n = g.n
     low = (n - 1) // 2
     label = [0] * n
     for i, v in enumerate(order):
         label[v] = i
     ins = [[label[v] for v in g.in_neighbors[u]] for u in order]
-    back = sum(w < v <= low for w in range(1, low + 1) for v in ins[w])
+    # the head w of each back edge v -> w, in sweep order
+    heads = [w for w in range(1, low + 1) for v in ins[w] if w < v <= low]
     width = math.factorial(n - 1).bit_length()
     # without[i]: all-ones fields at the low subsets that lack bit i,
     # doubled up one low vertex at a time
@@ -306,8 +328,8 @@ def _count_cycles_in_order(g: OrientedGraph, order: Sequence[int]) -> int:
         without = [m | m << span for m in without] + [full]
         full |= full << span
     pick = [itemgetter(0, 0, *(v or n for v in ins[w])) for w in range(n)]
-    sweep = [(w, pick[w], without[w - 1], width << (w - 1))
-             for w in range(1, low + 1)] * min(low, back + 1)
+    sweep = [(w, pick[w], without[w - 1], width << (w - 1)) for w in range(1, low + 1)]
+    sweep += sweep[min(heads, default=1) - 1:] * (min(low, len(heads) + 1) - 1)
     highs = [(w, 1 << w, pick[w]) for w in range(low + 1, n)]
     layer = {0: [0] * n + [1]}
     while True:

@@ -1,6 +1,8 @@
+import collections
 import itertools
 import math
 import random
+import re
 import struct
 import time
 from types import SimpleNamespace
@@ -184,6 +186,27 @@ def test_permanent_matches_subset_dp_hypothesis(mat):
     assert permanent(mat).exact == permanent_subset_dp(ints)
 
 
+class Recorder:
+    """A ``struct.Struct`` stand-in that records every form it unpacks."""
+
+    def __init__(self, fmt, seen):
+        self.unpack = struct.Struct(fmt).iter_unpack
+        self.seen = seen
+
+    def iter_unpack(self, data):
+        forms = list(self.unpack(data))
+        self.seen.extend(forms)
+        return iter(forms)
+
+
+def record_forms(monkeypatch):
+    """Route permanent()'s struct through a Recorder; return its record."""
+    seen = []
+    monkeypatch.setattr(counting, "struct",
+                        SimpleNamespace(Struct=lambda fmt: Recorder(fmt, seen)))
+    return seen
+
+
 def test_permanent_hands_struct_only_zero_free_forms_of_sorted_rows(monkeypatch):
     # rows with row sums 11, 2, 7, ... in that order: sorted even sums
     # first, ascending, byte i of every form unpacked has the parity of the
@@ -192,23 +215,71 @@ def test_permanent_hands_struct_only_zero_free_forms_of_sorted_rows(monkeypatch)
     n = len(sums)
     rng = random.Random("sorted-rows")
     mat = [[int(j < k) for j in rng.sample(range(n), n)] for k in sums]
-    seen = []
-
-    class Recorder:
-        def __init__(self, fmt):
-            self.unpack = struct.Struct(fmt).iter_unpack
-
-        def iter_unpack(self, data):
-            forms = list(self.unpack(data))
-            seen.extend(forms)
-            return iter(forms)
-
-    monkeypatch.setattr(counting, "struct", SimpleNamespace(Struct=Recorder))
+    seen = record_forms(monkeypatch)
     assert permanent(mat).exact == permanent_subset_dp(mat)
     order = sorted(sums, key=lambda k: (k & 1, k))
     assert seen and all(0 not in forms for forms in seen)
     for forms in seen:
         assert all(f % 2 == k % 2 and abs(f) <= k for f, k in zip(forms, order))
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_permanent_hands_struct_exactly_the_zero_free_forms(n, monkeypatch):
+    # the multiset of forms struct unpacks is that of the zero-free row-form
+    # tuples over every sign vector with delta_1 = +1, rows in sorted order
+    rng = random.Random(f"zero-free-forms:{n}")
+    mat = [[int(rng.random() < 0.5) for _ in range(n)] for _ in range(n - 2)]
+    # the form delta_2 + delta_n of this row vanishes in the first packed
+    # block (delta_2 = ... = delta_10 = +1) and the last one of the even
+    # parity (delta_2 = +1, delta_3 = ... = delta_10 = -1) whenever
+    # delta_n = -1, so the regex sees a buffer that starts and ends inside
+    # a run of zero blocks with zero-free blocks between them
+    mat.append([int(j in (1, n - 1)) for j in range(n)])
+    # ten ones off column 2: this form is 10 (the byte 0x0A) in a block
+    # where the row above vanishes too (delta_2 = -1, delta_n = +1)
+    ten = rng.sample([j for j in range(n) if j != 1], 10)
+    mat.append([int(j in ten) for j in range(n)])
+    buffers = []
+    pattern = re.compile
+
+    def recording(*args):
+        findall = pattern(*args).findall
+
+        def record(data):
+            buffers.append(data)
+            return findall(data)
+        return SimpleNamespace(findall=record)
+
+    monkeypatch.setattr(counting, "re", SimpleNamespace(compile=recording))
+    seen = record_forms(monkeypatch)
+    assert permanent(mat).exact == permanent_subset_dp(mat)
+    rows = sorted(mat, key=lambda row: (sum(row) % 2, sum(row)))
+    expected = collections.Counter()
+    for signs in itertools.product((1, -1), repeat=n - 1):
+        delta = (1, *signs)
+        forms = tuple(sum(d * a for d, a in zip(delta, row)) for row in rows)
+        if 0 not in forms:
+            expected[forms] += 1
+    assert collections.Counter(seen) == expected
+    assert any(10 in forms for forms in seen)
+    blocks = [[data[i:i + n] for i in range(0, len(data), n)] for data in buffers]
+    assert any(0 in bs[0] and 0 in bs[-1] and any(0 not in b for b in bs) for bs in blocks)
+    assert any(0 in b and 10 in b for bs in blocks for b in bs)
+
+
+@pytest.mark.parametrize("line", ["row", "column"])
+def test_permanent_of_a_zero_line_at_the_cap_never_reaches_struct(line, monkeypatch):
+    def refuse(fmt):
+        raise AssertionError("a zero line reached struct")
+
+    n = counting.PERMANENT_CAP
+    mat = [[1] * n for _ in range(n)]
+    if line == "row":
+        mat[n // 2] = [0] * n
+    else:
+        mat = [row[:n // 2] + [0] + row[n // 2 + 1:] for row in mat]
+    monkeypatch.setattr(counting, "struct", SimpleNamespace(Struct=refuse))
+    assert permanent(mat).is_zero
 
 
 def test_permanent_of_the_rotational_tournament_of_order_21():
@@ -385,6 +456,30 @@ def test_count_cycles_needs_one_sweep_more_than_the_back_edges(n):
             g = OrientedGraph(n, edges)
             assert sum(1 <= v < u <= low for u, v in g.edges) == back
             assert _count_cycles_in_order(g, range(n)) == len(_hamilton_cycles(g))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_count_cycles_in_random_orders_matches_enumeration(n):
+    # seeded random orders of random oriented graphs and tournaments put
+    # the earliest back-edge head at every low position it can take, 1 to
+    # l - 1 (a head needs a later low in-neighbour)
+    low = (n - 1) // 2
+    rng = random.Random(f"random-orders:{n}")
+    firsts = set()
+    for seed in range(12):
+        g = random_tournament(n, seed) if seed % 3 == 0 else OrientedGraph(n, {
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4 + seed / 20})
+        cycles = len(_hamilton_cycles(g))
+        for _ in range(4):
+            order = rng.sample(range(n), n)
+            position = {v: i for i, v in enumerate(order)}
+            heads = [position[w] for v, w in g.edges
+                     if 1 <= position[w] < position[v] <= low]
+            if heads:
+                firsts.add(min(heads))
+            assert _count_cycles_in_order(g, order) == cycles
+    assert firsts == set(range(1, low))
 
 
 def test_sweep_order_finds_no_back_edge_in_rotational_tournaments():
